@@ -5,47 +5,23 @@ Prints one row per duel (realized factor vs the construction's target) plus
 the game-tree certifications for the small-horizon constructions.
 """
 
-from fractions import Fraction as F
-
-from onlinefair.adversaries import AdversarySpec, build_adversary
+from onlinefair.adversaries import build_adversary
 from onlinefair.harness import run_duel
 from onlinefair.offline import minimax_online_factor
-
-DUELS = [
-    (AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 50)}),
-     "greedy-phi", None),
-    (AdversarySpec("no-pred-3-identical", F(1, 2), n=3), "ef1-lowest", None),
-    (AdversarySpec("no-pred-2-general", F(1, 2)), "ef1-lowest", None),
-    (AdversarySpec("follower-tight", F(7, 10), params={"lo": 1, "hi": 0}),
-     "follower:lpt", None),
-    (AdversarySpec("pred-2-general", F(3, 4)), "follower:cut-and-choose", None),
-    (AdversarySpec("pred-2-identical", F(7, 10)), "main", F(7, 10)),
-    (AdversarySpec("pred-n-identical", F(1, 10), n=3), "follower:lpt", None),
-    (AdversarySpec("pred-n-identical", F(1, 2), n=3), "follower:lpt", None),
-    (AdversarySpec("two-value-2", F(4, 5), params={"eps": F(11, 100)}), "main", F(4, 5)),
-    (AdversarySpec("two-value-n", F(1, 2), n=3), "follower:lpt", None),
-]
-
-CERTIFICATIONS = [
-    AdversarySpec("no-pred-2-identical", F(19, 20), params={"lam": F(33, 100)}),
-    AdversarySpec("follower-tight", F(7, 10)),
-    AdversarySpec("pred-2-general", F(3, 4)),
-    AdversarySpec("pred-2-identical", F(7, 10)),
-    AdversarySpec("two-value-2", F(4, 5), params={"eps": F(11, 100)}),
-]
+from onlinefair.verify import DUEL_PLAN, MINIMAX_PLAN
 
 
 def main() -> None:
     print(f"{'construction':22s} {'allocator':24s} {'target a':>9s} "
           f"{'factor':>12s}  beaten")
-    for spec, allocator, a in DUELS:
+    for spec, allocator, a in DUEL_PLAN:
         t = run_duel(allocator, spec, a=a)
         f = t.report.efx_factor
         print(f"{spec.construction:22s} {allocator:24s} {str(spec.a):>9s} "
               f"{float(f):12.6f}  {f < spec.a}")
 
     print("\ngame-tree certifications (no online algorithm beats the target):")
-    for spec in CERTIFICATIONS:
+    for spec in MINIMAX_PLAN:
         value = minimax_online_factor(build_adversary(spec))
         print(f"{spec.construction:22s} target {str(spec.a):>7s}  "
               f"best possible {float(value):.6f}  certified {value < spec.a}")

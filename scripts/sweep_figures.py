@@ -8,10 +8,9 @@ Out-of-domain cells carry the sentinel 1 (no accuracy requirement there).
 """
 
 import argparse
-from fractions import Fraction
 from pathlib import Path
 
-from onlinefair.bounds import BoundId, BoundParams, sweep_csv
+from onlinefair.bounds import BoundId, BoundParams, parse_grid, sweep_csv
 
 
 def main() -> None:
@@ -20,12 +19,10 @@ def main() -> None:
     parser.add_argument("--step", default="1/100", help="grid step as p/q")
     args = parser.parse_args()
 
-    step = Fraction(args.step)
-    grid = []
-    a = Fraction(0)
-    while a <= 1:
-        grid.append(a)
-        a += step
+    try:
+        grid = parse_grid(f"0:1:{args.step}")
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(str(exc))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

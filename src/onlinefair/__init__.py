@@ -46,7 +46,6 @@ from .online import (
     PredictionFollower,
     ThreeGoodsAllocator,
     classify_form,
-    error_margin,
     make_allocator,
     passthrough_cutoff,
 )

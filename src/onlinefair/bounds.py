@@ -85,8 +85,7 @@ def _check_domain(bound: BoundId, a: Fraction, params: BoundParams) -> None:
             f"{bound.value}: endpoint test a^2 + 2a - 2 > 0 failed (a <= sqrt(3)-1)")
     if bound is BoundId.NONID_2_LB and not a > Fraction(1, 2):
         raise DomainError(f"{bound.value}: needs a > 1/2")
-    if bound in (BoundId.IDN_LB_SMALL, BoundId.IDN_LB_LARGE,
-                 BoundId.IDN_LB_COMBINED, BoundId.TWO_VALUE_N_LB) and a == 0:
+    if bound in _N_AT_LEAST_3 and a == 0:
         raise DomainError(f"{bound.value}: needs a > 0")
 
 

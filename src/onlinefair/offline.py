@@ -18,7 +18,6 @@ from .core import (
     ValuationProfile,
     ValuationVector,
     ZERO,
-    fairness_report,
 )
 
 
@@ -77,9 +76,6 @@ class EnvyGraph:
 
     agents: int
     edges: frozenset[tuple[int, int]]
-
-    def in_degree(self, agent: int) -> int:
-        return sum(1 for (_, j) in self.edges if j == agent)
 
     def sources(self) -> list[int]:
         envied = {j for (_, j) in self.edges}
@@ -159,123 +155,12 @@ def unenvied_agent(alloc: Allocation, profile: ValuationProfile) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
+# Shared oracle machinery: bundle statistics, envy scorer, enumerator
 # ---------------------------------------------------------------------------
-
-def _best_factor_identical(values: tuple[Fraction, ...], n: int
-                           ) -> tuple[Fraction, list[int]]:
-    """Exact max envy factor over all allocations, identical valuations.
-
-    Enumerates set partitions in restricted-growth form (agent labels are
-    interchangeable when valuations are identical) and stops early once an
-    exact allocation is found.
-    """
-    t_total = len(values)
-    best = Fraction(-1)
-    best_assign: list[int] = [0] * t_total
-    assign = [0] * t_total
-    sums = [ZERO] * n
-    mins: list[Optional[Fraction]] = [None] * n
-    sizes = [0] * n
-
-    def factor_of_leaf(used: int) -> Fraction:
-        drops: list[tuple[Fraction, int]] = []
-        for b in range(used):
-            if sizes[b] > 0:
-                d = sums[b] - mins[b]  # type: ignore[operator]
-                if d > 0:
-                    drops.append((d, b))
-        if not drops:
-            return ONE
-        if used < n:
-            return ZERO  # an empty bundle envies any positive remainder
-        drops.sort(reverse=True)
-        top_d, top_b = drops[0]
-        second = drops[1][0] if len(drops) > 1 else None
-        factor = ONE
-        for b in range(used):
-            den = top_d if b != top_b else second
-            if den is None or den <= 0:
-                continue
-            r = sums[b] / den
-            if r < factor:
-                factor = r
-        return factor
-
-    def rec(t: int, used: int) -> None:
-        nonlocal best, best_assign
-        if best == 1:
-            return
-        if t == t_total:
-            f = factor_of_leaf(used)
-            if f > best:
-                best = f
-                best_assign = assign[:]
-            return
-        v = values[t]
-        for b in range(min(used + 1, n)):
-            assign[t] = b
-            old_min, old_size, old_sum = mins[b], sizes[b], sums[b]
-            sums[b] = old_sum + v
-            sizes[b] = old_size + 1
-            mins[b] = v if old_min is None or v < old_min else old_min
-            rec(t + 1, max(used, b + 1))
-            mins[b], sizes[b], sums[b] = old_min, old_size, old_sum
-
-    rec(0, 0)
-    return best, best_assign
-
-
-def _best_factor_general(profile: ValuationProfile, budget: int
-                         ) -> tuple[Fraction, list[int]]:
-    n, t_total = profile.agents, profile.horizon
-    best = Fraction(-1)
-    best_assign = [0] * t_total
-    assign = [0] * t_total
-    while True:
-        alloc = Allocation.of(
-            [[g for g in range(t_total) if assign[g] == i] for i in range(n)],
-            num_goods=t_total)
-        f = fairness_report(alloc, profile).efx_factor
-        if f > best:
-            best = f
-            best_assign = assign[:]
-            if best == 1:
-                break
-        # next base-n counter value
-        pos = t_total - 1
-        while pos >= 0 and assign[pos] == n - 1:
-            assign[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        assign[pos] += 1
-    return best, best_assign
-
-
-def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
-                            ) -> tuple[Fraction, Allocation]:
-    """Exhaustive maximum envy factor with a witness allocation.
-
-    Refuses instances whose n^T search space exceeds ``budget``.
-    """
-    n, t_total = profile.agents, profile.horizon
-    if n ** t_total > budget:
-        raise BudgetExceededError(
-            f"{n}^{t_total} allocations exceed the enumeration budget {budget}")
-    if profile.identical:
-        best, assign = _best_factor_identical(profile.vector(0).values, n)
-    else:
-        best, assign = _best_factor_general(profile, budget)
-    witness = Allocation.of(
-        [[g for g in range(t_total) if assign[g] == i] for i in range(n)],
-        num_goods=t_total)
-    return best, witness
-
-
-# ---------------------------------------------------------------------------
-# Minimax game-tree oracle
-# ---------------------------------------------------------------------------
+#
+# A bundle is tracked by its (sum, min) value under each *observer*, a
+# distinct value vector; ``min`` is None while the bundle is empty.  A *view*
+# maps each agent of one valuation profile to its observer.
 
 def _bundle_update(bstates, agent: int, values: tuple[Fraction, ...]):
     """Add a good with per-observer values to one bundle's (sum, min) stats."""
@@ -292,24 +177,102 @@ def _bundle_update(bstates, agent: int, values: tuple[Fraction, ...]):
     return tuple(updated)
 
 
-def _factor_from_bundle_states(bstates, n: int) -> Fraction:
+def _empty_bundles(n: int, observers: int):
+    return (((ZERO, None),) * observers,) * n
+
+
+def _envy_factor(bstates, views) -> Fraction:
+    """Smallest envy-up-to-any-good ratio over every agent of every view.
+
+    Agent i with observer o compares its own sum against ``sum - min`` of the
+    other bundles under o, so only the largest such drop per observer
+    matters.  Its own drop never exceeds its own sum, so when i holds the
+    largest drop it envies nobody and the ratio, at least 1, changes nothing.
+    """
+    tops = []
+    for o in range(len(bstates[0])):
+        top = ZERO
+        for obs in bstates:
+            s, m = obs[o]
+            if m is not None:
+                d = s - m
+                if d and (not top or d > top):  # zero drops skip the compare
+                    top = d
+        tops.append(top)
+    for view in views:
+        for i, o in enumerate(view):
+            if bstates[i][o][1] is None and tops[o]:
+                return ZERO  # an empty bundle envies any positive remainder
     factor = ONE
-    for i in range(n):
-        own = bstates[i][i][0]
-        for j in range(n):
-            if j == i:
-                continue
-            s, m = bstates[j][i]
-            if m is None:
-                continue
-            den = s - m
-            if den <= 0:
-                continue
-            r = own / den
-            if r < factor:
-                factor = min(ONE, r)
+    for view in views:
+        for i, o in enumerate(view):
+            if tops[o]:
+                r = bstates[i][o][0] / tops[o]
+                if r < factor:
+                    factor = r
     return factor
 
+
+def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
+    """Lexicographically first good->bundle assignment maximizing the worst
+    envy factor across ``profiles``, with that factor.
+
+    Depth-first in lexicographic order; bundle labels are interchangeable
+    (restricted-growth labelling) when every profile values all agents alike.
+    Stops at the first exact assignment, since no factor exceeds 1.
+    """
+    observers: dict[tuple[Fraction, ...], int] = {}  # distinct value vectors
+    views = tuple(tuple(observers.setdefault(v.values, len(observers)) for v in p.vectors)
+                  for p in profiles)
+    n = len(views[0])
+    goods = list(zip(*observers))  # per good, its value to each observer
+    symmetric = all(len(set(view)) == 1 for view in views)
+    t_total = len(goods)
+    best = ZERO - 1
+    best_assign: list[int] = []
+    assign = [0] * t_total
+
+    def rec(t: int, used: int, bstates) -> bool:
+        nonlocal best, best_assign
+        if t == t_total:
+            f = _envy_factor(bstates, views)
+            if f > best:
+                best, best_assign = f, assign[:]
+            return best == 1
+        for b in range(min(used + 1, n) if symmetric else n):
+            assign[t] = b
+            if rec(t + 1, max(used, b + 1), _bundle_update(bstates, b, goods[t])):
+                return True
+        return False
+
+    rec(0, 0, _empty_bundles(n, len(observers)))
+    return best, best_assign
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle
+# ---------------------------------------------------------------------------
+
+def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
+                            ) -> tuple[Fraction, Allocation]:
+    """Exhaustive maximum envy factor with a witness allocation.
+
+    Refuses instances whose n^T search space exceeds ``budget``.
+    """
+    n, t_total = profile.agents, profile.horizon
+    if n ** t_total > budget:
+        raise BudgetExceededError(
+            f"{n}^{t_total} allocations exceed the enumeration budget {budget}")
+    best, assign = _best_assignment((profile,))
+    witness = Allocation.of(
+        [[g for g in range(t_total) if assign[g] == i] for i in range(n)],
+        num_goods=t_total)
+    return best, witness
+
+
+# ---------------------------------------------------------------------------
+# Minimax game-tree oracle
+# ---------------------------------------------------------------------------
 
 def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     """Best envy factor any deterministic online algorithm can force.
@@ -322,12 +285,11 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     """
     family = getattr(adversary, "oblivious_family", None)
     if family is not None:
-        return _oblivious_value(adversary, family)
+        return _best_assignment(family)[0]
 
     n = adversary.n
     horizon = adversary.horizon
-    empty_obs = tuple((ZERO, None) for _ in range(n))
-    start_bundles = tuple(empty_obs for _ in range(n))
+    views = (range(n),)
     memo: dict = {}
     nodes = 0
 
@@ -337,7 +299,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         if nodes > node_budget:
             raise BudgetExceededError(f"minimax search exceeded {node_budget} nodes")
         if t == horizon:
-            return _factor_from_bundle_states(bstates, n)
+            return _envy_factor(bstates, views)
         key = (astate, bstates, t)
         if key in memo:
             return memo[key]
@@ -350,34 +312,4 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         memo[key] = best
         return best
 
-    return rec(adversary.start(), start_bundles, 0)
-
-
-def _oblivious_value(adversary, family) -> Fraction:
-    """max over decision sequences of the min factor across the truth family."""
-    n = adversary.n
-    t_total = adversary.horizon
-    identical = all(p.identical for p in family)
-    best = ZERO - 1
-    assign = [0] * t_total
-
-    def score() -> Fraction:
-        alloc = Allocation.of(
-            [[g for g in range(t_total) if assign[g] == i] for i in range(n)],
-            num_goods=t_total)
-        return min(fairness_report(alloc, profile).efx_factor for profile in family)
-
-    def rec(t: int, used: int) -> None:
-        nonlocal best
-        if t == t_total:
-            s = score()
-            if s > best:
-                best = s
-            return
-        limit = min(used + 1, n) if identical else n
-        for b in range(limit):
-            assign[t] = b
-            rec(t + 1, max(used, b + 1))
-
-    rec(0, 0)
-    return best
+    return rec(adversary.start(), _empty_bundles(n, n), 0)

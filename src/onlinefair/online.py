@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from .bounds import BoundId, eval_bound
 from .core import (
     Allocation,
     ValuationProfile,
@@ -222,11 +223,6 @@ class FormTag:
     low_agent: int
 
 
-def error_margin(a: Fraction) -> Fraction:
-    """Maximum tolerated prediction error for the form-guided allocator."""
-    return (4 + a - a * a) * (1 - a) / ((2 + a) * (5 - a) * (1 + a))
-
-
 def passthrough_cutoff(a: Fraction) -> Fraction:
     """Lighter-bundle weight above which the predicted split is already safe."""
     return (4 + a - a * a) / ((2 + a) * (5 - a))
@@ -311,8 +307,8 @@ class FormThresholdAllocator(OnlineAllocator):
     arriving good performs a constant number of comparisons: tracked heavy
     goods are admitted to the heavier side while their observed value stays
     within the form's margin (and fewer than two sit there already), all other
-    goods go to the lighter side.  With prediction error at most
-    ``error_margin(a)`` the final allocation reaches factor a.
+    goods go to the lighter side.  With prediction error at most the
+    ``main-sufficient`` bound at a, the final allocation reaches factor a.
     """
 
     name = "main"
@@ -338,7 +334,7 @@ class FormThresholdAllocator(OnlineAllocator):
         self.large_in_high = 0
         self.large_in_low = 0
 
-        margin = error_margin(self.a)
+        margin = eval_bound(BoundId.MAIN_SUFFICIENT, self.a)
         if tag.kind is FormKind.FORM1:
             self.threshold = tag.z + margin / 2
             self.fallback = False

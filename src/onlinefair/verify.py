@@ -70,8 +70,7 @@ def suite_names() -> list[str]:
 
 
 def verify_claims(name: str) -> SuiteResult:
-    criterion, fn = _SUITES[name]
-    return fn()
+    return _SUITES[name][1]()
 
 
 def verify_all(names: Optional[Sequence[str]] = None) -> list[SuiteResult]:
@@ -178,7 +177,7 @@ def _follower_guarantee() -> SuiteResult:
         truths = perturb(predictions, [d] * n, seed=rng.randrange(2 ** 30), mode=mode)
         instance = make_instance(predictions, truths)
         transcript = run_instance("follower:lpt", instance)
-        bound = (1 - (2 * n - 1) * d) / (1 + (2 * n - 1) * d)
+        bound = invert_bound(BoundId.FOLLOWER_SUFFICIENT, d, BoundParams(n=n))
         if transcript.report.efx_factor < bound:
             failures.append(
                 f"trial {trial}: factor {transcript.report.efx_factor} < bound {bound} "
@@ -238,7 +237,7 @@ def _three_goods() -> SuiteResult:
             failures.append(f"trial {trial}: promised horizon kept but factor below 1")
     for trial in range(200):
         a = Fraction(rng.randint(0, 100), 100)
-        budget = (1 - a) / (1 + a)
+        budget = eval_bound(BoundId.THREE_GOODS_SUFFICIENT, a)
         trailing = budget * Fraction(rng.randint(0, 100), 100)
         t_pred = rng.randint(1, 3)
         extra = rng.randint(1, 3)

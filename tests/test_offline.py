@@ -1,5 +1,6 @@
 """Offline procedures and the verification oracles."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,7 @@ from onlinefair.offline import (
     unenvied_agent,
 )
 
-from conftest import identical_profiles, profiles, vectors
+from conftest import direct_envy_factor, identical_profiles, profiles, vectors
 
 
 def vec(*values):
@@ -189,6 +190,25 @@ class TestBruteForce:
         some = Allocation.of(bundles, num_goods=profile.horizon)
         best, _ = brute_force_best_factor(profile)
         assert best >= fairness_report(some, profile).efx_factor
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(profiles(max_agents=3, max_goods=5),
+                     identical_profiles(max_agents=3, max_goods=5)))
+    def test_matches_direct_enumeration(self, profile):
+        # independent reference: every assignment scored from the definition;
+        # the witness is the lexicographically first maximiser
+        n, horizon = profile.agents, profile.horizon
+        best, first = F(-1), None
+        for assign in itertools.product(range(n), repeat=horizon):
+            alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
+                                   for i in range(n)], num_goods=horizon)
+            f = direct_envy_factor(alloc, profile, "best")
+            if f > best:
+                best, first = f, assign
+        factor, witness = brute_force_best_factor(profile)
+        assert factor == best
+        owner = {g: i for i, b in enumerate(witness.bundles) for g in b}
+        assert tuple(owner[g] for g in range(horizon)) == first
 
 
 class TestMinimaxOracle:
