@@ -53,7 +53,6 @@ from .adversaries import (
     AdversarySpec,
     ParameterError,
     build_adversary,
-    realized_error,
 )
 from .bounds import BoundId, BoundParams, eval_bound, invert_bound, sweep_curves
 from .harness import (

@@ -24,7 +24,6 @@ from .core import (
     cmp_golden,
     cmp_sqrt3,
     rat,
-    tv_distance,
 )
 
 CONSTRUCTIONS = (
@@ -665,24 +664,3 @@ _BUILDERS = {
 def build_adversary(spec: AdversarySpec) -> Adversary:
     return _BUILDERS[spec.construction](spec)
 
-
-def realized_error(transcript, spec: AdversarySpec) -> tuple[Fraction, ...]:
-    """Per-agent distance between the emitted prediction and the realized truth.
-
-    Raises if the transcript is incomplete or the error leaves the interval the
-    construction promises on every branch.
-    """
-    adv = build_adversary(spec)
-    if adv.prediction is None:
-        raise ValueError(f"{spec.construction} emits no prediction")
-    truths = transcript.truths
-    if truths.horizon != adv.horizon:
-        raise ValueError("incomplete transcript: fewer goods than promised")
-    errors = tuple(tv_distance(adv.prediction.vector(i), truths.vector(i))
-                   for i in range(adv.n))
-    lo, hi = adv.claimed_error
-    for i, e in enumerate(errors):
-        if not lo <= e <= hi:
-            raise ValueError(
-                f"agent {i} realized error {e} outside claimed interval [{lo}, {hi}]")
-    return errors

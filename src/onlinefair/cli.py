@@ -1,7 +1,10 @@
 """Command-line interface: run, duel, oracle, bounds, gen, perturb, verify.
 
 All rationals on the wire are ``"p/q"`` strings; instance files use the JSON
-schema produced by ``gen``.  Exit code 0 only if every invoked check passes.
+schema produced by ``gen``.  Exit code 0 only if every invoked check passes;
+bad input (a domain or parameter violation, malformed JSON, a zero
+denominator, an oracle over its budget, an unreadable file) exits 2 with a
+one-line ``onlinefair: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .adversaries import AdversarySpec, build_adversary
 from .bounds import BoundId, BoundParams, eval_bound, invert_bound, parse_grid, sweep_csv
 from .core import Instance, rat, rat_str
 from .harness import gen_random_instance, make_instance, perturb, run_duel, run_instance
-from .offline import brute_force_best_factor, minimax_online_factor
+from .offline import BudgetExceededError, brute_force_best_factor, minimax_online_factor
 from .online import ALLOCATOR_NAMES
 from .verify import suite_names, verify_all
 
@@ -195,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, ZeroDivisionError, BudgetExceededError, OSError) as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"onlinefair: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Exact domain types and fairness metrics for online allocation of indivisible goods.
 
-All values are arbitrary-precision rationals (``fractions.Fraction``); there is
-no floating point anywhere in the metric or allocation paths.  Irrational
-thresholds (the golden-ratio and sqrt(3) cut-offs) are decided through squared
-integer comparisons, never approximated.
+All values are arbitrary-precision rationals (``fractions.Fraction``) at the
+API; there is no floating point anywhere in the metric or allocation paths.
+Each value vector also carries its values as integer weights over one common
+denominator (the lcm of the value denominators), and the metrics here and the
+offline and online setup paths compute on those Python ints, building a
+``Fraction`` only for a result.  Irrational thresholds (the golden-ratio and
+sqrt(3) cut-offs) are decided through squared integer comparisons, never
+approximated.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads; all operations are pure functions.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -35,12 +40,19 @@ def rat(x: RationalLike) -> Fraction:
     """Coerce an int, a ``"p/q"`` string, or a Fraction to an exact rational.
 
     Floats are rejected on purpose: they would silently break exactness.
+    A plain ASCII ``p/q`` or ``-p/q`` (the wire format) is split and built from
+    two ints; every other string goes through ``Fraction(str)``.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if (slash and digits.isascii() and digits.isdigit()
+                and den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den))
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -112,6 +124,9 @@ class ValuationVector:
     """An additive valuation over goods 0..T-1.
 
     ``normalized`` vectors must sum exactly to one; there is no tolerance knob.
+    Construction also sets two plain attributes, outside the dataclass fields:
+    ``den``, the lcm of the value denominators, and ``weights``, one int per
+    good with ``values[g] == Fraction(weights[g], den)``.
     """
 
     values: tuple[Fraction, ...]
@@ -122,17 +137,27 @@ class ValuationVector:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("a valuation vector needs at least one good")
-        if any(v < 0 for v in vals):
+        den = lcm(*{v.denominator for v in vals})
+        weights = tuple(v.numerator * (den // v.denominator) for v in vals)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "weights", weights)
+        if min(weights) < 0:
             raise ValueError("good values must be nonnegative")
-        if self.normalized and sum(vals) != 1:
-            raise NormalizationError(f"values sum to {sum(vals)}, expected 1")
+        if self.normalized and sum(weights) != den:
+            raise NormalizationError(
+                f"values sum to {Fraction(sum(weights), den)}, expected 1")
 
     @property
     def horizon(self) -> int:
         return len(self.values)
 
+    def weight(self, bundle: Iterable[int]) -> int:
+        """The bundle's value times ``den``, an int."""
+        w = self.weights
+        return sum([w[g] for g in bundle])
+
     def value(self, bundle: Iterable[int]) -> Fraction:
-        return sum((self.values[g] for g in bundle), start=ZERO)
+        return Fraction(self.weight(bundle), self.den)
 
     def __getitem__(self, g: int) -> Fraction:
         return self.values[g]
@@ -280,7 +305,8 @@ def xset(bundle: Iterable[int], f: ValuationVector) -> frozenset[int]:
     b = frozenset(bundle)
     if not b:
         return b
-    g = min(b, key=lambda i: (f.values[i], i))
+    w = f.weights
+    g = min(b, key=lambda i: (w[i], i))
     return b - {g}
 
 
@@ -289,7 +315,8 @@ def oset(bundle: Iterable[int], f: ValuationVector) -> frozenset[int]:
     b = frozenset(bundle)
     if not b:
         return b
-    g = min(b, key=lambda i: (-f.values[i], i))
+    w = f.weights
+    g = min(b, key=lambda i: (-w[i], i))
     return b - {g}
 
 
@@ -298,17 +325,18 @@ def tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
 
     Half the l1 distance, with the shorter vector zero-padded so both cover
     max(T, T') dummy-extended time-steps.  Appending zero-valued goods to
-    either side leaves the result unchanged.
+    either side leaves the result unchanged.  Both weight vectors are scaled
+    to the lcm of the two denominators and summed as ints.
     """
     if not (p.normalized and v.normalized):
         raise NormalizationError("tv_distance requires normalized vectors")
-    t_max = max(p.horizon, v.horizon)
-    total = ZERO
-    for t in range(t_max):
-        a = p.values[t] if t < p.horizon else ZERO
-        b = v.values[t] if t < v.horizon else ZERO
-        total += abs(a - b)
-    return total / 2
+    den = lcm(p.den, v.den)
+    sp, sv = den // p.den, den // v.den
+    wp, wv = p.weights, v.weights
+    common = min(len(wp), len(wv))
+    total = sum([abs(a * sp - b * sv) for a, b in zip(wp, wv)])
+    total += sum(wp[common:]) * sp + sum(wv[common:]) * sv  # zero-padded tail
+    return Fraction(total, 2 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +371,13 @@ def _check_alloc(alloc: Allocation, profile: ValuationProfile) -> None:
 
 
 def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessReport:
-    """Compute both envy factors; prefix allocations (fewer goods) are allowed."""
+    """Compute both envy factors; prefix allocations (fewer goods) are allowed.
+
+    Each bundle is reduced to its (sum, min, max) weight under each agent's
+    vector.  Removing a minimum (maximum) good leaves ``sum - min``
+    (``sum - max``), and the common denominator cancels in ``own / (sum - min)``,
+    so a ratio is built as a Fraction only when it is below 1.
+    """
     _check_alloc(alloc, profile)
     n = profile.agents
     per_pair = [[ONE] * n for _ in range(n)]
@@ -351,21 +385,27 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
     ef1 = ONE
     binding: Optional[tuple[int, int]] = None
     for i in range(n):
-        vi = profile.vector(i)
-        own = vi.value(alloc.bundles[i])
+        w = profile.vector(i).weights
+        stats = []
+        for b in alloc.bundles:
+            ws = [w[g] for g in b]
+            stats.append((sum(ws), min(ws), max(ws)) if ws else (0, 0, 0))
+        own = stats[i][0]
         for j in range(n):
             if j == i:
                 continue
-            den_x = vi.value(xset(alloc.bundles[j], vi))
-            r_x = ONE if den_x <= 0 else min(ONE, own / den_x)
+            s, lo, hi = stats[j]
+            den_x = s - lo
+            r_x = ONE if own >= den_x else Fraction(own, den_x)
             per_pair[i][j] = r_x
             if r_x < efx:
                 efx = r_x
                 binding = (i, j)
-            den_o = vi.value(oset(alloc.bundles[j], vi))
-            r_o = ONE if den_o <= 0 else min(ONE, own / den_o)
-            if r_o < ef1:
-                ef1 = r_o
+            den_o = s - hi
+            if own < den_o:
+                r_o = Fraction(own, den_o)
+                if r_o < ef1:
+                    ef1 = r_o
     return FairnessReport(
         efx_factor=efx,
         ef1_factor=ef1,

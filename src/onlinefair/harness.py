@@ -92,8 +92,8 @@ def run_instance(allocator_name: str, instance: Instance, *,
     if allocator.identical_only and not truths.identical and not coerce_identical:
         raise ValueError(f"{allocator_name} needs identical true valuations")
     steps = []
-    for t in range(truths.horizon):
-        values = tuple(truths.vector(i).values[t] for i in range(truths.agents))
+    columns = zip(*(v.values for v in truths.vectors))  # per good, its value to each agent
+    for t, values in enumerate(columns):
         agent = allocator.step(t, values)
         steps.append((t, values, agent))
     return _finish(f"instance:n={instance.agents}", allocator, steps,

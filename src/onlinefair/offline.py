@@ -35,18 +35,19 @@ def lpt(f: ValuationVector, n: int) -> Allocation:
     Ties in the value ordering break by ascending good id, ties among minimum
     bundles by lowest agent id, so the output is deterministic.  For identical
     additive valuations the result is exactly envy-free up to any good.
-    Runs in O(T log(nT)).
+    Runs in O(T log(nT)) on the vector's integer weights.
     """
     if n < 2:
         raise ValueError("need at least two agents")
-    order = sorted(range(f.horizon), key=lambda g: (-f.values[g], g))
+    w = f.weights
+    # a stable sort by descending weight keeps equal weights in ascending id order
+    order = sorted(range(f.horizon), key=w.__getitem__, reverse=True)
     bundles: list[set[int]] = [set() for _ in range(n)]
-    heap: list[tuple[Fraction, int]] = [(ZERO, i) for i in range(n)]
-    heapq.heapify(heap)
+    heap: list[tuple[int, int]] = [(0, i) for i in range(n)]
     for g in order:
-        total, i = heapq.heappop(heap)
+        total, i = heap[0]
         bundles[i].add(g)
-        heapq.heappush(heap, (total + f.values[g], i))
+        heapq.heapreplace(heap, (total + w[g], i))
     return Allocation.of(bundles, num_goods=f.horizon)
 
 
@@ -60,7 +61,7 @@ def cut_and_choose(p1: ValuationVector, p2: ValuationVector) -> Allocation:
         raise ValueError("both vectors must cover the same goods")
     base = lpt(p1, 2)
     b0, b1 = base.bundles
-    chooser_takes_b0 = p2.value(b0) > p2.value(b1)
+    chooser_takes_b0 = p2.weight(b0) > p2.weight(b1)
     if chooser_takes_b0:
         return Allocation.of([b1, b0], num_goods=p1.horizon)
     return Allocation.of([b0, b1], num_goods=p1.horizon)
@@ -85,11 +86,11 @@ class EnvyGraph:
 def envy_graph(alloc: Allocation, profile: ValuationProfile) -> EnvyGraph:
     n = profile.agents
     edges = set()
-    own = [profile.vector(i).value(alloc.bundles[i]) for i in range(n)]
     for i in range(n):
         vi = profile.vector(i)
+        own = vi.weight(alloc.bundles[i])
         for j in range(n):
-            if i != j and own[i] < vi.value(alloc.bundles[j]):
+            if i != j and own < vi.weight(alloc.bundles[j]):
                 edges.add((i, j))
     return EnvyGraph(agents=n, edges=frozenset(edges))
 
@@ -281,14 +282,19 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     decision history) this is plain backward induction with memoization on
     (opponent state, bundle statistics).  Opponents that instead fix a family
     of complete value assignments up front (the truth-oblivious benchmark)
-    are scored as max over assignment sequences of the min over the family.
+    are scored as max over assignment sequences of the min over the family;
+    that enumeration is refused up front when its n^horizon leaves exceed
+    ``node_budget``.
     """
-    family = getattr(adversary, "oblivious_family", None)
-    if family is not None:
-        return _best_assignment(family)[0]
-
     n = adversary.n
     horizon = adversary.horizon
+    family = getattr(adversary, "oblivious_family", None)
+    if family is not None:
+        if n ** horizon > node_budget:
+            raise BudgetExceededError(
+                f"{n}^{horizon} assignments exceed the node budget {node_budget}")
+        return _best_assignment(family)[0]
+
     views = (range(n),)
     memo: dict = {}
     nodes = 0

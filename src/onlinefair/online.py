@@ -53,7 +53,7 @@ class OnlineAllocator:
         values = tuple(rat(v) for v in values)
         if len(values) != self.n:
             raise ValueError("need one revealed value per agent")
-        if any(v < 0 for v in values):
+        if any(v.numerator < 0 for v in values):
             raise ValueError("revealed values must be nonnegative")
         agent = self._decide(t, values)
         self.bundles[agent].add(t)
@@ -254,15 +254,18 @@ def classify_form(planned: Allocation, p: ValuationVector, a: Fraction) -> FormT
         raise ValueError("allocation is not the largest-value-first output of p")
 
     b0, b1 = planned.bundles
-    low = 0 if p.value(b0) <= p.value(b1) else 1
+    low = 0 if p.weight(b0) <= p.weight(b1) else 1
     light, heavy = planned.bundles[low], planned.bundles[1 - low]
 
-    z = max(p.values)
-    level_z = frozenset(g for g in range(p.horizon) if p.values[g] == z)
-    below = [v for v in p.values if v < z]
-    y = max(below) if below else None
-    level_y = frozenset(g for g in range(p.horizon) if y is not None and p.values[g] == y)
+    w = p.weights
+    wz = max(w)
+    level_z = frozenset(g for g in range(p.horizon) if w[g] == wz)
+    below = [x for x in w if x < wz]
+    wy = max(below) if below else None
+    level_y = frozenset(g for g in range(p.horizon) if w[g] == wy)
     level_x = frozenset(range(p.horizon)) - level_z - level_y
+    z = Fraction(wz, p.den)
+    y = None if wy is None else Fraction(wy, p.den)
 
     def tag(kind: FormKind, large: frozenset[int]) -> FormTag:
         return FormTag(kind=kind, z=z, y=y, level_z=level_z, level_y=level_y,

@@ -9,7 +9,6 @@ from onlinefair.adversaries import (
     AdversarySpec,
     ParameterError,
     build_adversary,
-    realized_error,
 )
 from onlinefair.core import ZERO, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
@@ -148,7 +147,7 @@ class TestRealizedError:
     def test_follower_tight_exact_distance(self):
         spec = AdversarySpec("follower-tight", F(7, 10), params={"D": F(1, 5)})
         transcript = random_walk_duel(spec, seed=4)
-        assert realized_error(transcript, spec) == (F(1, 5), F(1, 5))
+        assert transcript.realized_error == (F(1, 5), F(1, 5))
 
     def test_small_regime_error_value(self):
         spec = AdversarySpec("pred-n-identical", F(1, 10), n=3)
@@ -157,29 +156,28 @@ class TestRealizedError:
         expected = (F(1, 2) - adv.eps) / 2  # same on both branches
         for seed in range(6):
             transcript = random_walk_duel(spec, seed=seed)
-            assert realized_error(transcript, spec) == (expected,) * 3
+            assert transcript.realized_error == (expected,) * 3
 
     def test_mirrored_pair_error_equals_eps(self):
         spec = AdversarySpec("pred-2-general", F(3, 4))
         adv = build_adversary(spec)
         for seed in range(6):
             transcript = random_walk_duel(spec, seed=seed)
-            assert realized_error(transcript, spec) == (adv.eps, adv.eps)
+            assert transcript.realized_error == (adv.eps, adv.eps)
 
     def test_two_value_pair_error_branch_dependent(self):
         spec = AdversarySpec("two-value-2", F(4, 5), params={"eps": F(11, 100)})
         seen = set()
         for seed in range(20):
             transcript = random_walk_duel(spec, seed=seed)
-            seen.update(realized_error(transcript, spec))
+            seen.update(transcript.realized_error)
         assert seen <= {ZERO, F(11, 100)}
         assert F(11, 100) in seen
 
     def test_rejects_predictionless_constructions(self):
         spec = BASE_SPECS["no-pred-2-general"]
         transcript = random_walk_duel(spec, seed=0)
-        with pytest.raises(ValueError, match="no prediction"):
-            realized_error(transcript, spec)
+        assert transcript.realized_error is None
 
 
 class TestDefeats:

@@ -1,4 +1,5 @@
-"""Golden outputs: oracle JSON, the duel table and the curve CSVs, byte for byte."""
+"""Golden outputs, byte for byte: oracle JSON, the duel table, the curve CSVs,
+seeded gen -> perturb -> run pipelines and runs on large coprime denominators."""
 
 import hashlib
 import json
@@ -6,12 +7,22 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from onlinefair.cli import main as cli_main
-from onlinefair.core import rat_str
+from onlinefair.core import (
+    Allocation,
+    ValuationProfile,
+    ValuationVector,
+    fairness_report,
+    rat_str,
+    tv_distance,
+)
+from onlinefair.harness import make_instance
+from onlinefair.online import ALLOCATOR_NAMES
 from onlinefair.verify import MINIMAX_PLAN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +127,171 @@ def test_sweep_figures_rejects_nonpositive_step(tmp_path, step):
     assert proc.returncode == 2
     assert "grid step must be positive" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# gen -> perturb -> run: seeded pipelines give the same bytes every time
+# ---------------------------------------------------------------------------
+
+PIPELINE_GEN = {
+    "identical-n2": ("--n", "2", "--T", "1000", "--identical", "--seed", "11"),
+    "identical-n3": ("--n", "3", "--T", "1000", "--identical", "--seed", "12"),
+    "general-n2": ("--n", "2", "--T", "1000", "--seed", "13"),
+    # three-goods accepts a promised horizon of at most three goods only
+    "identical-n2-T3": ("--n", "2", "--T", "3", "--identical", "--seed", "14"),
+}
+
+PIPELINE_RUNS = {
+    "greedy-phi": (("identical-n2", ()),),
+    "ef1-lowest": (("identical-n2", ()), ("identical-n3", ()), ("general-n2", ())),
+    "follower:lpt": (("identical-n2", ()), ("identical-n3", ())),
+    "follower:cut-and-choose": (("general-n2", ()),),
+    "three-goods": (("identical-n2-T3", ()),),
+    "main": (("identical-n2", ("--a", "4/5")),),
+}
+
+PIPELINE_DIGESTS = {
+    "identical-n2.gen": "1490b6422ecd8e61f85a86a56f24ba4daa1ae0f9d6b5c219286d3ac0f0ce2896",
+    "identical-n2": "2620942395293365278ce1bd165272dcd58bf30951983454e69fe15e210fe3a1",
+    "identical-n3.gen": "b7514ca4d48b7f526b4df67f88eae77fd8022d37f0a9676b0744d72e25828348",
+    "identical-n3": "3d5b11bec562f5803b02e8b17005e3ea7def40f9e49262ea81b0af6512273412",
+    "general-n2.gen": "d29ee775abc69d69a25d2819bdf705f421b0ba8b0d3848a44e00d68fdcd5a770",
+    "general-n2": "8a13c845b8d481a746fb6af9d1d684bc1ad8003eeb2d04b0e127d1c047fb6a12",
+    "identical-n2-T3.gen": "c2c21a22aa60eb62a212fc3a334483bb980ad99ef48c1a6a133578ebe9ba6c30",
+    "identical-n2-T3": "76affb97b05a5d5ca917b48482c302d74cda23ebde7cb24777c6e2ad3922e045",
+    "identical-n2.greedy-phi":
+        "39c3256ce1dc31218c183b28494617b3cc01d445c6639d92739f194da880f4fc",
+    "identical-n2.ef1-lowest":
+        "3e61a82354b1d506fa136343f21e27d574f664d118a1f7ab28285efb90683b73",
+    "identical-n3.ef1-lowest":
+        "f6cfd8f5ef87caa1d501292bad27ed9df352156c8fa7ee24611916c0a55dfe22",
+    "general-n2.ef1-lowest":
+        "88be21e2281984288fb97afd0e398c7cf9268723103ca717cfd4f45a71cc4305",
+    "identical-n2.follower:lpt":
+        "bf30c8b667f3bfcdf8248c820f15b7f7fff4b3ce27cc8cdf261bf1d7349abbcd",
+    "identical-n3.follower:lpt":
+        "2895a6c57cd2a6bff29188c37f0b284a79e22612c44867d581e267ad9f7f6101",
+    "general-n2.follower:cut-and-choose":
+        "a9aa9d94ac98a4c3e66dec3e94f96d52568b2059ad409277266a9b605a666a5c",
+    "identical-n2-T3.three-goods":
+        "34b7936104d47d89c8e77b5eb95b4f1db3bfd655980272d749a7c9cc1fc8dfaf",
+    "identical-n2.main":
+        "f7e4da52067df292e5bb5508974891d9454b37ffe543cdec18f23ad496190a7e",
+}
+
+COPRIME_DIGESTS = {
+    "coprime-general.ef1-lowest":
+        "c77e47954ef058caaef1c0e818d1d69d2ddc348d46708508b8c6c0bbaa79a197",
+    "coprime-general.follower:cut-and-choose":
+        "9945fa2cdb79eb62f4d74401e141c8e1059adb469f471e8419a14979e74f4278",
+    "coprime-identical.greedy-phi":
+        "40784b12f5090845dde163c110e35d3fa86d888f62726545239c898c6d996636",
+    "coprime-identical.follower:lpt":
+        "4e65cc31aee5eb9439608667152fd3ad3cbcfd1ff38cf8dbf1ea112f44a9ba02",
+    "coprime-identical.main":
+        "fb047b9c8df37352780e2f610557e73540d88cc9f74c624683e0f75538ee7d68",
+    "metrics": "7a5853bdcb8639182a65ed2372f34c16520c37f16d20f1517c3f6b89446d94c4",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Each generated instance, and its predictions perturbed in mixed mode."""
+    out = tmp_path_factory.mktemp("pipeline")
+    for name, gen_args in PIPELINE_GEN.items():
+        assert cli_main(["gen", *gen_args, "--out", str(out / f"{name}.gen.json")]) == 0
+        assert cli_main(["perturb", "--instance", str(out / f"{name}.gen.json"),
+                         "--d", "1/50", "--mode", "mixed", "--seed", "5",
+                         "--out", str(out / f"{name}.json")]) == 0
+    return out
+
+
+def test_pipeline_instances(pipeline_dir):
+    got = {key: _sha256(pipeline_dir / f"{key}.json")
+           for name in PIPELINE_GEN for key in (f"{name}.gen", name)}
+    assert got == {key: PIPELINE_DIGESTS[key] for key in got}
+
+
+def test_pipeline_covers_every_allocator():
+    assert set(PIPELINE_RUNS) == set(ALLOCATOR_NAMES)
+
+
+@pytest.mark.parametrize("allocator", ALLOCATOR_NAMES)
+def test_pipeline_run(pipeline_dir, allocator):
+    got = {}
+    for name, extra in PIPELINE_RUNS[allocator]:
+        out = pipeline_dir / f"{name}.{allocator.replace(':', '-')}.run.json"
+        assert cli_main(["run", "--instance", str(pipeline_dir / f"{name}.json"),
+                         "--allocator", allocator, *extra, "--out", str(out)]) == 0
+        got[f"{name}.{allocator}"] = _sha256(out)
+    assert got == {key: PIPELINE_DIGESTS[key] for key in got}
+
+
+# ---------------------------------------------------------------------------
+# Large pairwise-coprime denominators (primes near 10^9)
+# ---------------------------------------------------------------------------
+
+PRIMES = (999999883, 999999893, 999999929, 999999937, 1000000007, 1000000009,
+          1000000021, 1000000033, 1000000087, 1000000093, 1000000097, 1000000103,
+          1000000123, 1000000181)
+
+
+def coprime_vector(primes, shift: int) -> ValuationVector:
+    """About 1/(k+2) over each of the k primes, the remainder on one last good."""
+    head = [F(p // (len(primes) + 2) + shift * k, p) for k, p in enumerate(primes)]
+    return ValuationVector(tuple(head) + (1 - sum(head),))
+
+
+def coprime_instance(identical: bool):
+    """Ten goods; every agent's truth uses primes its prediction does not."""
+    preds = (coprime_vector(PRIMES[:9], 3), coprime_vector(PRIMES[5:14], 4))
+    truths = (coprime_vector(PRIMES[9:] + PRIMES[:4], 5),
+              coprime_vector(PRIMES[:2] + PRIMES[7:], 2))
+    if identical:
+        return make_instance(ValuationProfile.identical_from(preds[0], 2),
+                             ValuationProfile.identical_from(truths[0], 2))
+    return make_instance(ValuationProfile(preds), ValuationProfile(truths))
+
+
+COPRIME_RUNS = (
+    (False, "ef1-lowest", ()),
+    (False, "follower:cut-and-choose", ()),
+    (True, "greedy-phi", ()),
+    (True, "follower:lpt", ()),
+    (True, "main", ("--a", "4/5")),
+)
+
+
+@pytest.mark.parametrize("identical,allocator,extra", COPRIME_RUNS,
+                         ids=[f"{'identical' if i else 'general'}-{name}"
+                              for i, name, _ in COPRIME_RUNS])
+def test_coprime_denominators_run(tmp_path, identical, allocator, extra):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(coprime_instance(identical).to_json_dict(), indent=2))
+    out = tmp_path / "run.json"
+    assert cli_main(["run", "--instance", str(inst), "--allocator", allocator, *extra,
+                     "--out", str(out)]) == 0
+    key = f"coprime-{'identical' if identical else 'general'}.{allocator}"
+    assert _sha256(out) == COPRIME_DIGESTS[key]
+
+
+def test_coprime_denominators_metrics():
+    """TV distances and fairness reports, as exact rationals, on the coprime truths."""
+    inst = coprime_instance(False)
+    allocs = ([[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]], [[9], range(9)], [range(9), [9]],
+              [[], range(10)], [[3, 4], [0, 1, 2, 5, 6, 7, 8, 9]])
+    reports = [fairness_report(Allocation.of(b), inst.truths) for b in allocs]
+    values = {
+        "tv": [rat_str(tv_distance(inst.predictions.vector(i), inst.truths.vector(i)))
+               for i in range(2)],
+        "tv-cross": rat_str(tv_distance(inst.predictions.vector(0), inst.truths.vector(1))),
+        "report": [[rat_str(r.efx_factor), rat_str(r.ef1_factor),
+                    [[rat_str(x) for x in row] for row in r.per_pair_efx],
+                    r.binding_pair] for r in reports],
+    }
+    digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+    assert digest == COPRIME_DIGESTS["metrics"]

@@ -1,10 +1,12 @@
 """Runner, generators, exact perturbation, transcripts, and the CLI surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,68 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1/20"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ONE_ROW_FOR_TWO_AGENTS = {"n": 2, "identical": True, "predictions": [["1/2", "1/2"]],
+                          "truths": [["1/2", "1/2"]], "accuracy": ["1", "1"]}
+UNNORMALIZED = {"n": 2, "identical": True, "predictions": [["1/2", "1/3"]] * 2,
+                "truths": [["1/2", "1/3"]] * 2, "accuracy": ["1", "1"]}
+
+
+class TestCliErrors:
+    """Bad input exits 2 with one ``onlinefair: <message>`` line and no traceback."""
+
+    def _fails(self, *argv, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "onlinefair.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        line, = proc.stderr.splitlines()
+        assert line.startswith("onlinefair: ") and message in line
+
+    def _instance(self, tmp_path, content) -> str:
+        path = tmp_path / "inst.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        return str(path)
+
+    def test_bound_outside_its_domain(self):
+        self._fails("bounds", "--eval", "main-sufficient", "--a", "1/2",
+                    message="main-sufficient")
+
+    def test_construction_parameter_violation(self):
+        self._fails("duel", "--adversary", "two-value-2", "--a", "1/2",
+                    "--allocator", "main", "--allocator-a", "4/5",
+                    message="need a in (sqrt(3)-1, 1]")
+
+    def test_instance_with_one_row_for_two_agents(self, tmp_path):
+        self._fails("run", "--instance", self._instance(tmp_path, ONE_ROW_FOR_TWO_AGENTS),
+                    "--allocator", "ef1-lowest", message="expected 2 agent rows, got 1")
+
+    def test_unnormalized_instance(self, tmp_path):
+        self._fails("run", "--instance", self._instance(tmp_path, UNNORMALIZED),
+                    "--allocator", "ef1-lowest", message="values sum to 5/6, expected 1")
+
+    def test_bad_json(self, tmp_path):
+        self._fails("run", "--instance", self._instance(tmp_path, "{"),
+                    "--allocator", "ef1-lowest", message="Expecting property name")
+
+    def test_zero_denominator(self):
+        self._fails("bounds", "--eval", "main-sufficient", "--a", "1/0",
+                    message="Fraction(1, 0)")
+
+    def test_oracle_over_budget(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--n", "2", "--T", "24", "--identical",
+                         "--out", str(inst)]) == 0
+        self._fails("oracle", "brute-force", "--instance", str(inst),
+                    message="2^24 allocations exceed the enumeration budget")
+
+    def test_missing_instance_file(self, tmp_path):
+        self._fails("run", "--instance", str(tmp_path / "missing.json"),
+                    "--allocator", "ef1-lowest", message="No such file or directory")

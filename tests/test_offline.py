@@ -244,3 +244,9 @@ class TestMinimaxOracle:
         spec = AdversarySpec("pred-2-identical", F(7, 10))
         with pytest.raises(BudgetExceededError):
             minimax_online_factor(build_adversary(spec), node_budget=3)
+
+    def test_budget_enforced_on_truth_oblivious_path(self):
+        # 3^5 assignment sequences against a family of 20 truths: refused up front
+        spec = AdversarySpec("follower-tight", F(7, 10), n=3)
+        with pytest.raises(BudgetExceededError):
+            minimax_online_factor(build_adversary(spec), node_budget=3)
