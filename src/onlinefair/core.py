@@ -275,19 +275,38 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Instance":
-        n = int(d["n"])
+        """Parse the wire format; a missing key or a wrong shape is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an instance is a JSON object, got a {type(d).__name__}")
+
+        def field(key: str, kind: type):
+            if key not in d:
+                raise ValueError(f"instance has no {key!r} key")
+            if not isinstance(d[key], kind):
+                raise ValueError(f"instance key {key!r} is not a {kind.__name__}")
+            return d[key]
+
+        def values(seq) -> tuple[Fraction, ...]:
+            if not isinstance(seq, list):
+                raise ValueError(f"expected a list of p/q strings, got a {type(seq).__name__}")
+            try:
+                return tuple(rat(x) for x in seq)
+            except TypeError as exc:  # a float, null, list or object value
+                raise ValueError(f"expected a list of p/q strings: {exc}") from None
+
+        n = field("n", int)
         identical = bool(d.get("identical", False))
 
-        def profile(rows) -> ValuationProfile:
-            vecs = tuple(ValuationVector(tuple(rat(x) for x in row)) for row in rows)
+        def profile(key: str) -> ValuationProfile:
+            vecs = tuple(ValuationVector(values(row)) for row in field(key, list))
             if len(vecs) != n:
                 raise ValueError(f"expected {n} agent rows, got {len(vecs)}")
             return ValuationProfile(vecs, identical=identical)
 
         return cls(
-            predictions=profile(d["predictions"]),
-            truths=profile(d["truths"]),
-            declared_accuracy=tuple(rat(a) for a in d["accuracy"]),
+            predictions=profile("predictions"),
+            truths=profile("truths"),
+            declared_accuracy=values(field("accuracy", list)),
         )
 
 

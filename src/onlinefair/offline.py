@@ -8,17 +8,12 @@ certify claims at desk scale.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import (
-    Allocation,
-    ONE,
-    ValuationProfile,
-    ValuationVector,
-    ZERO,
-)
+from .core import Allocation, ValuationProfile, ValuationVector
 
 
 class BudgetExceededError(RuntimeError):
@@ -159,12 +154,18 @@ def unenvied_agent(alloc: Allocation, profile: ValuationProfile) -> int:
 # Shared oracle machinery: bundle statistics, envy scorer, enumerator
 # ---------------------------------------------------------------------------
 #
-# A bundle is tracked by its (sum, min) value under each *observer*, a
-# distinct value vector; ``min`` is None while the bundle is empty.  A *view*
-# maps each agent of one valuation profile to its observer.
+# The oracles compute on Python ints.  An *observer* is one distinct int
+# weight vector; a *view* maps each agent of one valuation profile to its
+# observer.  A bundle is tracked by its (sum, min) weight under each observer,
+# ``min`` None while the bundle is empty.  An envy ratio compares two sums
+# under one observer, so the scale cancels: a factor is an int pair (num,
+# den), factors compare by cross-multiplication, and ``Fraction`` appears only
+# in the value an oracle returns.  The game-tree oracle first compiles the
+# opponent's reachable states to int tables (``_compile_opponent``), so its
+# search never calls the opponent.
 
-def _bundle_update(bstates, agent: int, values: tuple[Fraction, ...]):
-    """Add a good with per-observer values to one bundle's (sum, min) stats."""
+def _bundle_update(bstates, agent: int, values: tuple[int, ...]):
+    """Add a good with per-observer weights to one bundle's (sum, min) stats."""
     updated = []
     for b, obs in enumerate(bstates):
         if b != agent:
@@ -179,11 +180,12 @@ def _bundle_update(bstates, agent: int, values: tuple[Fraction, ...]):
 
 
 def _empty_bundles(n: int, observers: int):
-    return (((ZERO, None),) * observers,) * n
+    return (((0, None),) * observers,) * n
 
 
-def _envy_factor(bstates, views) -> Fraction:
-    """Smallest envy-up-to-any-good ratio over every agent of every view.
+def _envy_factor(bstates, views) -> tuple[int, int]:
+    """Smallest envy-up-to-any-good ratio over every agent of every view, as
+    an int pair (num, den).
 
     Agent i with observer o compares its own sum against ``sum - min`` of the
     other bundles under o, so only the largest such drop per observer
@@ -192,26 +194,25 @@ def _envy_factor(bstates, views) -> Fraction:
     """
     tops = []
     for o in range(len(bstates[0])):
-        top = ZERO
+        top = 0
         for obs in bstates:
             s, m = obs[o]
-            if m is not None:
-                d = s - m
-                if d and (not top or d > top):  # zero drops skip the compare
-                    top = d
+            if m is not None and s - m > top:
+                top = s - m
         tops.append(top)
     for view in views:
         for i, o in enumerate(view):
             if bstates[i][o][1] is None and tops[o]:
-                return ZERO  # an empty bundle envies any positive remainder
-    factor = ONE
+                return 0, 1  # an empty bundle envies any positive remainder
+    fn = fd = 1
     for view in views:
         for i, o in enumerate(view):
-            if tops[o]:
-                r = bstates[i][o][0] / tops[o]
-                if r < factor:
-                    factor = r
-    return factor
+            top = tops[o]
+            if top:
+                s = bstates[i][o][0]
+                if s * fd < fn * top:
+                    fn, fd = s, top
+    return fn, fd
 
 
 def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
@@ -222,24 +223,24 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     (restricted-growth labelling) when every profile values all agents alike.
     Stops at the first exact assignment, since no factor exceeds 1.
     """
-    observers: dict[tuple[Fraction, ...], int] = {}  # distinct value vectors
-    views = tuple(tuple(observers.setdefault(v.values, len(observers)) for v in p.vectors)
+    observers: dict[tuple[int, ...], int] = {}  # distinct weight vectors
+    views = tuple(tuple(observers.setdefault(v.weights, len(observers)) for v in p.vectors)
                   for p in profiles)
     n = len(views[0])
-    goods = list(zip(*observers))  # per good, its value to each observer
+    goods = list(zip(*observers))  # per good, its weight to each observer
     symmetric = all(len(set(view)) == 1 for view in views)
     t_total = len(goods)
-    best = ZERO - 1
+    best = (-1, 1)
     best_assign: list[int] = []
     assign = [0] * t_total
 
     def rec(t: int, used: int, bstates) -> bool:
         nonlocal best, best_assign
         if t == t_total:
-            f = _envy_factor(bstates, views)
-            if f > best:
-                best, best_assign = f, assign[:]
-            return best == 1
+            fn, fd = _envy_factor(bstates, views)
+            if fn * best[1] > best[0] * fd:
+                best, best_assign = (fn, fd), assign[:]
+            return best[0] == best[1]
         for b in range(min(used + 1, n) if symmetric else n):
             assign[t] = b
             if rec(t + 1, max(used, b + 1), _bundle_update(bstates, b, goods[t])):
@@ -247,7 +248,7 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
         return False
 
     rec(0, 0, _empty_bundles(n, len(observers)))
-    return best, best_assign
+    return Fraction(*best), best_assign
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +276,55 @@ def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
 # Minimax game-tree oracle
 # ---------------------------------------------------------------------------
 
+def _compile_opponent(adversary, node_budget: int):
+    """Compile the opponent's reachable states into int tables.
+
+    States are numbered breadth-first with one visited set, in the order they
+    expand.  Each state first reached before the horizon is revealed once and
+    advanced once per decision.  Returns, per expanded state, its revealed
+    row as one int weight per observer over the common denominator of every
+    revealed value and its successor id per decision, plus each agent's
+    observer: agents whose value columns agree on every reachable state share
+    one.  Each numbered state costs the search at least one node, so counting
+    them against ``node_budget`` refuses only what the search would refuse.
+    """
+    n = adversary.n
+    ids = {adversary.start(): 0}
+    frontier = list(ids)
+    revealed: list[tuple[Fraction, ...]] = []
+    successors: list[tuple[int, ...]] = []
+    for _ in range(adversary.horizon):
+        reached = []
+        for state in frontier:  # ids are handed out in the order states expand
+            revealed.append(adversary.reveal(state))
+            row = []
+            for d in range(n):
+                nxt = adversary.advance(state, d)
+                k = ids.get(nxt)
+                if k is None:
+                    k = ids[nxt] = len(ids)
+                    if k >= node_budget:
+                        raise BudgetExceededError(
+                            f"minimax search exceeded {node_budget} nodes")
+                    reached.append(nxt)
+                row.append(k)
+            successors.append(tuple(row))
+        frontier = reached
+    den = math.lcm(*(v.denominator for row in revealed for v in row))
+    columns = (tuple(v.numerator * (den // v.denominator) for v in col)
+               for col in zip(*revealed))
+    observers: dict[tuple[int, ...], int] = {}  # distinct value columns
+    view = tuple(observers.setdefault(col, len(observers)) for col in columns)
+    return list(zip(*observers)), successors, view
+
+
 def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     """Best envy factor any deterministic online algorithm can force.
 
     Against an adaptive opponent (a branching program over the algorithm's
     decision history) this is plain backward induction with memoization on
-    (opponent state, bundle statistics).  Opponents that instead fix a family
+    (opponent state, bundle statistics, round), over the opponent's state
+    graph compiled once to int tables.  Opponents that instead fix a family
     of complete value assignments up front (the truth-oblivious benchmark)
     are scored as max over assignment sequences of the min over the family;
     that enumeration is refused up front when its n^horizon leaves exceed
@@ -295,27 +339,32 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
                 f"{n}^{horizon} assignments exceed the node budget {node_budget}")
         return _best_assignment(family)[0]
 
-    views = (range(n),)
+    rows, successors, view = _compile_opponent(adversary, node_budget)
+    views = (view,)
     memo: dict = {}
     nodes = 0
 
-    def rec(astate, bstates, t: int) -> Fraction:
+    def rec(k: int, bstates, t: int) -> tuple[int, int]:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"minimax search exceeded {node_budget} nodes")
         if t == horizon:
             return _envy_factor(bstates, views)
-        key = (astate, bstates, t)
+        key = (k, bstates, t)
         if key in memo:
             return memo[key]
-        values = adversary.reveal(astate)
-        best = ZERO - 1
-        for d in range(n):
-            val = rec(adversary.advance(astate, d), _bundle_update(bstates, d, values), t + 1)
-            if val > best:
-                best = val
+        values = rows[k]
+        best = (-1, 1)
+        for d, nxt in enumerate(successors[k]):
+            fn, fd = rec(nxt, _bundle_update(bstates, d, values), t + 1)
+            if fn * best[1] > best[0] * fd:
+                best = (fn, fd)
         memo[key] = best
         return best
 
-    return rec(adversary.start(), _empty_bundles(n, n), 0)
+    try:
+        return Fraction(*rec(0, _empty_bundles(n, max(view) + 1), 0))
+    except RecursionError:  # one frame per round: a deep horizon cannot be searched
+        raise BudgetExceededError(
+            f"minimax search depth {horizon} exceeds the recursion limit") from None

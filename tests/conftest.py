@@ -1,10 +1,12 @@
 """Shared strategies and independent oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from onlinefair.core import Allocation, ValuationProfile, ValuationVector
+from onlinefair.offline import BudgetExceededError
 
 
 def normalized_vector(weights) -> ValuationVector:
@@ -138,3 +140,63 @@ def reference_envy_edges(alloc: Allocation, profile: ValuationProfile) -> set:
             if i != j and own < _value(vals, alloc.bundles[j]):
                 edges.add((i, j))
     return edges
+
+
+def _stats_envy_factor(bstates) -> Fraction:
+    """Envy-up-to-any-good factor from per-(bundle, agent) (sum, min) stats,
+    straight from the definition; ``min`` is None for an empty bundle."""
+    factor = Fraction(1)
+    n = len(bstates)
+    for i in range(n):
+        own = bstates[i][i][0]
+        for j in range(n):
+            s, m = bstates[j][i]
+            if j != i and m is not None and s - m > 0 and own / (s - m) < factor:
+                factor = own / (s - m)
+    return factor
+
+
+def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
+    """Fraction backward induction over the opponent's branching program.
+
+    Memoizes on (opponent state, bundle stats, t) and calls ``reveal`` and
+    ``advance`` at every expanded node.  A truth-oblivious family is scored
+    as the max over every assignment sequence of the min over the family.
+    """
+    n, horizon = adversary.n, adversary.horizon
+    family = getattr(adversary, "oblivious_family", None)
+    if family is not None:
+        if n ** horizon > node_budget:
+            raise BudgetExceededError(f"{n}^{horizon} assignments exceed {node_budget}")
+        best = Fraction(-1)
+        for assign in itertools.product(range(n), repeat=horizon):
+            alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
+                                   for i in range(n)], num_goods=horizon)
+            best = max(best, min(direct_envy_factor(alloc, truth, "best")
+                                 for truth in family))
+        return best
+
+    memo: dict = {}
+    nodes = 0
+
+    def rec(astate, bstates, t: int) -> Fraction:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"minimax search exceeded {node_budget} nodes")
+        if t == horizon:
+            return _stats_envy_factor(bstates)
+        key = (astate, bstates, t)
+        if key not in memo:
+            values = adversary.reveal(astate)
+            best = Fraction(-1)
+            for d in range(n):
+                grown = tuple(
+                    tuple((s + values[o], values[o] if m is None else min(m, values[o]))
+                          for o, (s, m) in enumerate(obs)) if b == d else obs
+                    for b, obs in enumerate(bstates))
+                best = max(best, rec(adversary.advance(astate, d), grown, t + 1))
+            memo[key] = best
+        return memo[key]
+
+    return rec(adversary.start(), (((Fraction(0), None),) * n,) * n, 0)

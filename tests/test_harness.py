@@ -216,15 +216,19 @@ UNNORMALIZED = {"n": 2, "identical": True, "predictions": [["1/2", "1/3"]] * 2,
                 "truths": [["1/2", "1/3"]] * 2, "accuracy": ["1", "1"]}
 
 
+def _run_module(module: str, *argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 class TestCliErrors:
     """Bad input exits 2 with one ``onlinefair: <message>`` line and no traceback."""
 
     def _fails(self, *argv, message):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-m", "onlinefair.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = _run_module("onlinefair.cli", *argv)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
@@ -271,3 +275,26 @@ class TestCliErrors:
     def test_missing_instance_file(self, tmp_path):
         self._fails("run", "--instance", str(tmp_path / "missing.json"),
                     "--allocator", "ef1-lowest", message="No such file or directory")
+
+    def test_instance_without_agent_count(self, tmp_path):
+        self._fails("run", "--instance", self._instance(tmp_path, {"identical": True}),
+                    "--allocator", "ef1-lowest", message="instance has no 'n' key")
+
+    def test_instance_that_is_not_an_object(self, tmp_path):
+        self._fails("run", "--instance", self._instance(tmp_path, [ONE_ROW_FOR_TWO_AGENTS]),
+                    "--allocator", "ef1-lowest", message="an instance is a JSON object")
+
+    def test_instance_with_float_values(self, tmp_path):
+        floats = dict(UNNORMALIZED, predictions=[[0.5, 0.5]] * 2)
+        self._fails("run", "--instance", self._instance(tmp_path, floats),
+                    "--allocator", "ef1-lowest", message="expected a list of p/q strings")
+
+    def test_minimax_horizon_deeper_than_the_recursion_limit(self):
+        self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "7/10",
+                    "--param", "lam=1/4000", message="exceeds the recursion limit")
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module("onlinefair", "verify", "--suite", "three-goods")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS")

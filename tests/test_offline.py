@@ -16,7 +16,7 @@ from onlinefair.core import (
     fairness_report,
     rat,
 )
-from onlinefair.harness import gen_random_instance
+from onlinefair.harness import gen_random_instance, run_duel
 from onlinefair.offline import (
     BudgetExceededError,
     brute_force_best_factor,
@@ -27,8 +27,17 @@ from onlinefair.offline import (
     minimax_online_factor,
     unenvied_agent,
 )
+from onlinefair.verify import DUEL_PLAN
 
-from conftest import direct_envy_factor, identical_profiles, profiles, vectors
+from conftest import (
+    coprime_vectors,
+    direct_envy_factor,
+    identical_profiles,
+    mixed_vectors,
+    profiles,
+    reference_minimax,
+    vectors,
+)
 
 
 def vec(*values):
@@ -191,9 +200,12 @@ class TestBruteForce:
         best, _ = brute_force_best_factor(profile)
         assert best >= fairness_report(some, profile).efx_factor
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.one_of(profiles(max_agents=3, max_goods=5),
-                     identical_profiles(max_agents=3, max_goods=5)))
+                     identical_profiles(max_agents=3, max_goods=5),
+                     profiles(max_agents=3, max_goods=5, kind=mixed_vectors),
+                     st.builds(ValuationProfile.identical_from,
+                               coprime_vectors(max_goods=5), st.integers(2, 3))))
     def test_matches_direct_enumeration(self, profile):
         # independent reference: every assignment scored from the definition;
         # the witness is the lexicographically first maximiser
@@ -250,3 +262,59 @@ class TestMinimaxOracle:
         spec = AdversarySpec("follower-tight", F(7, 10), n=3)
         with pytest.raises(BudgetExceededError):
             minimax_online_factor(build_adversary(spec), node_budget=3)
+
+
+# (id, construction, agent counts, params): every construction, follower-tight
+# with and without explicit targets (adaptive vs truth-oblivious path)
+REFERENCE_GRID = (
+    ("golden-stream", "no-pred-2-identical", (2,), {}),
+    ("golden-stream-lam", "no-pred-2-identical", (2,), {"lam": F(1, 20)}),
+    ("triple-split", "no-pred-3-identical", (3, 4), {}),
+    ("asymmetric-stream", "no-pred-2-general", (2,), {}),
+    ("follower-tight-oblivious", "follower-tight", (2, 3), {}),
+    ("follower-tight-targets", "follower-tight", (2, 3), {"lo": 1, "hi": 0}),
+    ("follower-tight-targets-D", "follower-tight", (3,), {"lo": 0, "hi": 4, "D": F(1, 5)}),
+    ("mirrored-pair", "pred-2-general", (2,), {}),
+    ("identical-predicted", "pred-2-identical", (2,), {}),
+    ("many-agents-predicted", "pred-n-identical", (3, 4), {}),
+    ("two-value-pair", "two-value-2", (2,), {}),
+    ("two-value-many", "two-value-n", (3, 4), {}),
+)
+REFERENCE_AS = (F(1, 10), F(3, 10), F(1, 2), F(7, 10), F(3, 4), F(4, 5), F(9, 10), F(1))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("construction,ns,params", [case[1:] for case in REFERENCE_GRID],
+                         ids=[case[0] for case in REFERENCE_GRID])
+def test_minimax_matches_reference(construction, ns, params):
+    # equal exact values, or the same exception type, across a grid of a and n
+    values = 0
+    for n in ns:
+        for a in REFERENCE_AS:
+            try:
+                adv = build_adversary(AdversarySpec(construction, a, n=n, params=params))
+            except ValueError:
+                continue
+            got = _outcome(lambda: minimax_online_factor(adv))
+            want = _outcome(lambda: reference_minimax(adv))
+            assert got == want, (n, a)
+            values += isinstance(want, F)
+    assert values, "no point of the grid reached the search"
+
+
+@pytest.mark.parametrize("spec,allocator,a", DUEL_PLAN,
+                         ids=[f"{spec.construction}-{alloc}" for spec, alloc, _ in DUEL_PLAN])
+def test_duel_factor_at_most_minimax_value(spec, allocator, a):
+    # minimax is the best factor any deterministic online algorithm can force
+    try:
+        value = minimax_online_factor(build_adversary(spec))
+    except BudgetExceededError:
+        pytest.skip("minimax search over the default budget")
+    coerce = spec.construction == "pred-2-general" and allocator == "main"
+    assert run_duel(allocator, spec, a=a, coerce_identical=coerce).report.efx_factor <= value
