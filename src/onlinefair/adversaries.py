@@ -5,7 +5,9 @@ allocator's decision history to the next revealed per-agent values.  On every
 root-to-leaf path each agent's revealed values sum exactly to one, and the
 realized distance between the emitted prediction (when there is one) and the
 realized truth stays inside the interval the construction promises.  States
-are hashable tuples so the game-tree oracle can memoize over them.
+are hashable tuples so the game-tree oracle can memoize over them.  Most
+constructions are data: a fixed opening, then a tail that depends only on how
+many opening goods each agent took.
 """
 
 from __future__ import annotations
@@ -26,18 +28,6 @@ from .core import (
     rat,
 )
 
-CONSTRUCTIONS = (
-    "no-pred-2-identical",
-    "no-pred-3-identical",
-    "no-pred-2-general",
-    "follower-tight",
-    "pred-2-general",
-    "pred-2-identical",
-    "pred-n-identical",
-    "two-value-2",
-    "two-value-n",
-)
-
 
 class ParameterError(ValueError):
     """A construction parameter violates its legal domain."""
@@ -54,9 +44,15 @@ class AdversarySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", rat(self.a))
-        if self.construction not in CONSTRUCTIONS:
+        builder = _BUILDERS.get(self.construction)
+        if builder is None:
             raise ParameterError(f"unknown construction {self.construction!r}")
         object.__setattr__(self, "params", dict(self.params))
+        for name in self.params:
+            if name not in builder.params:
+                raise ParameterError(
+                    f"{self.construction} has no parameter {name!r}; it reads "
+                    f"{', '.join(builder.params) or 'none'}")
 
     def param(self, name: str) -> Optional[Fraction]:
         v = self.params.get(name)
@@ -64,57 +60,72 @@ class AdversarySpec:
 
 
 class Adversary:
-    """Base opponent: shared queue/padding machinery.
+    """Base opponent: the one opening/queue state machine.
 
-    Subclasses define the opening phase; once a branch resolves, the remaining
-    goods form a fixed queue followed by zero-valued padding up to ``horizon``.
-    Queue states are ``("q", remaining)`` where remaining is a tuple of
-    per-agent value tuples.
+    A construction reveals the rows of ``opening`` one per round.  Once they
+    are all placed, ``_tail(counts)`` gives the remaining goods from the number
+    of opening goods each agent took; they form a fixed queue followed by
+    zero-valued padding up to ``horizon``.  Opening states are
+    ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
+    is a tuple of per-agent value tuples.  A row given as one value is the same
+    for every agent.  The two streaming constructions override ``start``,
+    ``reveal`` and ``advance`` and defer to these for queue states.
     """
 
     construction: str = "abstract"
+    params: tuple[str, ...] = ()  # the parameter names the construction reads
 
     def __init__(self, n: int, horizon: int, a: Fraction, *, identical: bool,
+                 opening: tuple = (),
                  prediction: Optional[ValuationProfile] = None,
                  claimed_error: Optional[tuple[Fraction, Fraction]] = None):
         self.n = n
         self.horizon = horizon
         self.a = a
         self.identical = identical
+        self.opening = self._rows(opening)
         self.prediction = prediction
         self.claimed_error = claimed_error
         self.oblivious_family: Optional[tuple[ValuationProfile, ...]] = None
 
-    def start(self) -> tuple:
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
+        """The rows after the opening, given each agent's count of opening goods."""
         raise NotImplementedError
+
+    def start(self) -> tuple:
+        if self.opening:
+            return ("open", (0,) * self.n)
+        return self._queue(*self._tail((0,) * self.n))
 
     def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        raise NotImplementedError
+        if state[0] == "open":
+            return self.opening[sum(state[1])]
+        remaining = state[1]
+        return remaining[0] if remaining else self._bcast(ZERO)
 
     def advance(self, state: tuple, agent: int) -> tuple:
-        raise NotImplementedError
-
-    # -- queue helpers ------------------------------------------------------
+        if state[0] == "open":
+            counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
+            if sum(counts) < len(self.opening):
+                return ("open", counts)
+            return self._queue(*self._tail(counts))
+        remaining = state[1]
+        return ("q", remaining[1:]) if remaining else state
 
     def _bcast(self, v: Fraction) -> tuple[Fraction, ...]:
         return (v,) * self.n
 
-    def _queue(self, *value_rows) -> tuple:
+    def _rows(self, value_rows) -> tuple:
         rows = []
         for row in value_rows:
             row = self._bcast(row) if isinstance(row, Fraction) else tuple(row)
             if any(v < 0 for v in row):
                 raise ParameterError(f"construction produced a negative value {row}")
             rows.append(row)
-        return ("q", tuple(rows))
+        return tuple(rows)
 
-    def _queue_reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        remaining = state[1]
-        return remaining[0] if remaining else self._bcast(ZERO)
-
-    def _queue_advance(self, state: tuple) -> tuple:
-        remaining = state[1]
-        return ("q", remaining[1:]) if remaining else state
+    def _queue(self, *value_rows) -> tuple:
+        return ("q", self._rows(value_rows))
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -125,6 +136,12 @@ def _require(cond: bool, constraint: str) -> None:
 def _default(spec: AdversarySpec, name: str, fallback: Fraction) -> Fraction:
     v = spec.param(name)
     return fallback if v is None else v
+
+
+def _index(spec: AdversarySpec, name: str, fallback: int) -> int:
+    v = _default(spec, name, Fraction(fallback))
+    _require(v.denominator == 1, f"need an integer good index {name}")
+    return int(v)
 
 
 def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
@@ -144,6 +161,7 @@ class GoldenStreamAdversary(Adversary):
     """
 
     construction = "no-pred-2-identical"
+    params = ("lam",)
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -176,7 +194,7 @@ class GoldenStreamAdversary(Adversary):
     def reveal(self, state: tuple) -> tuple[Fraction, ...]:
         if state[0] in ("first", "stream"):
             return self._bcast(self.eps)
-        return self._queue_reveal(state)
+        return super().reveal(state)
 
     def advance(self, state: tuple, agent: int) -> tuple:
         if state[0] == "first":
@@ -190,7 +208,7 @@ class GoldenStreamAdversary(Adversary):
                 half = (1 - x) / 2
                 return self._queue(half, half)
             return ("stream", leader, x)
-        return self._queue_advance(state)
+        return super().advance(state, agent)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +223,12 @@ class TripleSplitAdversary(Adversary):
         _require(0 < a <= 1, "need a in (0, 1]")
         _require(n >= 3, "need n >= 3 agents")
         self.eps = a / (3 * (n - 1))
-        super().__init__(n=n, horizon=n + 1, a=a, identical=True)
+        super().__init__(n=n, horizon=n + 1, a=a, identical=True,
+                         opening=(self.eps, self.eps))
 
-    def start(self) -> tuple:
-        return ("g1",)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] in ("g1", "g2"):
-            return self._bcast(self.eps)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
-        if state[0] == "g1":
-            return ("g2", agent)
-        if state[0] == "g2":
-            first = state[1]
-            if agent == first:
-                return self._queue(1 - 2 * self.eps)
-            share = (1 - 2 * self.eps) / (self.n - 1)
-            return self._queue(*([share] * (self.n - 1)))
-        return self._queue_advance(state)
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
+        left = 1 if max(counts) == 2 else self.n - 1
+        return ((1 - 2 * self.eps) / left,) * left
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +251,11 @@ class AsymmetricStreamAdversary(Adversary):
         return ("g1",)
 
     def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] == "g1":
-            return (self.eps, ZERO)
-        if state[0] == "starve0":
+        if state[0] in ("g1", "starve0"):
             return (self.eps, ZERO)
         if state[0] == "starve1":
             return (ZERO, self.eps)
-        return self._queue_reveal(state)
+        return super().reveal(state)
 
     def advance(self, state: tuple, agent: int) -> tuple:
         eps = self.eps
@@ -271,7 +273,7 @@ class AsymmetricStreamAdversary(Adversary):
             if agent == 1:
                 return self._queue((1 - eps, 1 - streamed * eps))
             return self._starve1_state(streamed)
-        return self._queue_advance(state)
+        return super().advance(state, agent)
 
     def _starve0_state(self, streamed: int) -> tuple:
         # keep streaming (eps, 0) only while one more fits the unit budget
@@ -299,6 +301,7 @@ class FollowerTightAdversary(Adversary):
     """
 
     construction = "follower-tight"
+    params = ("D", "lo", "hi")
 
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
@@ -312,8 +315,7 @@ class FollowerTightAdversary(Adversary):
         _require(d <= u, "need D <= 1/(2n-1) so the deflated good stays nonnegative")
         self.d = d
         explicit = spec.param("lo") is not None or spec.param("hi") is not None
-        lo = int(_default(spec, "lo", Fraction(0)))
-        hi = int(_default(spec, "hi", Fraction(1)))
+        lo, hi = _index(spec, "lo", 0), _index(spec, "hi", 1)
         _require(0 <= lo < t_total and 0 <= hi < t_total and lo != hi,
                  "need distinct perturbation targets lo, hi inside the horizon")
         prediction = ValuationProfile.identical_from(
@@ -335,15 +337,8 @@ class FollowerTightAdversary(Adversary):
         vals[hi] = u + self.d
         return ValuationProfile.identical_from(ValuationVector(tuple(vals)), self.n)
 
-    def start(self) -> tuple:
-        return ("q", tuple(self._bcast(self.truth.vector(0).values[t])
-                           for t in range(self.horizon)))
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
-        return self._queue_advance(state)
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
+        return self.truth.vector(0).values
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +347,7 @@ class FollowerTightAdversary(Adversary):
 
 class MirroredPairAdversary(Adversary):
     construction = "pred-2-general"
+    params = ("lam",)
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -373,33 +369,19 @@ class MirroredPairAdversary(Adversary):
         p2 = ValuationVector((2 * lam, 2 * eps,
                               Fraction(1, 2) - 2 * eps - lam, Fraction(1, 2) - lam))
         super().__init__(n=2, horizon=4, a=a, identical=False,
+                         opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
                          prediction=ValuationProfile((p1, p2)),
                          claimed_error=(eps, eps))
 
-    def start(self) -> tuple:
-        return ("g1",)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] == "g1":
-            return (2 * self.eps, 2 * self.lam)
-        if state[0] == "g2":
-            return (2 * self.lam, 2 * self.eps)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
         lam, eps = self.lam, self.eps
         half = Fraction(1, 2)
-        if state[0] == "g1":
-            return ("g2", agent)
-        if state[0] == "g2":
-            first = state[1]
-            low, high, mid = half - 3 * eps - lam, half + eps - lam, half - eps - lam
-            if first == agent == 0:
-                return self._queue((low, mid), (high, mid))
-            if first == agent == 1:
-                return self._queue((mid, low), (mid, high))
-            return self._queue((low, low), (high, high))
-        return self._queue_advance(state)
+        low, high, mid = half - 3 * eps - lam, half + eps - lam, half - eps - lam
+        if counts == (2, 0):
+            return ((low, mid), (high, mid))
+        if counts == (0, 2):
+            return ((mid, low), (mid, high))
+        return ((low, low), (high, high))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +396,7 @@ class IdenticalPredictedAdversary(Adversary):
     """
 
     construction = "pred-2-identical"
+    params = ("D", "r", "eps")
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -444,30 +427,17 @@ class IdenticalPredictedAdversary(Adversary):
         _require(half - 3 * eps - lam >= 0, "revealed values must be nonnegative")
         p = ValuationVector((2 * lam, 2 * eps, half - 2 * eps - lam, half - lam))
         super().__init__(n=2, horizon=4, a=a, identical=True,
+                         opening=(2 * lam, 2 * eps),
                          prediction=ValuationProfile.identical_from(p, 2),
                          claimed_error=(eps, eps))
 
-    def start(self) -> tuple:
-        return ("g1",)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] == "g1":
-            return self._bcast(2 * self.lam)
-        if state[0] == "g2":
-            return self._bcast(2 * self.eps)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
         lam, eps = self.lam, self.eps
         half = Fraction(1, 2)
-        if state[0] == "g1":
-            return ("g2", agent)
-        if state[0] == "g2":
-            if state[1] == agent:
-                even = half - eps - lam
-                return self._queue(even, even)
-            return self._queue(half - 3 * eps - lam, half + eps - lam)
-        return self._queue_advance(state)
+        if max(counts) == 2:
+            even = half - eps - lam
+            return (even, even)
+        return (half - 3 * eps - lam, half + eps - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +446,7 @@ class IdenticalPredictedAdversary(Adversary):
 
 class ManyAgentsPredictedAdversary(Adversary):
     construction = "pred-n-identical"
+    params = ("eps", "k")
 
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
@@ -493,13 +464,12 @@ class ManyAgentsPredictedAdversary(Adversary):
             w = Fraction(2 * n - 3, (n - 1) * (n - 2)) * (Fraction(1, 2) - eps)
             tail = (Fraction(1, 2) - eps) / (n - 1)
             values = (eps, eps) + (w,) * (n - 2) + (tail,) + (ZERO,) * (n - 2)
-            claimed = (Fraction(1, 2) - eps) / (n - 1)
-            claimed_iv = (claimed, claimed)
+            claimed_iv = (tail, tail)
+            opening = (eps, eps)
         else:
             k_hi = a / big_k
             k = _default(spec, "k", k_hi * (2 * n - 3 + 2 * a) / (2 * n - 3 + 4 * a))
             _require(0 < k < k_hi, "need k in (0, a/(4+(2n-3)a))")
-            self.k = k
             coupled_lo = (1 - (2 * n - 3 + 4 * a) * k) / 4
             eps_lo = max(large_bound, coupled_lo)
             eps_hi = Fraction(1, 1) / big_k
@@ -511,44 +481,19 @@ class ManyAgentsPredictedAdversary(Adversary):
             _require(self.base - 2 * eps >= 0, "revealed values must be nonnegative")
             values = (k,) * (2 * n - 3) + (self.base - eps, self.base + eps)
             claimed_iv = (eps, eps)
+            opening = (k,) * (2 * n - 3)
         p = ValuationVector(values)
-        super().__init__(n=n, horizon=2 * n - 1, a=a, identical=True,
+        super().__init__(n=n, horizon=2 * n - 1, a=a, identical=True, opening=opening,
                          prediction=ValuationProfile.identical_from(p, n),
                          claimed_error=claimed_iv)
 
-    def start(self) -> tuple:
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
         if self.branch == "small":
-            return ("g1",)
-        return ("k", 0, (False,) * self.n)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] in ("g1", "g2"):
-            return self._bcast(self.eps)
-        if state[0] == "k":
-            return self._bcast(self.k)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
-        n = self.n
-        if state[0] == "g1":
-            return ("g2", agent)
-        if state[0] == "g2":
-            if state[1] == agent:
-                share = (1 - 2 * self.eps) / (n - 2)
-                return self._queue(*([share] * (n - 2)))
-            share = (1 - 2 * self.eps) / (n - 1)
-            return self._queue(*([share] * (n - 1)))
-        if state[0] == "k":
-            _, revealed, flags = state
-            flags = tuple(f or (i == agent) for i, f in enumerate(flags))
-            revealed += 1
-            if revealed < 2 * n - 3:
-                return ("k", revealed, flags)
-            missing = sum(1 for f in flags if not f)
-            if missing == 1:
-                return self._queue(self.base, self.base)
-            return self._queue(self.base - 2 * self.eps, self.base + 2 * self.eps)
-        return self._queue_advance(state)
+            left = self.n - 2 if max(counts) == 2 else self.n - 1
+            return ((1 - 2 * self.eps) / left,) * left
+        if counts.count(0) == 1:  # exactly one agent got none of the small goods
+            return (self.base, self.base)
+        return (self.base - 2 * self.eps, self.base + 2 * self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +502,7 @@ class ManyAgentsPredictedAdversary(Adversary):
 
 class TwoValuePairAdversary(Adversary):
     construction = "two-value-2"
+    params = ("eps",)
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -568,27 +514,15 @@ class TwoValuePairAdversary(Adversary):
         self.eps = eps
         half = Fraction(1, 2)
         p = ValuationVector((eps, eps, half - eps, half - eps))
-        super().__init__(n=2, horizon=4, a=a, identical=True,
+        super().__init__(n=2, horizon=4, a=a, identical=True, opening=(eps, eps),
                          prediction=ValuationProfile.identical_from(p, 2),
                          claimed_error=(ZERO, eps))
 
-    def start(self) -> tuple:
-        return ("g1",)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] in ("g1", "g2"):
-            return self._bcast(self.eps)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
         half = Fraction(1, 2)
-        if state[0] == "g1":
-            return ("g2", agent)
-        if state[0] == "g2":
-            if state[1] == agent:
-                return self._queue(half - self.eps, half - self.eps)
-            return self._queue(half - 2 * self.eps, half)
-        return self._queue_advance(state)
+        if max(counts) == 2:
+            return (half - self.eps, half - self.eps)
+        return (half - 2 * self.eps, half)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +531,7 @@ class TwoValuePairAdversary(Adversary):
 
 class TwoValueManyAdversary(Adversary):
     construction = "two-value-n"
+    params = ("k", "eps")
 
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
@@ -606,7 +541,6 @@ class TwoValueManyAdversary(Adversary):
         k_hi = a / big_k
         k = _default(spec, "k", k_hi * (2 * n - 3 + 2 * a) / (2 * n - 3 + 4 * a))
         _require(0 < k < k_hi, "need k in (0, a/(4+(2n-3)a))")
-        self.k = k
         coupled_lo = (1 - (2 * n - 3 + 4 * a) * k) / 2
         eps_lo = max(2 * (1 - a * a) / big_k, coupled_lo)
         eps_hi = 2 / big_k
@@ -618,49 +552,33 @@ class TwoValueManyAdversary(Adversary):
         _require(self.base - eps >= 0, "revealed values must be nonnegative")
         p = ValuationVector((k,) * (2 * n - 3) + (self.base, self.base))
         super().__init__(n=n, horizon=2 * n - 1, a=a, identical=True,
+                         opening=(k,) * (2 * n - 3),
                          prediction=ValuationProfile.identical_from(p, n),
                          claimed_error=(ZERO, eps))
 
-    def start(self) -> tuple:
-        return ("k", 0, (False,) * self.n)
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] == "k":
-            return self._bcast(self.k)
-        return self._queue_reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
-        n = self.n
-        if state[0] == "k":
-            _, revealed, flags = state
-            flags = tuple(f or (i == agent) for i, f in enumerate(flags))
-            revealed += 1
-            if revealed < 2 * n - 3:
-                return ("k", revealed, flags)
-            missing = sum(1 for f in flags if not f)
-            if missing == 1:
-                return self._queue(self.base, self.base)
-            return self._queue(self.base - self.eps, self.base + self.eps)
-        return self._queue_advance(state)
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
+        if counts.count(0) == 1:  # exactly one agent got none of the small goods
+            return (self.base, self.base)
+        return (self.base - self.eps, self.base + self.eps)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and transcript-level checks
+# Dispatch
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
-    "no-pred-2-identical": GoldenStreamAdversary,
-    "no-pred-3-identical": TripleSplitAdversary,
-    "no-pred-2-general": AsymmetricStreamAdversary,
-    "follower-tight": FollowerTightAdversary,
-    "pred-2-general": MirroredPairAdversary,
-    "pred-2-identical": IdenticalPredictedAdversary,
-    "pred-n-identical": ManyAgentsPredictedAdversary,
-    "two-value-2": TwoValuePairAdversary,
-    "two-value-n": TwoValueManyAdversary,
-}
+_BUILDERS = {cls.construction: cls for cls in (
+    GoldenStreamAdversary,
+    TripleSplitAdversary,
+    AsymmetricStreamAdversary,
+    FollowerTightAdversary,
+    MirroredPairAdversary,
+    IdenticalPredictedAdversary,
+    ManyAgentsPredictedAdversary,
+    TwoValuePairAdversary,
+    TwoValueManyAdversary,
+)}
+CONSTRUCTIONS = tuple(_BUILDERS)
 
 
 def build_adversary(spec: AdversarySpec) -> Adversary:
     return _BUILDERS[spec.construction](spec)
-

@@ -17,7 +17,8 @@ from pathlib import Path
 from .adversaries import AdversarySpec, build_adversary
 from .bounds import BoundId, BoundParams, eval_bound, invert_bound, parse_grid, sweep_csv
 from .core import Instance, rat, rat_str
-from .harness import gen_random_instance, make_instance, perturb, run_duel, run_instance
+from .harness import (PERTURB_MODES, gen_random_instance, make_instance, perturb,
+                      run_duel, run_instance)
 from .offline import BudgetExceededError, brute_force_best_factor, minimax_online_factor
 from .online import ALLOCATOR_NAMES
 from .verify import suite_names, verify_all
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="perturb an instance's predictions exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--d", required=True, help="per-agent distance p/q")
-    p.add_argument("--mode", default="mixed", choices=["values", "extra-goods", "mixed"])
+    p.add_argument("--mode", default="mixed", choices=PERTURB_MODES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_perturb)

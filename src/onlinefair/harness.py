@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .adversaries import AdversarySpec, build_adversary
+from .adversaries import Adversary, AdversarySpec, build_adversary
 from .core import (
     Allocation,
     FairnessReport,
@@ -100,9 +100,8 @@ def run_instance(allocator_name: str, instance: Instance, *,
                    truths, instance.predictions, None)
 
 
-def _drive_adversary(spec: AdversarySpec, decide) -> tuple:
+def _drive_adversary(adv: Adversary, decide) -> tuple:
     """Run one adversary game with an arbitrary decision callback."""
-    adv = build_adversary(spec)
     state = adv.start()
     steps = []
     reveals: list[tuple[Fraction, ...]] = []
@@ -121,7 +120,7 @@ def _drive_adversary(spec: AdversarySpec, decide) -> tuple:
                 f"adversary broke its normalization promise for agent {i}: {total}")
         vectors.append(ValuationVector(vec))
     truths = ValuationProfile(tuple(vectors), identical=adv.identical)
-    return adv, steps, truths
+    return steps, truths
 
 
 def run_duel(allocator_name: str, spec: AdversarySpec, *,
@@ -138,7 +137,7 @@ def run_duel(allocator_name: str, spec: AdversarySpec, *,
     if allocator.identical_only and not adv.identical and not coerce_identical:
         raise ValueError(f"{allocator_name} expects identical valuations; "
                          f"{spec.construction} is non-identical")
-    _, steps, truths = _drive_adversary(spec, allocator.step)
+    steps, truths = _drive_adversary(adv, allocator.step)
     transcript = _finish(f"duel:{spec.construction}", allocator, steps, truths,
                          adv.prediction, None)
     _check_claimed_error(adv, transcript)
@@ -158,7 +157,7 @@ def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
             return rng.randrange(self.n)
 
     walker = _Walker(adv.n)
-    _, steps, truths = _drive_adversary(spec, walker.step)
+    steps, truths = _drive_adversary(adv, walker.step)
     transcript = _finish(f"duel:{spec.construction}", walker, steps, truths,
                          adv.prediction, seed)
     _check_claimed_error(adv, transcript)

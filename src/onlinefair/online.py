@@ -35,7 +35,6 @@ class OnlineAllocator:
     """Single-run stateful allocator; goods must arrive in index order."""
 
     name = "abstract"
-    needs_prediction = False
     identical_only = False
 
     def __init__(self, n: int):
@@ -76,7 +75,6 @@ class GreedyGoldenThreshold(OnlineAllocator):
     """
 
     name = "greedy-phi"
-    needs_prediction = False
     identical_only = True
 
     def __init__(self):
@@ -98,7 +96,6 @@ class LowestValueBundle(OnlineAllocator):
     """
 
     name = "ef1-lowest"
-    needs_prediction = False
     identical_only = False
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
@@ -117,7 +114,6 @@ class PredictionFollower(OnlineAllocator):
     """
 
     name = "follower"
-    needs_prediction = True
     identical_only = False
 
     def __init__(self, prediction: ValuationProfile, base: str = "lpt"):
@@ -152,7 +148,6 @@ class ThreeGoodsAllocator(OnlineAllocator):
     """
 
     name = "three-goods"
-    needs_prediction = True  # only the predicted horizon
     identical_only = True
 
     def __init__(self, predicted_horizon: int):
@@ -315,7 +310,6 @@ class FormThresholdAllocator(OnlineAllocator):
     """
 
     name = "main"
-    needs_prediction = True
     identical_only = True
 
     def __init__(self, prediction: ValuationVector, a: Fraction):

@@ -323,8 +323,7 @@ MINIMAX_PLAN: tuple[AdversarySpec, ...] = (
 def _adversary_defeats() -> SuiteResult:
     failures = []
     for spec, allocator, a in DUEL_PLAN:
-        coerce = spec.construction == "pred-2-general" and allocator == "main"
-        transcript = run_duel(allocator, spec, a=a, coerce_identical=coerce)
+        transcript = run_duel(allocator, spec, a=a)
         if transcript.report.efx_factor >= spec.a:
             failures.append(
                 f"{spec.construction} vs {allocator}: factor "

@@ -82,6 +82,17 @@ class TestParameterDomains:
         with pytest.raises(ParameterError):
             AdversarySpec("mystery", F(1, 2))
 
+    def test_parameter_the_construction_does_not_read(self):
+        with pytest.raises(ParameterError, match="has no parameter 'lamda'; it reads D, r, eps"):
+            AdversarySpec("pred-2-identical", F(7, 10), params={"lamda": F(1, 100)})
+        with pytest.raises(ParameterError, match="it reads none"):
+            AdversarySpec("no-pred-3-identical", F(1, 2), n=3, params={"eps": F(1, 10)})
+
+    @pytest.mark.parametrize("params", [{"lo": F(1, 2), "hi": F(3, 2)}, {"hi": F(5, 2)}])
+    def test_follower_tight_targets_must_be_integers(self, params):
+        with pytest.raises(ParameterError, match="integer good index"):
+            build_adversary(AdversarySpec("follower-tight", F(7, 10), params=params))
+
 
 class TestHorizons:
     def test_golden_stream_horizon_formula(self):

@@ -1,5 +1,6 @@
 """Golden outputs, byte for byte: oracle JSON, the duel table, the curve CSVs,
-seeded gen -> perturb -> run pipelines and runs on large coprime denominators."""
+seeded gen -> perturb -> run pipelines, runs on large coprime denominators, and
+seeded random walks and minimax values of every adaptive construction."""
 
 import hashlib
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, build_adversary
 from onlinefair.cli import main as cli_main
 from onlinefair.core import (
     Allocation,
@@ -21,7 +23,8 @@ from onlinefair.core import (
     rat_str,
     tv_distance,
 )
-from onlinefair.harness import make_instance
+from onlinefair.harness import make_instance, random_walk_duel
+from onlinefair.offline import BudgetExceededError, minimax_online_factor
 from onlinefair.online import ALLOCATOR_NAMES
 from onlinefair.verify import MINIMAX_PLAN
 
@@ -295,3 +298,73 @@ def test_coprime_denominators_metrics():
     }
     digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
     assert digest == COPRIME_DIGESTS["metrics"]
+
+
+# ---------------------------------------------------------------------------
+# Adaptive constructions: seeded random walks and minimax values
+# ---------------------------------------------------------------------------
+
+# (id, spec, minimax value or exception name, sha256 of the ten random-walk
+# transcripts for seeds 0-9 joined by newlines); both regimes where a
+# construction has two, and n = 4 where it takes more than two agents
+ADVERSARY_GOLDENS = (
+    ("golden-stream-short",
+     AdversarySpec("no-pred-2-identical", F(19, 20), params={"lam": F(33, 100)}),
+     "301/433", "9a94f1b3414dbecdc5a8923832da18057fcd11c7a55f1ecc134bb4ec75cf3f68"),
+    ("golden-stream-long",
+     AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 50)}),
+     "12/19", "6b5ad94aa021c75797d356d5adc44a17f279bad104cb1ae54abc0ba9a5c67bd8"),
+    ("triple-split-n3", AdversarySpec("no-pred-3-identical", F(1, 2), n=3),
+     "1/5", "71c288332427e74bf9266b089c5fd9343b44889cd55fc012e90d3d9e384a9863"),
+    ("triple-split-n4", AdversarySpec("no-pred-3-identical", F(1, 2), n=4),
+     "3/16", "299aa40855bf49cb51eb00f17505079d9476833978e3bd80d2ba1d1ab1713f7e"),
+    ("asymmetric-stream", AdversarySpec("no-pred-2-general", F(1, 2)),
+     "1/6", "4fb2ec14ca8617ec0e7150cc1e3694aee6b52a121d4bf1d9b69e80316122ae41"),
+    ("follower-tight-oblivious", AdversarySpec("follower-tight", F(7, 10)),
+     "7/27", "0d21bc37aa8ade2580e5a8f99a0015d6d8627ea336e297a06b28108a233ba7bb"),
+    ("follower-tight-targets-n3",
+     AdversarySpec("follower-tight", F(7, 10), n=3, params={"lo": 2, "hi": 0}),
+     "1/1", "44eed05e160fb9b04f1cb85e3f46a70334e5994e124c1d6de9ebecd6512ef184"),
+    ("follower-tight-over-budget", AdversarySpec("follower-tight", F(7, 10), n=5),
+     "BudgetExceededError",
+     "dfef58c454ed656fd7027f3b536db1e18637c65322bff318e71901bc6c7ad6f0"),
+    ("mirrored-pair-low", AdversarySpec("pred-2-general", F(3, 5)),
+     "6/11", "9dd4b7bb09f88ed641a3aa6e69f6ecc12da66da0f11318a6069cec1c4deff528"),
+    ("mirrored-pair-high", AdversarySpec("pred-2-general", F(3, 4)),
+     "11/16", "f20250fb0752a1533ac8c11522588f6c9a9768726d69f7a962330d5715b8b62d"),
+    ("identical-predicted-low", AdversarySpec("pred-2-identical", F(7, 10)),
+     "1925/2801", "6754c4e32e3a012ae0f568853c07e7dc8a6fa00b6f19409ab8142fa5039f77d9"),
+    ("identical-predicted-high", AdversarySpec("pred-2-identical", F(4, 5)),
+     "31/40", "37d317794fb0a6eda4577bb4285965d2df3645eeb21c3a01e23b93d93dd66cda"),
+    ("many-agents-small-n3", AdversarySpec("pred-n-identical", F(1, 10), n=3),
+     "1/21", "276964db593f5b76df2b8093a596d03da27ebdcca69ea05d93dfb6eb77951c5f"),
+    ("many-agents-large-n3", AdversarySpec("pred-n-identical", F(1, 2), n=3),
+     "16/43", "9903010df21adea7508b3446cbc56b7fb9f3559f89ad3ff4a7ac751ec930df14"),
+    ("many-agents-small-n4", AdversarySpec("pred-n-identical", F(1, 10), n=4),
+     "3/62", "9b02ffc8eee4a3888b1641a821017e7f55cafbfaefadcc21ef25f654973fdcd8"),
+    ("many-agents-large-n4", AdversarySpec("pred-n-identical", F(1, 2), n=4),
+     "24/61", "3eb39c120a5fe189e68a54c8773d6ba9c7f9d9613f231a89a2c551730d4c8d6e"),
+    ("two-value-pair",
+     AdversarySpec("two-value-2", F(4, 5), params={"eps": F(11, 100)}),
+     "39/50", "6491d81df05e471e84f5bc2b1bd14094b185d7d6b4a8abc9dcf6fb66f67e77f7"),
+    ("two-value-many-n3", AdversarySpec("two-value-n", F(1, 2), n=3),
+     "16/43", "922791ed9b9961339071e07b29fee08f11495c7a62e7c7ca9f7b6e75fbaa6ded"),
+    ("two-value-many-n4", AdversarySpec("two-value-n", F(1, 2), n=4),
+     "24/61", "cff15a769667b3ea59f0e4f1d65bd06a5ce07a98201b069d04e5194c5be2a2f5"),
+)
+
+
+def test_adversary_goldens_cover_every_construction():
+    assert {spec.construction for _, spec, _, _ in ADVERSARY_GOLDENS} == set(CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("spec,value,digest", [case[1:] for case in ADVERSARY_GOLDENS],
+                         ids=[case[0] for case in ADVERSARY_GOLDENS])
+def test_adversary_golden(spec, value, digest):
+    walks = "\n".join(random_walk_duel(spec, seed).to_json() for seed in range(10))
+    assert hashlib.sha256(walks.encode()).hexdigest() == digest
+    try:
+        got = rat_str(minimax_online_factor(build_adversary(spec)))
+    except (ValueError, BudgetExceededError) as exc:
+        got = type(exc).__name__
+    assert got == value

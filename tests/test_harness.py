@@ -249,6 +249,16 @@ class TestCliErrors:
                     "--allocator", "main", "--allocator-a", "4/5",
                     message="need a in (sqrt(3)-1, 1]")
 
+    def test_parameter_the_construction_does_not_read(self):
+        self._fails("oracle", "minimax", "--adversary", "pred-2-identical", "--a", "7/10",
+                    "--param", "lamda=1/100",
+                    message="pred-2-identical has no parameter 'lamda'")
+
+    def test_fractional_follower_targets(self):
+        self._fails("oracle", "minimax", "--adversary", "follower-tight", "--a", "7/10",
+                    "--param", "lo=1/2", "--param", "hi=3/2",
+                    message="need an integer good index lo")
+
     def test_instance_with_one_row_for_two_agents(self, tmp_path):
         self._fails("run", "--instance", self._instance(tmp_path, ONE_ROW_FOR_TWO_AGENTS),
                     "--allocator", "ef1-lowest", message="expected 2 agent rows, got 1")

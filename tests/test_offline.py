@@ -16,7 +16,13 @@ from onlinefair.core import (
     fairness_report,
     rat,
 )
-from onlinefair.harness import gen_random_instance, run_duel
+from onlinefair.harness import (
+    gen_random_instance,
+    make_instance,
+    perturb,
+    run_duel,
+    run_instance,
+)
 from onlinefair.offline import (
     BudgetExceededError,
     brute_force_best_factor,
@@ -27,6 +33,7 @@ from onlinefair.offline import (
     minimax_online_factor,
     unenvied_agent,
 )
+from onlinefair.online import ALLOCATOR_NAMES
 from onlinefair.verify import DUEL_PLAN
 
 from conftest import (
@@ -316,5 +323,32 @@ def test_duel_factor_at_most_minimax_value(spec, allocator, a):
         value = minimax_online_factor(build_adversary(spec))
     except BudgetExceededError:
         pytest.skip("minimax search over the default budget")
-    coerce = spec.construction == "pred-2-general" and allocator == "main"
-    assert run_duel(allocator, spec, a=a, coerce_identical=coerce).report.efx_factor <= value
+    assert run_duel(allocator, spec, a=a).report.efx_factor <= value
+
+
+# allocator: (agents, identical valuations, prediction horizons, perturbation
+# mode or None when the allocator reads no prediction, allocator target a);
+# a perturbation appends at most three goods, so every truth has T <= 8
+ONLINE_RUNS = {
+    "greedy-phi": (2, True, range(1, 9), None, None),
+    "ef1-lowest": (3, False, range(1, 9), None, None),
+    "follower:lpt": (3, True, range(1, 6), "mixed", None),
+    "follower:cut-and-choose": (2, False, range(1, 6), "mixed", None),
+    "three-goods": (2, True, range(1, 4), "values", None),
+    "main": (2, True, range(1, 6), "extra-goods", F(4, 5)),
+}
+
+
+@pytest.mark.parametrize("allocator", ALLOCATOR_NAMES)
+def test_online_factor_at_most_brute_force(allocator):
+    # the brute force maximizes over every allocation, the online one included
+    n, identical, horizons, mode, a = ONLINE_RUNS[allocator]
+    for horizon in horizons:
+        for seed in range(4):
+            predictions = gen_random_instance(n, horizon, identical, seed)
+            truths = (predictions if mode is None else
+                      perturb(predictions, [F(1, 20)] * n, seed, mode))
+            assert truths.horizon <= 8
+            transcript = run_instance(allocator, make_instance(predictions, truths), a=a)
+            best, _ = brute_force_best_factor(truths)
+            assert transcript.report.efx_factor <= best, (horizon, seed)
