@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from .bounds import BoundId, BoundParams, eval_bound
 from .core import (
     ONE,
     RationalLike,
@@ -48,15 +49,21 @@ class AdversarySpec:
         if builder is None:
             raise ParameterError(f"unknown construction {self.construction!r}")
         object.__setattr__(self, "params", dict(self.params))
-        for name in self.params:
-            if name not in builder.params:
-                raise ParameterError(
-                    f"{self.construction} has no parameter {name!r}; it reads "
-                    f"{', '.join(builder.params) or 'none'}")
+        _check_reads(self, builder.params)
+        if builder.agents not in (None, self.n):
+            raise ParameterError(
+                f"{self.construction} is a {builder.agents}-agent construction, not n={self.n}")
 
     def param(self, name: str) -> Optional[Fraction]:
         v = self.params.get(name)
         return None if v is None else rat(v)
+
+
+def _check_reads(spec: AdversarySpec, names: tuple[str, ...], where: str = "") -> None:
+    for name in spec.params:
+        if name not in names:
+            raise ParameterError(f"{spec.construction} has no parameter {name!r}{where}; "
+                                 f"it reads {', '.join(names) or 'none'}")
 
 
 class Adversary:
@@ -74,6 +81,8 @@ class Adversary:
 
     construction: str = "abstract"
     params: tuple[str, ...] = ()  # the parameter names the construction reads
+    agents: Optional[int] = None  # the agent count, where the construction fixes it
+    bound: Optional[BoundId] = None  # the lower bound the construction realizes
 
     def __init__(self, n: int, horizon: int, a: Fraction, *, identical: bool,
                  opening: tuple = (),
@@ -91,6 +100,13 @@ class Adversary:
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         """The rows after the opening, given each agent's count of opening goods."""
         raise NotImplementedError
+
+    def _bound(self, spec: AdversarySpec, bound: Optional[BoundId] = None) -> Fraction:
+        """A bound (by default the realized one) at the spec's a and n."""
+        try:
+            return eval_bound(bound or self.bound, spec.a, BoundParams(n=spec.n))
+        except ValueError as exc:  # a DomainError, or BoundParams rejecting n < 2
+            raise ParameterError(f"parameter outside the construction's domain: {exc}") from None
 
     def start(self) -> tuple:
         if self.opening:
@@ -144,10 +160,6 @@ def _index(spec: AdversarySpec, name: str, fallback: int) -> int:
     return int(v)
 
 
-def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
 # ---------------------------------------------------------------------------
 # (1) two identical agents, no predictions, factor above the golden threshold
 # ---------------------------------------------------------------------------
@@ -162,6 +174,7 @@ class GoldenStreamAdversary(Adversary):
 
     construction = "no-pred-2-identical"
     params = ("lam",)
+    agents = 2
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -239,6 +252,7 @@ class AsymmetricStreamAdversary(Adversary):
     """Feeds goods worthless to one agent until the other finally shares."""
 
     construction = "no-pred-2-general"
+    agents = 2
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -301,17 +315,16 @@ class FollowerTightAdversary(Adversary):
     """
 
     construction = "follower-tight"
+    bound = BoundId.FOLLOWER_NECESSARY
     params = ("D", "lo", "hi")
 
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
-        _require(0 <= a <= 1, "need a in [0, 1]")
-        _require(n >= 2, "need n >= 2 agents")
+        lower = self._bound(spec)
         t_total = 2 * n - 1
         u = Fraction(1, t_total)
-        lower = (1 - a) / (t_total * (1 + a))
-        d = _default(spec, "D", _midpoint(lower, u))
-        _require(d > lower, "need D > (1-a)/((2n-1)(1+a))")
+        d = _default(spec, "D", (lower + u) / 2)
+        _require(d > lower, "need D > follower-necessary(a, n)")
         _require(d <= u, "need D <= 1/(2n-1) so the deflated good stays nonnegative")
         self.d = d
         explicit = spec.param("lo") is not None or spec.param("hi") is not None
@@ -347,20 +360,21 @@ class FollowerTightAdversary(Adversary):
 
 class MirroredPairAdversary(Adversary):
     construction = "pred-2-general"
+    bound = BoundId.NONID_2_LB
     params = ("lam",)
+    agents = 2
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
-        _require(Fraction(1, 2) < a <= 1, "need a in (1/2, 1]")
-        if a <= Fraction(2, 3):
-            hi = (2 * a - 1) / (6 * a)
-            lam = _default(spec, "lam", hi / 2)
-            _require(0 <= lam < hi, "need lam in [0, (2a-1)/(6a)) for a <= 2/3")
+        lb = self._bound(spec)
+        if a <= Fraction(2, 3):  # lb = (1-a)/(6a): eps = 1/6 - lam lies in (lb, 1/6]
+            lam = _default(spec, "lam", (Fraction(1, 6) - lb) / 2)
             eps = Fraction(1, 6) - lam
+            _require(lb < eps <= Fraction(1, 6),
+                     "need lam in [0, 1/6 - nonid-2-lb(a)) for a <= 2/3")
         else:
-            lo, hi = (1 - a) / 4, a / 8
-            lam = _default(spec, "lam", _midpoint(lo, hi))
-            _require(lo < lam < hi, "need lam in ((1-a)/4, a/8) for a > 2/3")
+            lam = _default(spec, "lam", (lb + a / 8) / 2)
+            _require(lb < lam < a / 8, "need lam in (nonid-2-lb(a), a/8) for a > 2/3")
             eps = lam
         self.lam, self.eps = lam, eps
         _require(Fraction(1, 2) - 2 * eps - lam >= 0, "prediction values must be nonnegative")
@@ -396,40 +410,40 @@ class IdenticalPredictedAdversary(Adversary):
     """
 
     construction = "pred-2-identical"
+    bound = BoundId.ID_2_LB
     params = ("D", "r", "eps")
+    agents = 2
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
-        _require(cmp_golden(a) > 0 and a <= 1, "need a in (phi-1, 1]: a^2+a-1 > 0")
-        if cmp_sqrt3(a) <= 0:  # 2a(2+a) <= 4
-            lb = (1 - a) / (2 * a * (2 + a))
-            d = _default(spec, "D", lb * Fraction(5, 4))
-            _require(d > lb, "need D > (1-a)/(2a(2+a)) in the low regime")
-            r = _default(spec, "r", (d - lb) / 2)
-            _require(0 < r <= d - lb, "need r in (0, D - (1-a)/(2a(2+a))]")
-            lam = max((a * a + a - 1) / (2 * a * (2 + a)) - r, ZERO)
-            eps_lo = lb + r * (1 - a) / (1 + a)
-            eps_hi = lb + r
-            eps = _default(spec, "eps", _midpoint(eps_lo, eps_hi))
-            _require(eps_lo < eps < eps_hi,
-                     "need eps in (lb + r(1-a)/(1+a), lb + r) in the low regime")
+        lb = self._bound(spec)
+        d = _default(spec, "D", lb * Fraction(5, 4))
+        _require(d > lb, "need D > id-2-lb(a)")
+        low = cmp_sqrt3(a) <= 0  # lb is the (1-a)/(2a(2+a)) piece
+        if low:
+            lam_cap = a / (2 * (2 + a)) - lb  # lam = lam_cap - r must stay positive
+            r = _default(spec, "r", min(d - lb, lam_cap) / 2)
+            _require(0 < r <= d - lb, "need r in (0, D - id-2-lb(a)]")
+            _require(r < lam_cap, "need r < a/(2(2+a)) - id-2-lb(a) so that lam > 0")
+            eps_lo, eps_hi = lb + r * (1 - a) / (1 + a), lb + r
         else:
-            lb = (1 - a) / 4
-            d = _default(spec, "D", lb * Fraction(5, 4))
-            _require(d > lb, "need D > (1-a)/4 in the high regime")
-            eps_hi = min(a / (4 * (2 + a)), d)
-            eps = _default(spec, "eps", _midpoint(lb, eps_hi))
-            _require(lb < eps < eps_hi,
-                     "need eps in ((1-a)/4, min(a/(4(2+a)), D)) in the high regime")
-            lam = eps
-        self.lam, self.eps = lam, eps
+            _check_reads(spec, ("D", "eps"), " in its high regime")
+            eps_lo, eps_hi = lb, min(a / (4 * (2 + a)), d)
+        eps = _default(spec, "eps", (eps_lo + eps_hi) / 2)
+        _require(eps_lo < eps < eps_hi, f"need eps in ({eps_lo}, {eps_hi})")
+        lam = lam_cap - r if low else eps
         half = Fraction(1, 2)
-        _require(half - 3 * eps - lam >= 0, "revealed values must be nonnegative")
-        p = ValuationVector((2 * lam, 2 * eps, half - 2 * eps - lam, half - lam))
-        super().__init__(n=2, horizon=4, a=a, identical=True,
-                         opening=(2 * lam, 2 * eps),
-                         prediction=ValuationProfile.identical_from(p, 2),
-                         claimed_error=(eps, eps))
+        self._open(spec, lam, eps, (2 * lam, 2 * eps, half - 2 * eps - lam, half - lam),
+                   claimed_error=(eps, eps))
+
+    def _open(self, spec: AdversarySpec, lam: Fraction, eps: Fraction,
+              predicted: tuple, claimed_error: tuple[Fraction, Fraction]) -> None:
+        """Reveal (2lam, 2eps), then ``_tail``; ``predicted`` is the emitted vector."""
+        self.lam, self.eps = lam, eps
+        _require(Fraction(1, 2) - 3 * eps - lam >= 0, "revealed values must be nonnegative")
+        p = ValuationProfile.identical_from(ValuationVector(predicted), 2)
+        Adversary.__init__(self, n=2, horizon=4, a=spec.a, identical=True,
+                           opening=(2 * lam, 2 * eps), prediction=p, claimed_error=claimed_error)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         lam, eps = self.lam, self.eps
@@ -446,46 +460,53 @@ class IdenticalPredictedAdversary(Adversary):
 
 class ManyAgentsPredictedAdversary(Adversary):
     construction = "pred-n-identical"
+    bound = BoundId.IDN_LB_COMBINED
     params = ("eps", "k")
 
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
-        _require(0 < a <= 1, "need a in (0, 1]")
-        _require(n >= 3, "need n >= 3 agents")
-        small_bound = 1 / (2 * (n - 1 + 2 * a))
-        big_k = 4 + (2 * n - 3) * a
-        large_bound = (1 - a * a) / big_k
-        self.branch = "small" if small_bound <= large_bound else "large"
-        if self.branch == "small":
+        lb = self._bound(spec)
+        if self._bound(spec, BoundId.IDN_LB_SMALL) <= self._bound(spec, BoundId.IDN_LB_LARGE):
+            self.branch = "small"
+            _check_reads(spec, ("eps",), " in its small regime")
             eps_hi = a / (n - 1 + 2 * a)
-            eps = _default(spec, "eps", eps_hi / 2)
+            eps = self.eps = _default(spec, "eps", eps_hi / 2)
             _require(0 < eps < eps_hi, "need eps in (0, a/(n-1+2a)) in the small regime")
-            self.eps = eps
             w = Fraction(2 * n - 3, (n - 1) * (n - 2)) * (Fraction(1, 2) - eps)
             tail = (Fraction(1, 2) - eps) / (n - 1)
             values = (eps, eps) + (w,) * (n - 2) + (tail,) + (ZERO,) * (n - 2)
             claimed_iv = (tail, tail)
             opening = (eps, eps)
         else:
-            k_hi = a / big_k
-            k = _default(spec, "k", k_hi * (2 * n - 3 + 2 * a) / (2 * n - 3 + 4 * a))
-            _require(0 < k < k_hi, "need k in (0, a/(4+(2n-3)a))")
-            coupled_lo = (1 - (2 * n - 3 + 4 * a) * k) / 4
-            eps_lo = max(large_bound, coupled_lo)
-            eps_hi = Fraction(1, 1) / big_k
-            eps = _default(spec, "eps", _midpoint(eps_lo, eps_hi))
-            _require(eps_lo < eps <= eps_hi,
-                     "need eps in (max((1-a^2)/K, (1-(2n-3+4a)k)/4), 1/K], K = 4+(2n-3)a")
-            self.eps = eps
-            self.base = (1 - (2 * n - 3) * k) / 2
-            _require(self.base - 2 * eps >= 0, "revealed values must be nonnegative")
-            values = (k,) * (2 * n - 3) + (self.base - eps, self.base + eps)
+            opening = self._open_large(spec, lb, scale=1)
+            eps = self.eps
+            values = opening + (self.base - eps, self.base + eps)
             claimed_iv = (eps, eps)
-            opening = (k,) * (2 * n - 3)
-        p = ValuationVector(values)
-        super().__init__(n=n, horizon=2 * n - 1, a=a, identical=True, opening=opening,
-                         prediction=ValuationProfile.identical_from(p, n),
-                         claimed_error=claimed_iv)
+        self._predict(spec, opening, values, claimed_iv)
+
+    def _predict(self, spec: AdversarySpec, opening: tuple, predicted: tuple,
+                 claimed_error: tuple[Fraction, Fraction]) -> None:
+        """Reveal ``opening``, then ``_tail``; ``predicted`` is the emitted vector."""
+        p = ValuationProfile.identical_from(ValuationVector(predicted), spec.n)
+        Adversary.__init__(self, n=spec.n, horizon=2 * spec.n - 1, a=spec.a, identical=True,
+                           opening=opening, prediction=p, claimed_error=claimed_error)
+
+    def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple:
+        """The large regime's 2n-3 goods of value k; the spec's eps, above ``lb``,
+        is ``scale`` times the half spread ``self.eps`` of the two last goods."""
+        a, n = spec.a, spec.n
+        big_k = 4 + (2 * n - 3) * a
+        k_hi = a / big_k
+        k = _default(spec, "k", k_hi * (2 * n - 3 + 2 * a) / (2 * n - 3 + 4 * a))
+        _require(0 < k < k_hi, "need k in (0, a/(4+(2n-3)a))")
+        eps_lo = max(lb, scale * (1 - (2 * n - 3 + 4 * a) * k) / 4)
+        eps_hi = scale / big_k
+        eps = _default(spec, "eps", (eps_lo + eps_hi) / 2)
+        _require(eps_lo < eps <= eps_hi, f"need eps in ({eps_lo}, {eps_hi}] at k = {k}")
+        self.branch, self.eps = "large", eps / scale
+        self.base = (1 - (2 * n - 3) * k) / 2
+        _require(self.base - 2 * self.eps >= 0, "revealed values must be nonnegative")
+        return (k,) * (2 * n - 3)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         if self.branch == "small":
@@ -500,66 +521,39 @@ class ManyAgentsPredictedAdversary(Adversary):
 # (8) two identical agents, 2-value predictions
 # ---------------------------------------------------------------------------
 
-class TwoValuePairAdversary(Adversary):
+class TwoValuePairAdversary(IdenticalPredictedAdversary):
+    """pred-2-identical's high-regime goods, its lam and eps both half this eps,
+    predicted with two values."""
+
     construction = "two-value-2"
+    bound = BoundId.TWO_VALUE_2_LB
     params = ("eps",)
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
-        _require(cmp_sqrt3(a) > 0 and a <= 1,
-                 "need a in (sqrt(3)-1, 1]: a^2 + 2a - 2 > 0")
-        lo, hi = (1 - a) / 2, a / (2 * (2 + a))
-        eps = _default(spec, "eps", _midpoint(lo, hi))
-        _require(lo < eps < hi, "need eps in ((1-a)/2, a/(2(2+a)))")
-        self.eps = eps
+        lb, hi = self._bound(spec), a / (2 * (2 + a))
+        eps = _default(spec, "eps", (lb + hi) / 2)
+        _require(lb < eps < hi, "need eps in (two-value-2-lb(a), a/(2(2+a)))")
         half = Fraction(1, 2)
-        p = ValuationVector((eps, eps, half - eps, half - eps))
-        super().__init__(n=2, horizon=4, a=a, identical=True, opening=(eps, eps),
-                         prediction=ValuationProfile.identical_from(p, 2),
-                         claimed_error=(ZERO, eps))
-
-    def _tail(self, counts: tuple[int, ...]) -> tuple:
-        half = Fraction(1, 2)
-        if max(counts) == 2:
-            return (half - self.eps, half - self.eps)
-        return (half - 2 * self.eps, half)
+        self._open(spec, eps / 2, eps / 2, (eps, eps, half - eps, half - eps),
+                   claimed_error=(ZERO, eps))
 
 
 # ---------------------------------------------------------------------------
 # (9) n >= 3 identical agents, 2-value predictions
 # ---------------------------------------------------------------------------
 
-class TwoValueManyAdversary(Adversary):
+class TwoValueManyAdversary(ManyAgentsPredictedAdversary):
+    """pred-n-identical's large-regime goods, its eps half this eps, predicted
+    with two values."""
+
     construction = "two-value-n"
+    bound = BoundId.TWO_VALUE_N_LB
     params = ("k", "eps")
 
     def __init__(self, spec: AdversarySpec):
-        a, n = spec.a, spec.n
-        _require(0 < a <= 1, "need a in (0, 1]")
-        _require(n >= 3, "need n >= 3 agents")
-        big_k = 4 + (2 * n - 3) * a
-        k_hi = a / big_k
-        k = _default(spec, "k", k_hi * (2 * n - 3 + 2 * a) / (2 * n - 3 + 4 * a))
-        _require(0 < k < k_hi, "need k in (0, a/(4+(2n-3)a))")
-        coupled_lo = (1 - (2 * n - 3 + 4 * a) * k) / 2
-        eps_lo = max(2 * (1 - a * a) / big_k, coupled_lo)
-        eps_hi = 2 / big_k
-        eps = _default(spec, "eps", _midpoint(eps_lo, eps_hi))
-        _require(eps_lo < eps <= eps_hi,
-                 "need eps in (max(2(1-a^2)/K, (1-(2n-3+4a)k)/2), 2/K], K = 4+(2n-3)a")
-        self.eps = eps
-        self.base = (1 - (2 * n - 3) * k) / 2
-        _require(self.base - eps >= 0, "revealed values must be nonnegative")
-        p = ValuationVector((k,) * (2 * n - 3) + (self.base, self.base))
-        super().__init__(n=n, horizon=2 * n - 1, a=a, identical=True,
-                         opening=(k,) * (2 * n - 3),
-                         prediction=ValuationProfile.identical_from(p, n),
-                         claimed_error=(ZERO, eps))
-
-    def _tail(self, counts: tuple[int, ...]) -> tuple:
-        if counts.count(0) == 1:  # exactly one agent got none of the small goods
-            return (self.base, self.base)
-        return (self.base - self.eps, self.base + self.eps)
+        opening = self._open_large(spec, self._bound(spec), scale=2)
+        self._predict(spec, opening, opening + (self.base, self.base), (ZERO, 2 * self.eps))
 
 
 # ---------------------------------------------------------------------------

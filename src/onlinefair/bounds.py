@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ONE,
@@ -57,43 +57,74 @@ class BoundParams:
             raise ValueError("base factor must lie in [0, 1]")
 
 
-_N_AT_LEAST_3 = (BoundId.IDN_LB_SMALL, BoundId.IDN_LB_LARGE,
-                 BoundId.IDN_LB_COMBINED, BoundId.TWO_VALUE_N_LB)
+@dataclass(frozen=True)
+class _Domain:
+    """``end < a <= 1`` with ``n >= agents``: ``above`` decides ``a > end``
+    exactly, and ``inner(width)`` is a rational at most ``width`` above ``end``."""
+
+    text: str
+    above: Callable[[Fraction], bool]
+    inner: Callable[[Fraction], Fraction]
+    agents: int = 2
+
+
+_UNIT = _Domain("", lambda a: True, lambda width: ZERO)
+_GOLDEN = _Domain("need a in (phi-1, 1]: a^2 + a - 1 > 0", lambda a: cmp_golden(a) > 0,
+                  lambda width: bracket_threshold(cmp_golden, width=width)[1])
+_MANY_AGENTS = _Domain("need a in (0, 1]", lambda a: a > 0, lambda width: width, agents=3)
+# the follower and three-goods bounds hold on all of [0, 1]
+_DOMAINS = {
+    BoundId.NONID_2_LB: _Domain("need a in (1/2, 1]", lambda a: a > Fraction(1, 2),
+                                lambda width: Fraction(1, 2) + width),
+    BoundId.ID_2_LB: _GOLDEN,
+    BoundId.IDN_LB_SMALL: _MANY_AGENTS,
+    BoundId.IDN_LB_LARGE: _MANY_AGENTS,
+    BoundId.IDN_LB_COMBINED: _MANY_AGENTS,
+    BoundId.MAIN_SUFFICIENT: _GOLDEN,
+    BoundId.TWO_VALUE_SUFFICIENT: _GOLDEN,
+    BoundId.TWO_VALUE_2_LB: _Domain("need a in (sqrt(3)-1, 1]: a^2 + 2a - 2 > 0",
+                                    lambda a: cmp_sqrt3(a) > 0,
+                                    lambda width: bracket_threshold(cmp_sqrt3, width=width)[1]),
+    BoundId.TWO_VALUE_N_LB: _MANY_AGENTS,
+}
 
 
 def in_domain(bound: BoundId, a: Fraction, params: BoundParams = BoundParams()) -> bool:
     try:
-        _check_domain(bound, a, params)
+        check_domain(bound, a, params)
     except DomainError:
         return False
     return True
 
 
-def _check_domain(bound: BoundId, a: Fraction, params: BoundParams) -> None:
+def check_domain(bound: BoundId, a: Fraction, params: BoundParams = BoundParams()) -> None:
+    """Raise ``DomainError`` naming the failed test unless ``a`` is in the domain."""
+    domain = _DOMAINS.get(bound, _UNIT)
     if not 0 <= a <= 1:
         raise DomainError(f"{bound.value}: a={a} outside [0, 1]")
-    if bound in _N_AT_LEAST_3 and params.n < 3:
-        raise DomainError(f"{bound.value}: needs n >= 3 agents")
+    if params.n < domain.agents:
+        raise DomainError(f"{bound.value}: needs n >= {domain.agents} agents")
     if bound is BoundId.FOLLOWER_SUFFICIENT and a > params.a_tilde:
         raise DomainError(f"{bound.value}: needs a <= base factor {params.a_tilde}")
-    if bound in (BoundId.ID_2_LB, BoundId.MAIN_SUFFICIENT, BoundId.TWO_VALUE_SUFFICIENT):
-        if not (cmp_golden(a) > 0):
-            raise DomainError(
-                f"{bound.value}: endpoint test a^2 + a - 1 > 0 failed (a <= phi-1)")
-    if bound is BoundId.TWO_VALUE_2_LB and not (cmp_sqrt3(a) > 0):
-        raise DomainError(
-            f"{bound.value}: endpoint test a^2 + 2a - 2 > 0 failed (a <= sqrt(3)-1)")
-    if bound is BoundId.NONID_2_LB and not a > Fraction(1, 2):
-        raise DomainError(f"{bound.value}: needs a > 1/2")
-    if bound in _N_AT_LEAST_3 and a == 0:
-        raise DomainError(f"{bound.value}: needs a > 0")
+    if not domain.above(a):
+        raise DomainError(f"{bound.value}: {domain.text}")
+
+
+def passthrough_cutoff(a: Fraction) -> Fraction:
+    """Lighter-bundle weight above which the predicted split is already safe."""
+    return (4 + a - a * a) / ((2 + a) * (5 - a))
+
+
+def late_y_margin(a: Fraction) -> Fraction:
+    """Tighter admission slack used when the mid good trails both top goods."""
+    return (1 - a) ** 2 / ((2 + a) * (5 - a))
 
 
 def eval_bound(bound: BoundId, a: Fraction,
                params: BoundParams = BoundParams()) -> Fraction:
     """Exact error value of a bound at factor ``a`` (domain-checked)."""
     a = rat(a)
-    _check_domain(bound, a, params)
+    check_domain(bound, a, params)
     n, at = params.n, params.a_tilde
     if bound is BoundId.FOLLOWER_SUFFICIENT:
         return (at - a) / ((2 * n - 2 + at) * (1 + a))
@@ -113,7 +144,7 @@ def eval_bound(bound: BoundId, a: Fraction,
         return min(eval_bound(BoundId.IDN_LB_SMALL, a, params),
                    eval_bound(BoundId.IDN_LB_LARGE, a, params))
     if bound is BoundId.MAIN_SUFFICIENT:
-        return (4 + a - a * a) * (1 - a) / ((2 + a) * (5 - a) * (1 + a))
+        return passthrough_cutoff(a) * (1 - a) / (1 + a)
     if bound is BoundId.THREE_GOODS_SUFFICIENT:
         return (1 - a) / (1 + a)
     if bound is BoundId.TWO_VALUE_SUFFICIENT:
@@ -123,23 +154,6 @@ def eval_bound(bound: BoundId, a: Fraction,
     if bound is BoundId.TWO_VALUE_N_LB:
         return 2 * (1 - a * a) / (4 + (2 * n - 3) * a)
     raise AssertionError(bound)
-
-
-def _domain_bracket(bound: BoundId, params: BoundParams,
-                    width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi) with lo just inside the domain and hi its supremum."""
-    hi = params.a_tilde if bound is BoundId.FOLLOWER_SUFFICIENT else ONE
-    if bound in (BoundId.ID_2_LB, BoundId.MAIN_SUFFICIENT, BoundId.TWO_VALUE_SUFFICIENT):
-        _, lo = bracket_threshold(cmp_golden, width=width)
-    elif bound is BoundId.TWO_VALUE_2_LB:
-        _, lo = bracket_threshold(cmp_sqrt3, width=width)
-    elif bound is BoundId.NONID_2_LB:
-        lo = Fraction(1, 2) + width
-    elif bound in _N_AT_LEAST_3:
-        lo = width
-    else:
-        lo = ZERO
-    return lo, hi
 
 
 PRECISION = Fraction(1, 2 ** 64)
@@ -162,7 +176,7 @@ def invert_bound(bound: BoundId, d: Fraction,
         if a < 0:
             raise ValueError(f"d={d} exceeds the bound's range (max {at / k})")
         return a
-    lo, hi = _domain_bracket(bound, params)
+    lo, hi = _DOMAINS.get(bound, _UNIT).inner(PRECISION), ONE
     # sampled monotonicity check before trusting bisection
     samples = [lo + (hi - lo) * Fraction(i, 8) for i in range(9)]
     values = [eval_bound(bound, s, params) for s in samples]

@@ -36,12 +36,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _require_args(args, command: str, *names: str) -> None:
+    missing = [f"--{name}" for name in names if not getattr(args, name)]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+
+
 def _parse_params(pairs: list[str]) -> dict:
     params = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not _:
-            raise SystemExit(f"--param expects name=p/q, got {pair!r}")
+            raise ValueError(f"--param expects name=p/q, got {pair!r}")
         params[name] = rat(value)
     return params
 
@@ -70,15 +76,13 @@ def cmd_duel(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.mode == "brute-force":
-        if not args.instance:
-            raise SystemExit("oracle brute-force needs --instance")
+        _require_args(args, "oracle brute-force", "instance")
         instance = _load_instance(args.instance)
         factor, witness = brute_force_best_factor(instance.truths)
         _emit(json.dumps({"factor": rat_str(factor),
                           "witness": witness.as_lists()}, indent=2), args.out)
     else:
-        if not (args.adversary and args.a):
-            raise SystemExit("oracle minimax needs --adversary and --a")
+        _require_args(args, "oracle minimax", "adversary", "a")
         spec = _adversary_spec(args)
         value = minimax_online_factor(build_adversary(spec))
         _emit(json.dumps({"factor": rat_str(value),
@@ -89,16 +93,19 @@ def cmd_oracle(args) -> int:
 def cmd_bounds(args) -> int:
     params = BoundParams(n=args.n, a_tilde=rat(args.atilde))
     if args.sweep:
+        _require_args(args, "bounds --sweep", "ids", "grid")
         ids = [BoundId(i) for i in args.ids.split(",")]
         _emit(sweep_csv(ids, parse_grid(args.grid), params), args.out)
     elif args.eval:
+        _require_args(args, "bounds --eval", "a")
         value = eval_bound(BoundId(args.eval), rat(args.a), params)
         _emit(rat_str(value), args.out)
     elif args.invert:
+        _require_args(args, "bounds --invert", "d")
         value = invert_bound(BoundId(args.invert), rat(args.d), params)
         _emit(rat_str(value), args.out)
     else:
-        raise SystemExit("bounds: pass --sweep, --eval, or --invert")
+        raise ValueError("bounds: pass --sweep, --eval, or --invert")
     return 0
 
 

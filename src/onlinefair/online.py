@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import BoundId, eval_bound
+from .bounds import BoundId, check_domain, eval_bound, late_y_margin, passthrough_cutoff
 from .core import (
     Allocation,
     ValuationProfile,
@@ -218,31 +218,14 @@ class FormTag:
     low_agent: int
 
 
-def passthrough_cutoff(a: Fraction) -> Fraction:
-    """Lighter-bundle weight above which the predicted split is already safe."""
-    return (4 + a - a * a) / ((2 + a) * (5 - a))
-
-
-def late_y_margin(a: Fraction) -> Fraction:
-    """Tighter admission slack used when the mid good trails both top goods."""
-    return (1 - a) ** 2 / ((2 + a) * (5 - a))
-
-
-def _check_target_factor(a: Fraction) -> Fraction:
-    a = rat(a)
-    if not (cmp_golden(a) > 0 and a <= 1):
-        raise ValueError(
-            "target factor must lie in (phi-1, 1]: need a^2 + a - 1 > 0 and a <= 1")
-    return a
-
-
 def classify_form(planned: Allocation, p: ValuationVector, a: Fraction) -> FormTag:
     """Classify a two-agent balanced split of the predictions for a target factor.
 
     ``planned`` must be exactly the deterministic largest-value-first output
     for ``p``; anything else is rejected as inconsistent input.
     """
-    a = _check_target_factor(a)
+    a = rat(a)
+    check_domain(BoundId.MAIN_SUFFICIENT, a)
     if planned.agents != 2:
         raise ValueError("form classification is a two-agent notion")
     if planned != lpt(p, 2):
@@ -314,7 +297,8 @@ class FormThresholdAllocator(OnlineAllocator):
 
     def __init__(self, prediction: ValuationVector, a: Fraction):
         super().__init__(n=2)
-        self.a = _check_target_factor(a)
+        self.a = rat(a)
+        check_domain(BoundId.MAIN_SUFFICIENT, self.a)
         self.t_pred = prediction.horizon
         self.delegate: Optional[ThreeGoodsAllocator] = None
         if self.t_pred <= 3:

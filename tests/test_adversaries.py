@@ -6,12 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from onlinefair.adversaries import (
+    _BUILDERS,
     AdversarySpec,
     ParameterError,
     build_adversary,
 )
+from onlinefair.bounds import BoundId, BoundParams, eval_bound, in_domain
 from onlinefair.core import ZERO, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
+from onlinefair.offline import minimax_online_factor
 
 BASE_SPECS = {
     "no-pred-2-identical": AdversarySpec("no-pred-2-identical", F(7, 10),
@@ -92,6 +95,23 @@ class TestParameterDomains:
     def test_follower_tight_targets_must_be_integers(self, params):
         with pytest.raises(ParameterError, match="integer good index"):
             build_adversary(AdversarySpec("follower-tight", F(7, 10), params=params))
+
+    @pytest.mark.parametrize("construction,a,n,name,regime", [
+        ("pred-n-identical", F(1, 10), 3, "k", "small"),
+        ("pred-2-identical", F(4, 5), 2, "r", "high"),
+    ])
+    def test_parameter_the_chosen_regime_does_not_read(self, construction, a, n, name, regime):
+        spec = AdversarySpec(construction, a, n=n, params={name: F(1, 100)})
+        with pytest.raises(ParameterError, match=f"no parameter '{name}' in its {regime} regime"):
+            build_adversary(spec)
+
+    @pytest.mark.parametrize("construction", ["no-pred-2-identical", "no-pred-2-general",
+                                              "pred-2-general", "pred-2-identical",
+                                              "two-value-2"])
+    def test_two_agent_constructions_reject_other_agent_counts(self, construction):
+        for n in (3, 7):
+            with pytest.raises(ParameterError, match=f"2-agent construction, not n={n}"):
+                build_adversary(AdversarySpec(construction, F(4, 5), n=n))
 
 
 class TestHorizons:
@@ -221,6 +241,17 @@ class TestDefeats:
         transcript = run_duel("main", spec, a=F(3, 4), coerce_identical=True)
         assert transcript.report.efx_factor < F(3, 4)
 
+    @pytest.mark.parametrize("a", [F(31, 50), F(63, 100)])
+    def test_identical_pair_defeats_factors_just_above_the_golden_threshold(self, a):
+        # the default r keeps lam positive here; with lam clamped to 0 the
+        # minimax values were 0.674 and 0.633, not below a
+        value = minimax_online_factor(build_adversary(AdversarySpec("pred-2-identical", a)))
+        assert value < a
+
+    def test_identical_pair_needs_positive_lam(self):
+        with pytest.raises(ParameterError, match="lam > 0"):
+            build_adversary(AdversarySpec("pred-2-identical", F(31, 50), params={"r": F(1, 100)}))
+
     def test_regime_b_identical_construction(self):
         spec = AdversarySpec("pred-2-identical", F(4, 5))  # above sqrt(3)-1
         transcript = run_duel("main", spec, a=F(4, 5))
@@ -239,3 +270,40 @@ class TestEmittedTruthConsistency:
         for i in range(adv.n):
             e = tv_distance(adv.prediction.vector(i), transcript.truths.vector(i))
             assert lo <= e <= hi
+
+
+# the lower bound each construction realizes (one construction per bound)
+REALIZED_BOUNDS = {
+    "follower-tight": BoundId.FOLLOWER_NECESSARY,
+    "pred-2-general": BoundId.NONID_2_LB,
+    "pred-2-identical": BoundId.ID_2_LB,
+    "pred-n-identical": BoundId.IDN_LB_COMBINED,
+    "two-value-2": BoundId.TWO_VALUE_2_LB,
+    "two-value-n": BoundId.TWO_VALUE_N_LB,
+}
+
+
+class TestBoundTable:
+    def test_each_lower_bound_has_exactly_one_construction(self):
+        claimed = {c: cls.bound for c, cls in _BUILDERS.items() if cls.bound is not None}
+        assert claimed == REALIZED_BOUNDS
+        assert len(set(claimed.values())) == len(claimed)
+
+    @pytest.mark.parametrize("construction", sorted(REALIZED_BOUNDS))
+    def test_claimed_error_exceeds_the_bound_inside_its_domain(self, construction):
+        bound = REALIZED_BOUNDS[construction]
+        built = 0
+        for n in (2,) if _BUILDERS[construction].agents == 2 else (3, 4):
+            for a in (F(i, 20) for i in range(21)):
+                spec = AdversarySpec(construction, a, n=n)
+                if not in_domain(bound, a, BoundParams(n=n)):
+                    with pytest.raises(ParameterError, match=bound.value):
+                        build_adversary(spec)
+                    continue
+                try:
+                    adv = build_adversary(spec)
+                except ParameterError:
+                    continue  # in the domain, but the default parameters degenerate
+                assert adv.claimed_error[1] > eval_bound(bound, a, BoundParams(n=n)), (a, n)
+                built += 1
+        assert built >= 4

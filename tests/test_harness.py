@@ -299,6 +299,32 @@ class TestCliErrors:
         self._fails("run", "--instance", self._instance(tmp_path, floats),
                     "--allocator", "ef1-lowest", message="expected a list of p/q strings")
 
+    def test_parameter_the_chosen_regime_does_not_read(self):
+        self._fails("oracle", "minimax", "--adversary", "pred-n-identical", "--a", "1/10",
+                    "--n", "3", "--param", "k=1/100",
+                    message="no parameter 'k' in its small regime")
+
+    def test_two_agent_construction_with_more_agents(self):
+        self._fails("oracle", "minimax", "--adversary", "two-value-2", "--a", "4/5",
+                    "--param", "eps=11/100", "--n", "3",
+                    message="two-value-2 is a 2-agent construction, not n=3")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("bounds", "--sweep", "--grid", "0:1:1/2"), "bounds --sweep needs --ids"),
+        (("bounds", "--sweep", "--ids", "id-2-lb"), "bounds --sweep needs --grid"),
+        (("bounds", "--eval", "id-2-lb"), "bounds --eval needs --a"),
+        (("bounds", "--invert", "id-2-lb"), "bounds --invert needs --d"),
+        (("bounds",), "bounds: pass --sweep, --eval, or --invert"),
+        (("oracle", "brute-force"), "oracle brute-force needs --instance"),
+        (("oracle", "minimax", "--a", "7/10"), "oracle minimax needs --adversary"),
+        (("oracle", "minimax", "--adversary", "pred-2-identical", "--a", "7/10",
+          "--param", "eps"),
+         "--param expects name=p/q"),
+    ], ids=["sweep-ids", "sweep-grid", "eval-a", "invert-d", "bounds-mode",
+            "brute-force-instance", "minimax-adversary", "param-without-value"])
+    def test_missing_argument(self, argv, message):
+        self._fails(*argv, message=message)
+
     def test_minimax_horizon_deeper_than_the_recursion_limit(self):
         self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "7/10",
                     "--param", "lam=1/4000", message="exceeds the recursion limit")
