@@ -321,6 +321,8 @@ class FollowerTightAdversary(Adversary):
     def __init__(self, spec: AdversarySpec):
         a, n = spec.a, spec.n
         lower = self._bound(spec)
+        _require(a > 0, "need a > 0; at a = 0 follower-necessary(a, n) is 1/(2n-1), "
+                        "the largest deflation a good can take, so no allowed D exceeds it")
         t_total = 2 * n - 1
         u = Fraction(1, t_total)
         d = _default(spec, "D", (lower + u) / 2)

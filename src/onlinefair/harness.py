@@ -82,14 +82,12 @@ def _finish(source: str, allocator: OnlineAllocator,
 
 
 def run_instance(allocator_name: str, instance: Instance, *,
-                 a: Optional[Fraction] = None,
-                 coerce_identical: bool = False) -> GameTranscript:
+                 a: Optional[Fraction] = None) -> GameTranscript:
     """Feed an instance's true values through an allocator, in arrival order."""
     truths = instance.truths
     allocator = make_allocator(allocator_name, n=instance.agents,
-                               prediction=instance.predictions, a=a,
-                               coerce_identical=coerce_identical)
-    if allocator.identical_only and not truths.identical and not coerce_identical:
+                               prediction=instance.predictions, a=a)
+    if allocator.identical_only and not truths.identical:
         raise ValueError(f"{allocator_name} needs identical true valuations")
     steps = []
     columns = zip(*(v.values for v in truths.vectors))  # per good, its value to each agent

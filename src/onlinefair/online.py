@@ -7,9 +7,10 @@ Five allocators share one stepping contract:
 * a prediction follower that precomputes an offline allocation and obeys it,
 * a short-horizon allocator that is exact whenever at most three goods are
   promised and all of them arrive,
-* a form-guided threshold allocator for two identical agents that classifies
-  the predicted split and admits goods to the heavier side only while their
-  observed values stay inside exact error margins.
+* a form-guided threshold allocator for two identical agents that follows
+  the largest-value-first split of the predictions and admits its tracked
+  goods to the heavier side only while their observed values stay inside
+  exact error margins.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ class PredictionFollower(OnlineAllocator):
         settled = eliminate_envy_cycles(planned, prediction)
         self.unenvied = unenvied_agent(settled, prediction)
         self.owner = {g: i for i, b in enumerate(settled.bundles) for g in b}
-        self.planned = settled
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
         self.last_step_ops = 1
@@ -155,36 +155,31 @@ class ThreeGoodsAllocator(OnlineAllocator):
         if not 1 <= predicted_horizon <= 3:
             raise ValueError("promised horizon must be 1, 2, or 3")
         self.t_pred = predicted_horizon
-        self.v0: Fraction = ZERO
-        self.v1: Fraction = ZERO
         self.isolated_first = False
         self.trailing_target: Optional[int] = None
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
-        v = values[0]
+        own = self.own_value
         if t >= self.t_pred:
             if self.trailing_target is None:
-                sums = [self.own_value[0], self.own_value[1]]
-                self.trailing_target = 0 if sums[0] <= sums[1] else 1
+                self.trailing_target = 0 if own[0] <= own[1] else 1
             self.last_step_ops = 1
             return self.trailing_target
         if t == 0:
-            self.v0 = v
             self.last_step_ops = 0
             return 0
-        if t == 1:
-            self.v1 = v
-            residual = 1 - self.v0 - self.v1
+        if t == 1:  # good 0 is agent 0's whole bundle
+            v0, v1 = own[0], values[0]
             self.last_step_ops = 2
-            if max(self.v0, self.v1) >= residual:
+            if max(v0, v1) >= 1 - v0 - v1:
                 self.isolated_first = True
                 return 1
             return 0
         # t == 2, promised horizon 3
         self.last_step_ops = 1
         if self.isolated_first:
-            # keep the single highest good alone in its bundle
-            return 1 if self.v0 >= self.v1 else 0
+            # goods 0 and 1 are alone with agents 0 and 1; keep the higher one alone
+            return 1 if own[0] >= own[1] else 0
         return 1
 
 
@@ -202,93 +197,90 @@ class FormKind(Enum):
 class FormTag:
     """Structural class of the predicted two-bundle split.
 
-    ``z`` and ``y`` are the top two distinct predicted values; the level sets
-    partition good ids by those values.  ``low_agent`` records which original
-    agent holds the lighter predicted bundle, and ``large`` the ids whose
-    placement is decided by runtime thresholds.
+    ``z`` and ``y`` are the top two distinct predicted values.  ``low_agent``
+    is the agent given the lighter bundle of the largest-value-first split,
+    ``heavy`` the goods of the other bundle, and ``large`` the ids whose
+    placement is decided by runtime thresholds.  The three-goods form is decided on the
+    horizon alone, so it has no split: its ``heavy`` and ``large`` are empty.
     """
 
     kind: FormKind
-    z: Optional[Fraction]
+    z: Fraction
     y: Optional[Fraction]
-    level_z: frozenset[int]
-    level_y: frozenset[int]
-    level_x: frozenset[int]
+    heavy: frozenset[int]
     large: frozenset[int]
     low_agent: int
 
 
-def classify_form(planned: Allocation, p: ValuationVector, a: Fraction) -> FormTag:
-    """Classify a two-agent balanced split of the predictions for a target factor.
+def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
+    """Classify the largest-value-first two-bundle split of ``p`` for factor ``a``.
 
-    ``planned`` must be exactly the deterministic largest-value-first output
-    for ``p``; anything else is rejected as inconsistent input.
+    A horizon of at most three goods is the three-goods form; any longer one
+    is split once, and the split's lighter bundle and the value levels of its
+    heavier one decide the form.
     """
     a = rat(a)
     check_domain(BoundId.MAIN_SUFFICIENT, a)
-    if planned.agents != 2:
-        raise ValueError("form classification is a two-agent notion")
-    if planned != lpt(p, 2):
-        raise ValueError("allocation is not the largest-value-first output of p")
-
-    b0, b1 = planned.bundles
-    low = 0 if p.weight(b0) <= p.weight(b1) else 1
-    light, heavy = planned.bundles[low], planned.bundles[1 - low]
-
     w = p.weights
     wz = max(w)
-    level_z = frozenset(g for g in range(p.horizon) if w[g] == wz)
-    below = [x for x in w if x < wz]
-    wy = max(below) if below else None
-    level_y = frozenset(g for g in range(p.horizon) if w[g] == wy)
-    level_x = frozenset(range(p.horizon)) - level_z - level_y
+    wy = max((x for x in w if x < wz), default=None)
     z = Fraction(wz, p.den)
     y = None if wy is None else Fraction(wy, p.den)
-
-    def tag(kind: FormKind, large: frozenset[int]) -> FormTag:
-        return FormTag(kind=kind, z=z, y=y, level_z=level_z, level_y=level_y,
-                       level_x=level_x, large=large, low_agent=low)
-
-    if a == 1 or p.value(light) >= passthrough_cutoff(a):
-        return tag(FormKind.PASSTHROUGH, frozenset())
     if p.horizon <= 3:
-        return tag(FormKind.THREE_GOODS, frozenset())
+        return FormTag(FormKind.THREE_GOODS, z, y, frozenset(), frozenset(), 0)
+
+    bundles = lpt(p, 2).bundles
+    low = 0 if p.weight(bundles[0]) <= p.weight(bundles[1]) else 1
+    light, heavy = bundles[low], bundles[1 - low]
+    if a == 1 or p.value(light) >= passthrough_cutoff(a):
+        return FormTag(FormKind.PASSTHROUGH, z, y, heavy, frozenset(), low)
     if len(heavy) == 1:
-        return tag(FormKind.SINGLETON_HIGH, frozenset())
+        return FormTag(FormKind.SINGLETON_HIGH, z, y, heavy, frozenset(), low)
     if len(heavy) != 2:
         raise ValueError("heavier bundle of a sub-cutoff split must hold two goods")
 
-    heavy_z = heavy & level_z
-    heavy_y = heavy & level_y
-    if len(heavy_z) == 2:
-        large = level_z
+    level_z = frozenset(g for g in range(p.horizon) if w[g] == wz)
+    level_y = frozenset(g for g in range(p.horizon) if w[g] == wy)
+    if len(heavy & level_z) == 2:
         if len(level_z) != 3 or len(light & level_z) != 1:
             raise ValueError("inconsistent top-level structure for a two-top split")
-        return tag(FormKind.FORM1, large)
-    if len(heavy_z) == 1 and len(heavy_y) == 1:
+        return FormTag(FormKind.FORM1, z, y, heavy, level_z, low)
+    if len(heavy & level_z) == 1 and len(heavy & level_y) == 1:
         if len(level_z) != 2 or len(level_y) != 1:
             raise ValueError("inconsistent structure for a top+mid split")
-        large = level_z | level_y
-        y_id = next(iter(level_y))
-        late = y_id > max(level_z)
-        return tag(FormKind.FORM3_LATE_Y if late else FormKind.FORM3_EARLY_Y, large)
-    if len(heavy_z) == 0:
+        kind = FormKind.FORM3_LATE_Y if max(level_y) > max(level_z) else FormKind.FORM3_EARLY_Y
+        return FormTag(kind, z, y, heavy, level_z | level_y, low)
+    if not heavy & level_z:
         if len(level_z) != 1 or not (level_z <= light):
             raise ValueError("inconsistent structure for a mid-level split")
-        large = heavy | level_z
-        return tag(FormKind.FORM2OR4, large)
+        return FormTag(FormKind.FORM2OR4, z, y, heavy, heavy | level_z, low)
     raise ValueError("heavier bundle pairs the top good with a sub-mid good; "
                      "not a reachable balanced split")
+
+
+def _half_margin(a: Fraction) -> Fraction:
+    return eval_bound(BoundId.MAIN_SUFFICIENT, a) / 2
+
+
+# Per threshold form: the anchor value (``z`` or ``y``), the slack over it at
+# factor a, and whether a tracked good the threshold turns away still goes to
+# the heavier side once another tracked good sits on the lighter side.
+_ADMISSION = {
+    FormKind.FORM1: ("z", _half_margin, False),
+    FormKind.FORM2OR4: ("y", _half_margin, True),
+    FormKind.FORM3_EARLY_Y: ("z", _half_margin, False),
+    FormKind.FORM3_LATE_Y: ("z", late_y_margin, True),
+}
 
 
 class FormThresholdAllocator(OnlineAllocator):
     """Two identical agents with a prediction vector and target factor a.
 
-    Precomputes the balanced predicted split, classifies its form, then per
-    arriving good performs a constant number of comparisons: tracked heavy
-    goods are admitted to the heavier side while their observed value stays
-    within the form's margin (and fewer than two sit there already), all other
-    goods go to the lighter side.  With prediction error at most the
+    Follows the largest-value-first split of the predictions, but a tracked
+    good goes to the heavier side only while its observed value is within its
+    form's threshold and fewer than two sit there already.  Goods beyond the
+    predicted horizon go to the lighter side; a horizon of at most three goods
+    is left to the three-goods rule.  With prediction error at most the
     ``main-sufficient`` bound at a, the final allocation reaches factor a.
     """
 
@@ -297,51 +289,22 @@ class FormThresholdAllocator(OnlineAllocator):
 
     def __init__(self, prediction: ValuationVector, a: Fraction):
         super().__init__(n=2)
-        self.a = rat(a)
-        check_domain(BoundId.MAIN_SUFFICIENT, self.a)
-        self.t_pred = prediction.horizon
-        self.delegate: Optional[ThreeGoodsAllocator] = None
-        if self.t_pred <= 3:
-            self.delegate = ThreeGoodsAllocator(self.t_pred)
-            self.tag = None
-            return
-
-        planned = lpt(prediction, 2)
-        tag = classify_form(planned, prediction, self.a)
-        self.tag = tag
-        self.low = tag.low_agent
-        self.high = 1 - tag.low_agent
-        self.owner = {g: i for i, b in enumerate(planned.bundles) for g in b}
-        self.large_in_high = 0
-        self.large_in_low = 0
-
-        margin = eval_bound(BoundId.MAIN_SUFFICIENT, self.a)
-        if tag.kind is FormKind.FORM1:
-            self.threshold = tag.z + margin / 2
-            self.fallback = False
-        elif tag.kind is FormKind.FORM2OR4:
-            self.threshold = tag.y + margin / 2
-            self.fallback = True
-        elif tag.kind is FormKind.FORM3_EARLY_Y:
-            self.threshold = tag.z + margin / 2
-            self.fallback = False
-        elif tag.kind is FormKind.FORM3_LATE_Y:
-            self.threshold = tag.z + late_y_margin(self.a)
-            self.fallback = True
-        else:
-            self.threshold = None
-            self.fallback = False
+        a = rat(a)
+        self.tag = tag = classify_form(prediction, a)
+        self.delegate = (ThreeGoodsAllocator(prediction.horizon)
+                         if tag.kind is FormKind.THREE_GOODS else None)
+        self.low, self.high = tag.low_agent, 1 - tag.low_agent
+        self.large_in_high = self.large_in_low = 0
+        self.threshold, self.fallback = None, False
+        if tag.kind in _ADMISSION:
+            anchor, slack, self.fallback = _ADMISSION[tag.kind]
+            self.threshold = getattr(tag, anchor) + slack(a)
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
         if self.delegate is not None:
             agent = self.delegate.step(t, values)
             self.last_step_ops = self.delegate.last_step_ops
             return agent
-        assert self.tag is not None
-        kind = self.tag.kind
-        if kind in (FormKind.PASSTHROUGH, FormKind.SINGLETON_HIGH):
-            self.last_step_ops = 1
-            return self.owner.get(t, self.low)
         if t in self.tag.large:
             self.last_step_ops = 3
             admit = values[0] <= self.threshold and self.large_in_high < 2
@@ -351,7 +314,7 @@ class FormThresholdAllocator(OnlineAllocator):
             self.large_in_low += 1
             return self.low
         self.last_step_ops = 1
-        return self.low
+        return self.high if t in self.tag.heavy else self.low
 
 
 # ---------------------------------------------------------------------------

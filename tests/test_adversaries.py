@@ -71,6 +71,16 @@ class TestParameterDomains:
             build_adversary(AdversarySpec("follower-tight", F(7, 10),
                                           params={"D": F(1, 2)}))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_follower_tight_needs_positive_a(self, n):
+        # at a = 0 follower-necessary is 1/(2n-1): no deflation D can exceed it
+        assert eval_bound(BoundId.FOLLOWER_NECESSARY, F(0), BoundParams(n=n)) == F(1, 2 * n - 1)
+        with pytest.raises(ParameterError, match="need a > 0"):
+            build_adversary(AdversarySpec("follower-tight", F(0), n=n))
+        with pytest.raises(ParameterError, match="need a > 0"):
+            build_adversary(AdversarySpec("follower-tight", F(0), n=n,
+                                          params={"D": F(1, 2 * n - 1)}))
+
     def test_mirrored_pair_needs_half(self):
         with pytest.raises(ParameterError, match="1/2"):
             build_adversary(AdversarySpec("pred-2-general", F(2, 5)))

@@ -1,6 +1,7 @@
 """Golden outputs, byte for byte: oracle JSON, the duel table, the curve CSVs,
-seeded gen -> perturb -> run pipelines, runs on large coprime denominators, and
-seeded random walks and minimax values of every adaptive construction."""
+seeded gen -> perturb -> run pipelines, runs on large coprime denominators,
+seeded random walks and minimax values of every adaptive construction, and
+main's decisions on every form of the predicted split."""
 
 import hashlib
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, build_adversary
+from onlinefair.bounds import BoundId, eval_bound, late_y_margin
 from onlinefair.cli import main as cli_main
 from onlinefair.core import (
     Allocation,
@@ -23,9 +25,20 @@ from onlinefair.core import (
     rat_str,
     tv_distance,
 )
-from onlinefair.harness import make_instance, random_walk_duel
+from onlinefair.harness import (
+    PERTURB_MODES,
+    make_instance,
+    perturb,
+    random_walk_duel,
+    run_instance,
+)
 from onlinefair.offline import BudgetExceededError, minimax_online_factor
-from onlinefair.online import ALLOCATOR_NAMES
+from onlinefair.online import (
+    ALLOCATOR_NAMES,
+    FormKind,
+    classify_form,
+    make_allocator,
+)
 from onlinefair.verify import MINIMAX_PLAN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -368,3 +381,89 @@ def test_adversary_golden(spec, value, digest):
     except (ValueError, BudgetExceededError) as exc:
         got = type(exc).__name__
     assert got == value
+
+
+# ---------------------------------------------------------------------------
+# The form-guided allocator: one prediction per form, knife-edge truths
+# ---------------------------------------------------------------------------
+
+# (form, a, predicted values, tracked goods); random predictions are almost
+# always passthrough, so each threshold form gets hand-built predictions in
+# two arrival orders
+MAIN_FORMS = (
+    (FormKind.PASSTHROUGH, F(7, 10), ("3/10", "3/10", "1/5", "1/5"), ()),
+    (FormKind.PASSTHROUGH, F(1), ("33/100", "33/100", "33/100", "1/100"), ()),
+    (FormKind.THREE_GOODS, F(7, 10), ("7/10", "1/5", "1/10"), ()),
+    (FormKind.THREE_GOODS, F(4, 5), ("1/2", "1/2"), ()),
+    (FormKind.SINGLETON_HIGH, F(7, 10), ("2/3", "1/12", "1/12", "1/12", "1/12"), ()),
+    (FormKind.SINGLETON_HIGH, F(4, 5), ("1/12", "1/12", "2/3", "1/12", "1/12"), ()),
+    (FormKind.FORM1, F(7, 10), ("33/100", "33/100", "33/100", "1/100"), (0, 1, 2)),
+    (FormKind.FORM1, F(4, 5), ("1/40", "13/40", "13/40", "13/40"), (1, 2, 3)),
+    (FormKind.FORM2OR4, F(7, 10), ("34/100", "33/100", "32/100", "1/100"), (0, 1, 2)),
+    (FormKind.FORM2OR4, F(4, 5), ("1/100", "32/100", "34/100", "33/100"), (1, 2, 3)),
+    (FormKind.FORM3_EARLY_Y, F(7, 10), ("71/200", "57/200", "71/200", "1/200"), (0, 1, 2)),
+    (FormKind.FORM3_EARLY_Y, F(4, 5), ("7/20", "149/500", "7/20", "1/500"), (0, 1, 2)),
+    (FormKind.FORM3_LATE_Y, F(7, 10), ("71/200", "71/200", "57/200", "1/200"), (0, 1, 2)),
+    (FormKind.FORM3_LATE_Y, F(4, 5), ("1/500", "7/20", "7/20", "149/500"), (1, 2, 3)),
+)
+
+
+def _admission_threshold(kind, values, a):
+    """The paper's admission threshold for a tracked good: the top value z or
+    the second value y, plus half the error budget or the late-mid margin."""
+    z = max(values)
+    y = max(v for v in values if v < z)
+    half = eval_bound(BoundId.MAIN_SUFFICIENT, a) / 2
+    return {FormKind.FORM1: z + half, FormKind.FORM2OR4: y + half,
+            FormKind.FORM3_EARLY_Y: z + half,
+            FormKind.FORM3_LATE_Y: z + late_y_margin(a)}[kind]
+
+
+def _main_truths(kind, a, values, tracked):
+    """Each tracked good exactly at, 10^-9 above and 10^-9 below its threshold,
+    the difference taken from (or given to) each other good in turn; then
+    seeded perturbations in every mode, which also add and trim goods."""
+    tiny = F(1, 10 ** 9)
+    threshold = _admission_threshold(kind, values, a) if tracked else None
+    for g in tracked:
+        for delta in (0, tiny, -tiny):
+            shift = threshold + delta - values[g]
+            for sink in range(len(values)):
+                truth = list(values)
+                truth[g] += shift
+                truth[sink] -= shift
+                if sink != g and truth[sink] >= 0:
+                    yield ValuationVector(tuple(truth))
+    p = ValuationProfile.identical_from(ValuationVector(values), 2)
+    for mode in PERTURB_MODES:
+        for d in (F(1, 50), F(1, 20), F(1, 10)):
+            for seed in range(3):
+                yield perturb(p, [d, d], seed=seed, mode=mode).vector(0)
+
+
+def _main_runs(kind, a, values, tracked) -> str:
+    """Every truth's transcript, followed by the per-step work counts."""
+    values = tuple(F(v) for v in values)
+    tag = classify_form(ValuationVector(values), a)
+    assert tag.kind is kind and tag.large == set(tracked)
+    p = ValuationProfile.identical_from(ValuationVector(values), 2)
+    out = []
+    for truth in _main_truths(kind, a, values, tracked):
+        truths = ValuationProfile.identical_from(truth, 2)
+        out.append(run_instance("main", make_instance(p, truths), a=a).to_json())
+        allocator = make_allocator("main", n=2, prediction=p, a=a)
+        ops = []
+        for t, v in enumerate(truth.values):
+            allocator.step(t, (v, v))
+            ops.append(allocator.last_step_ops)
+        out.append(json.dumps(ops))
+    return "\n".join(out)
+
+
+MAIN_DECISION_DIGEST = "5a1644314d28168b4944f92e7126dc73acc53b031da84331caa48319569b70de"
+
+
+def test_main_decision_golden():
+    assert {case[0] for case in MAIN_FORMS} == set(FormKind)
+    runs = "\n".join(_main_runs(*case) for case in MAIN_FORMS)
+    assert hashlib.sha256(runs.encode()).hexdigest() == MAIN_DECISION_DIGEST

@@ -193,6 +193,9 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "52/1323"
         self._cli("bounds", "--invert", "follower-sufficient", "--d", "1/27")
         assert capsys.readouterr().out.strip() == "4/5"
+        # the bound is defined at a = 0, where follower-tight cannot be built
+        self._cli("bounds", "--eval", "follower-necessary", "--a", "0")
+        assert capsys.readouterr().out.strip() == "1/3"
 
     def test_verify_single_suite(self, capsys):
         self._cli("verify", "--suite", "figure-curves")
@@ -258,6 +261,10 @@ class TestCliErrors:
         self._fails("oracle", "minimax", "--adversary", "follower-tight", "--a", "7/10",
                     "--param", "lo=1/2", "--param", "hi=3/2",
                     message="need an integer good index lo")
+
+    def test_follower_tight_at_zero(self):
+        self._fails("oracle", "minimax", "--adversary", "follower-tight", "--a", "0",
+                    message="need a > 0; at a = 0 follower-necessary(a, n) is 1/(2n-1)")
 
     def test_instance_with_one_row_for_two_agents(self, tmp_path):
         self._fails("run", "--instance", self._instance(tmp_path, ONE_ROW_FOR_TWO_AGENTS),

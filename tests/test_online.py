@@ -219,52 +219,50 @@ class TestThreeGoods:
 class TestClassifyForm:
     def test_passthrough_when_light_bundle_heavy_enough(self):
         p = vec("3/10", "3/10", "1/5", "1/5")
-        tag = classify_form(lpt(p, 2), p, F(7, 10))
+        tag = classify_form(p, F(7, 10))
         assert tag.kind is FormKind.PASSTHROUGH
         assert passthrough_cutoff(F(7, 10)) == F(421, 1161)
 
     def test_three_goods_horizon(self):
         p = vec("7/10", "1/5", "1/10")
-        tag = classify_form(lpt(p, 2), p, F(7, 10))
+        tag = classify_form(p, F(7, 10))
         assert tag.kind is FormKind.THREE_GOODS
+        # the horizon decides first, even where the split would pass through
+        assert classify_form(p, F(1)).kind is FormKind.THREE_GOODS
+        assert tag.heavy == tag.large == frozenset()
 
     def test_singleton_heavy_bundle(self):
         p = vec("2/3", "1/12", "1/12", "1/12", "1/12")
-        tag = classify_form(lpt(p, 2), p, F(7, 10))
+        tag = classify_form(p, F(7, 10))
         assert tag.kind is FormKind.SINGLETON_HIGH
+        assert tag.heavy == {0} and tag.large == frozenset()
 
     def test_form1_two_top_goods_opposite(self):
         p = vec("33/100", "33/100", "33/100", "1/100")
-        tag = classify_form(lpt(p, 2), p, F(7, 10))
+        tag = classify_form(p, F(7, 10))
         assert tag.kind is FormKind.FORM1
         assert tag.large == {0, 1, 2}
         assert tag.z == F(33, 100)
 
     def test_form2or4_mid_pair(self):
         p = vec("34/100", "33/100", "32/100", "1/100")
-        tag = classify_form(lpt(p, 2), p, F(7, 10))
+        tag = classify_form(p, F(7, 10))
         assert tag.kind is FormKind.FORM2OR4
         assert tag.large == {0, 1, 2}
         assert tag.y == F(33, 100)
 
     def test_form3_split_on_arrival_order(self):
         late = vec("355/1000", "355/1000", "285/1000", "5/1000")
-        tag = classify_form(lpt(late, 2), late, F(7, 10))
+        tag = classify_form(late, F(7, 10))
         assert tag.kind is FormKind.FORM3_LATE_Y
         early = vec("355/1000", "285/1000", "355/1000", "5/1000")
-        tag = classify_form(lpt(early, 2), early, F(7, 10))
+        tag = classify_form(early, F(7, 10))
         assert tag.kind is FormKind.FORM3_EARLY_Y
-
-    def test_rejects_non_lpt_input(self):
-        p = vec("1/2", "1/4", "1/4")
-        wrong = Allocation.of([{0, 1}, {2}], num_goods=3)
-        with pytest.raises(ValueError):
-            classify_form(wrong, p, F(7, 10))
 
     def test_rejects_target_at_or_below_golden(self):
         p = vec("1/2", "1/4", "1/4")
         with pytest.raises(ValueError):
-            classify_form(lpt(p, 2), p, F(3, 5))
+            classify_form(p, F(3, 5))
 
 
 class TestFormThresholdAllocator:
@@ -389,6 +387,38 @@ class TestFormThresholdAllocator:
         # first top good overshoots, goes to the light side; other two admitted
         light, heavy = allocator.low, allocator.high
         assert decisions == [light, heavy, heavy, light]
+
+    @pytest.mark.parametrize("a", [F(2, 3), F(7, 10), F(4, 5)])
+    def test_plan_following_forms_match_the_lpt_follower(self, a):
+        # passthrough and singleton-high splits track no goods, so main places
+        # every good like the largest-value-first follower, extra goods included
+        rng = random.Random(31)
+        kinds = set()
+        for trial in range(120):
+            horizon = rng.randint(4, 10)
+            if trial % 2:
+                p = gen_random_instance(2, horizon, identical=True,
+                                        seed=rng.randrange(2 ** 30))
+            else:  # one good outweighs all others together: a singleton heavy side
+                top = F(rng.randint(65, 95), 100)
+                rest = [rng.randint(1, 9) for _ in range(horizon - 1)]
+                values = [(1 - top) * F(w, sum(rest)) for w in rest]
+                values.insert(rng.randrange(horizon), top)
+                p = ValuationProfile.identical_from(ValuationVector(tuple(values)), 2)
+            kind = classify_form(p.vector(0), a).kind
+            assert kind in (FormKind.PASSTHROUGH, FormKind.SINGLETON_HIGH)
+            kinds.add(kind)
+            d = F(rng.randint(1, 30), 100)
+            truth = perturb(p, [d, d], seed=rng.randrange(2 ** 30),
+                            mode=("values", "extra-goods", "mixed")[trial % 3]).vector(0)
+            if trial % 4 == 0:  # trim the last good, its value moved to an earlier one
+                values = list(truth.values[:-1])
+                values[rng.randrange(len(values))] += truth.values[-1]
+                truth = ValuationVector(tuple(values))
+            instance = make_instance(p, ValuationProfile.identical_from(truth, 2))
+            assert (run_instance("main", instance, a=a).allocation
+                    == run_instance("follower:lpt", instance).allocation)
+        assert kinds == {FormKind.PASSTHROUGH, FormKind.SINGLETON_HIGH}
 
 
 def test_make_allocator_validations():
