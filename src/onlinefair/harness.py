@@ -21,6 +21,8 @@ from .core import (
     ValuationVector,
     ZERO,
     fairness_report,
+    json_list,
+    json_rationals,
     rat,
     rat_str,
     tv_distance,
@@ -45,24 +47,26 @@ class GameTranscript:
     realized_error: Optional[tuple[Fraction, ...]]
     seed: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "allocator": self.allocator,
-            "seed": self.seed,
-            "steps": [
-                {"t": t, "values": [rat_str(v) for v in vals], "agent": agent}
-                for t, vals, agent in self.steps
-            ],
-            "allocation": self.allocation.as_lists(),
-            "efx_factor": rat_str(self.report.efx_factor),
-            "ef1_factor": rat_str(self.report.ef1_factor),
-            "realized_error": (None if self.realized_error is None
-                               else [rat_str(e) for e in self.realized_error]),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The transcript as JSON, byte for byte as ``json.dumps(..., indent=2)``
+        of the schema ``{source, allocator, seed, steps: [{t, values, agent}],
+        allocation, efx_factor, ef1_factor, realized_error}``."""
+        steps = json_list([
+            f'{{\n      "t": {t},\n      "values": {json_rationals(vals, "      ")},'
+            f'\n      "agent": {agent}\n    }}'
+            for t, vals, agent in self.steps], "  ")
+        allocation = json_list([json_list([str(g) for g in bundle], "    ")
+                                for bundle in self.allocation.as_lists()], "  ")
+        realized = ("null" if self.realized_error is None
+                    else json_rationals(self.realized_error, "  "))
+        return (f'{{\n  "source": {json.dumps(self.source)},\n'
+                f'  "allocator": {json.dumps(self.allocator)},\n'
+                f'  "seed": {json.dumps(self.seed)},\n'
+                f'  "steps": {steps},\n'
+                f'  "allocation": {allocation},\n'
+                f'  "efx_factor": "{rat_str(self.report.efx_factor)}",\n'
+                f'  "ef1_factor": "{rat_str(self.report.ef1_factor)}",\n'
+                f'  "realized_error": {realized}\n}}')
 
 
 def _finish(source: str, allocator: OnlineAllocator,

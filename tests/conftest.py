@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from onlinefair.core import Allocation, ValuationProfile, ValuationVector
+from onlinefair.core import Allocation, ValuationProfile, ValuationVector, rat_str
 from onlinefair.offline import BudgetExceededError
 
 
@@ -116,6 +116,24 @@ def reference_tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
         b = v.values[t] if t < v.horizon else 0
         total += abs(a - b)
     return total / 2
+
+
+def reference_transcript_dict(transcript) -> dict:
+    """The transcript's JSON schema as a dict, built straight from its fields."""
+    return {
+        "source": transcript.source,
+        "allocator": transcript.allocator,
+        "seed": transcript.seed,
+        "steps": [
+            {"t": t, "values": [rat_str(v) for v in vals], "agent": agent}
+            for t, vals, agent in transcript.steps
+        ],
+        "allocation": transcript.allocation.as_lists(),
+        "efx_factor": rat_str(transcript.report.efx_factor),
+        "ef1_factor": rat_str(transcript.report.ef1_factor),
+        "realized_error": (None if transcript.realized_error is None
+                           else [rat_str(e) for e in transcript.realized_error]),
+    }
 
 
 def reference_lpt(f: ValuationVector, n: int) -> list[set[int]]:

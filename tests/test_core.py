@@ -1,5 +1,6 @@
 """Domain types, bundle surgery, distance, and fairness metrics."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -174,9 +175,81 @@ class TestTypes:
     def test_instance_json_round_trip(self):
         p = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
         v = ValuationProfile.identical_from(vec("1/4", "3/4"), 2)
-        inst = Instance(p, v, (F(3, 4), F(3, 4)))
-        again = Instance.from_json_dict(inst.to_json_dict())
-        assert again == inst
+        general = ValuationProfile((vec("1/4", "3/4"), vec("1/2", "1/2")))
+        for inst in (Instance(p, v, (F(3, 4), F(3, 4))), Instance(general, general, (1, 1))):
+            assert Instance.from_json_dict(inst.to_json_dict()) == inst
+            assert inst.to_json() == json.dumps(inst.to_json_dict(), indent=2)
+
+
+def wire(rows, n=2, identical=True, **extra):
+    """An instance dict whose predictions and truths are both ``rows``."""
+    return {"n": n, "identical": identical, "predictions": rows, "truths": rows,
+            "accuracy": ["1"] * len(rows), **extra}
+
+
+class TestInstanceWire:
+    def test_identical_rows_equal_in_value_but_written_differently(self):
+        inst = Instance.from_json_dict(wire([["1/2", "1/2"], ["2/4", "1/2"]]))
+        assert inst.truths.vector(1).values == (F(1, 2), F(1, 2))
+
+    def test_identical_rows_that_differ(self):
+        with pytest.raises(ValueError, match="profile flagged identical but vectors differ"):
+            Instance.from_json_dict(wire([["1/2", "1/2"], ["1/3", "2/3"]]))
+
+    def test_wrong_row_count(self):
+        with pytest.raises(ValueError, match="expected 3 agent rows, got 2"):
+            Instance.from_json_dict(wire([["1/2", "1/2"]] * 2, n=3))
+
+    @pytest.mark.parametrize("entry", [[], {}, None, 0.5])
+    def test_entry_that_is_not_a_rational(self, entry):
+        name = type(entry).__name__
+        with pytest.raises(ValueError, match=f"^expected a list of p/q strings: "
+                                             f"expected an exact rational, got {name}$"):
+            Instance.from_json_dict(wire([["1/2", entry]] * 2))
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[1], [1.0]], "expected an exact rational, got float"),
+        ([[1], [True]], "got a bool"),
+    ])
+    def test_identical_rows_equal_as_json_values_check_every_entry(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Instance.from_json_dict(wire(rows))
+
+    def test_identical_rows_share_one_vector(self):
+        inst = Instance.from_json_dict(wire([["1/4", "1/4", "1/2"]] * 3, n=3))
+        for profile in (inst.predictions, inst.truths):
+            assert all(v is profile.vectors[0] for v in profile.vectors)
+
+    def test_general_rows_get_one_vector_each(self):
+        inst = Instance.from_json_dict(wire([["1/4", "1/4", "1/2"]] * 3, n=3,
+                                            identical=False))
+        assert len({id(v) for v in inst.truths.vectors}) == 3
+        assert not inst.truths.identical
+
+    def test_missing_identical_means_general(self):
+        d = wire([["1/2", "1/2"], ["1/3", "2/3"]])
+        del d["identical"]
+        assert not Instance.from_json_dict(d).truths.identical
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("identical", "false", "instance key 'identical' is not a bool"),
+        ("identical", 0, "instance key 'identical' is not a bool"),
+        ("n", True, "instance key 'n' is not an int"),
+        ("n", "2", "instance key 'n' is not an int"),
+    ])
+    def test_keys_are_strictly_typed(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Instance.from_json_dict(wire([["1/2", "1/2"]] * 2, **{key: value}))
+
+    @pytest.mark.parametrize("rows", [[["1/2", "1/2"], [True, False]],
+                                      [[True, False], [True, False]]])
+    def test_bool_values_rejected(self, rows):
+        with pytest.raises(ValueError, match="^expected a list of p/q strings, got a bool$"):
+            Instance.from_json_dict(wire(rows, identical=False))
+
+    def test_bool_accuracy_rejected(self):
+        with pytest.raises(ValueError, match="got a bool"):
+            Instance.from_json_dict(wire([["1", "0"]] * 2, accuracy=[True, True]))
 
 
 class TestFairnessMetrics:

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from onlinefair.adversaries import AdversarySpec
-from onlinefair.core import Instance, ValuationProfile, ValuationVector, rat, tv_distance
+from onlinefair.core import (Allocation, Instance, ValuationProfile, ValuationVector,
+                             fairness_report, rat, tv_distance)
 from onlinefair.harness import (
     PERTURB_MODES,
+    GameTranscript,
     gen_random_instance,
     make_instance,
     perturb,
@@ -24,6 +26,9 @@ from onlinefair.harness import (
     run_instance,
 )
 from onlinefair.cli import main as cli_main
+from onlinefair.online import ALLOCATOR_NAMES
+
+from conftest import reference_transcript_dict
 
 
 class TestGenerators:
@@ -138,6 +143,57 @@ class TestTranscripts:
         assert blob["allocator"] == "ef1-lowest"
         assert len(blob["steps"]) == 4
         assert blob["efx_factor"].count("/") == 1
+
+
+def _instance_runs(horizon: int):
+    """Every allocator on one identical two-agent instance with ``horizon`` goods."""
+    p = gen_random_instance(2, horizon, identical=True, seed=horizon)
+    truths = perturb(p, [F(1, 10)] * 2, seed=horizon, mode="values") if horizon > 1 else p
+    inst = make_instance(p, truths)
+    return [run_instance(name, inst, a=F(4, 5) if name == "main" else None)
+            for name in ALLOCATOR_NAMES if name != "three-goods" or horizon <= 3]
+
+
+WRITER_CASES = {
+    "every-allocator-T1": lambda: _instance_runs(1),
+    "every-allocator-T3": lambda: _instance_runs(3),
+    "every-allocator-T7": lambda: _instance_runs(7),
+    "empty-bundle-n3": lambda: [run_instance(
+        "ef1-lowest", make_instance(*[gen_random_instance(3, 2, identical=False, seed=5)] * 2))],
+    "duel": lambda: [run_duel("main", AdversarySpec("pred-2-identical", F(7, 10)),
+                              a=F(7, 10))],
+    "duel-without-prediction": lambda: [run_duel(
+        "greedy-phi", AdversarySpec("no-pred-2-identical", F(7, 10)))],
+    "random-walk": lambda: [random_walk_duel(AdversarySpec("two-value-2", F(4, 5)), seed=5)],
+    "no-steps": lambda: [_no_steps()],
+}
+
+
+def _no_steps() -> GameTranscript:
+    """A transcript before any good arrives; no runner returns one."""
+    truths = ValuationProfile.identical_from(ValuationVector((F(1),)), 2)
+    alloc = Allocation.of([set(), set()], num_goods=0)
+    return GameTranscript(source="empty", allocator="none", steps=(), allocation=alloc,
+                          truths=truths, report=fairness_report(alloc, truths),
+                          realized_error=None)
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_transcript_writer_matches_json_dumps(case):
+    for transcript in WRITER_CASES[case]():
+        s = transcript.to_json()
+        assert json.dumps(json.loads(s), indent=2) == s
+        assert json.loads(s) == reference_transcript_dict(transcript)
+
+
+def test_writer_cases_cover_empty_bundles_and_null_fields():
+    transcripts = [t for make in WRITER_CASES.values() for t in make()]
+    assert {t.allocator for t in transcripts} >= {"random-walk", *(
+        name.split(":")[0] for name in ALLOCATOR_NAMES)}
+    assert any(not b for t in transcripts for b in t.allocation.bundles)
+    assert any(t.realized_error is None for t in transcripts)
+    assert any(t.seed is not None for t in transcripts)
+    assert {len(t.steps) for t in transcripts} >= {0, 1}
 
 
 class TestCli:
@@ -305,6 +361,17 @@ class TestCliErrors:
         floats = dict(UNNORMALIZED, predictions=[[0.5, 0.5]] * 2)
         self._fails("run", "--instance", self._instance(tmp_path, floats),
                     "--allocator", "ef1-lowest", message="expected a list of p/q strings")
+
+    @pytest.mark.parametrize("change,message", [
+        ({"identical": "false"}, "instance key 'identical' is not a bool"),
+        ({"n": True}, "instance key 'n' is not an int"),
+        ({"truths": [[True, False]] * 2}, "expected a list of p/q strings, got a bool"),
+    ], ids=["identical-string", "n-bool", "bool-values"])
+    def test_instance_key_of_the_wrong_json_type(self, tmp_path, change, message):
+        bad = {**ONE_ROW_FOR_TWO_AGENTS, "predictions": [["1/2", "1/2"]] * 2,
+               "truths": [["1/2", "1/2"]] * 2, **change}
+        self._fails("run", "--instance", self._instance(tmp_path, bad),
+                    "--allocator", "ef1-lowest", message=message)
 
     def test_parameter_the_chosen_regime_does_not_read(self):
         self._fails("oracle", "minimax", "--adversary", "pred-n-identical", "--a", "1/10",
