@@ -112,7 +112,7 @@ def cmd_bounds(args) -> int:
 def cmd_gen(args) -> int:
     profile = gen_random_instance(args.n, args.T, args.identical, args.seed)
     instance = make_instance(profile, profile)
-    _emit(instance.to_json(), args.out)
+    _emit(json.dumps(instance.to_json_dict(), indent=2), args.out)
     return 0
 
 
@@ -122,7 +122,7 @@ def cmd_perturb(args) -> int:
     truths = perturb(instance.predictions, [d] * instance.agents,
                      seed=args.seed, mode=args.mode)
     out = make_instance(instance.predictions, truths)
-    _emit(out.to_json(), args.out)
+    _emit(json.dumps(out.to_json_dict(), indent=2), args.out)
     return 0
 
 

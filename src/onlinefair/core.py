@@ -62,20 +62,6 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def json_list(items: Sequence[str], indent: str) -> str:
-    """A JSON array of already-encoded items, laid out as ``json.dumps(indent=2)``
-    lays it out on a line indented by ``indent``: one item per line, ``[]`` when empty."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-
-
-def json_rationals(values: Iterable[Fraction], indent: str) -> str:
-    """``json_list`` of rationals in the ``"p/q"`` wire format."""
-    return json_list([f'"{rat_str(v)}"' for v in values], indent)
-
-
 def decimal_str(x: Fraction, places: int = 3) -> str:
     """Render a nonnegative rational as a fixed-point decimal, rounding half up."""
     if x < 0:
@@ -287,24 +273,11 @@ class Instance:
             "accuracy": [rat_str(a) for a in self.declared_accuracy],
         }
 
-    def to_json(self) -> str:
-        """The wire format, byte for byte as ``json.dumps(self.to_json_dict(), indent=2)``."""
-        def rows(profile: ValuationProfile) -> str:
-            return json_list([json_rationals(vec.values, "    ")
-                              for vec in profile.vectors], "  ")
-
-        identical = "true" if self.truths.identical else "false"
-        return (f'{{\n  "n": {self.agents},\n  "identical": {identical},\n'
-                f'  "predictions": {rows(self.predictions)},\n'
-                f'  "truths": {rows(self.truths)},\n'
-                f'  "accuracy": {json_rationals(self.declared_accuracy, "  ")}\n}}')
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Instance":
         """Parse the wire format; a missing key or a wrong JSON type is a ValueError.
 
-        Each distinct value string is parsed once per call, and rows flagged
-        identical that are equal as JSON lists of strings share one vector.
+        Each distinct value string is parsed once per call.
         """
         if not isinstance(d, dict):
             raise ValueError(f"an instance is a JSON object, got a {type(d).__name__}")
@@ -342,14 +315,7 @@ class Instance:
         identical = "identical" in d and field("identical", bool, "a bool")
 
         def profile(key: str) -> ValuationProfile:
-            rows = field(key, list, "a list")
-            first = rows[0] if rows else None
-            # all-string rows only: 1, 1.0 and true compare equal, and each
-            # non-string entry must still meet its own check in every row
-            if (identical and isinstance(first, list) and rows == [first] * n
-                    and set(map(type, first)) <= {str}):
-                return ValuationProfile.identical_from(ValuationVector(values(first)), n)
-            vecs = tuple(ValuationVector(values(row)) for row in rows)
+            vecs = tuple(ValuationVector(values(row)) for row in field(key, list, "a list"))
             if len(vecs) != n:
                 raise ValueError(f"expected {n} agent rows, got {len(vecs)}")
             return ValuationProfile(vecs, identical=identical)

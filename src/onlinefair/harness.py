@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .adversaries import Adversary, AdversarySpec, build_adversary
 from .core import (
@@ -21,13 +21,25 @@ from .core import (
     ValuationVector,
     ZERO,
     fairness_report,
-    json_list,
-    json_rationals,
     rat,
     rat_str,
     tv_distance,
 )
 from .online import OnlineAllocator, make_allocator
+
+
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """A JSON array of already-encoded items, laid out as ``json.dumps(indent=2)``
+    lays it out on a line indented by ``indent``: one item per line, ``[]`` when empty."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _json_rationals(values: Iterable[Fraction], indent: str) -> str:
+    """``_json_list`` of rationals in the ``"p/q"`` wire format."""
+    return _json_list([f'"{rat_str(v)}"' for v in values], indent)
 
 
 @dataclass(frozen=True)
@@ -51,14 +63,14 @@ class GameTranscript:
         """The transcript as JSON, byte for byte as ``json.dumps(..., indent=2)``
         of the schema ``{source, allocator, seed, steps: [{t, values, agent}],
         allocation, efx_factor, ef1_factor, realized_error}``."""
-        steps = json_list([
-            f'{{\n      "t": {t},\n      "values": {json_rationals(vals, "      ")},'
+        steps = _json_list([
+            f'{{\n      "t": {t},\n      "values": {_json_rationals(vals, "      ")},'
             f'\n      "agent": {agent}\n    }}'
             for t, vals, agent in self.steps], "  ")
-        allocation = json_list([json_list([str(g) for g in bundle], "    ")
+        allocation = _json_list([_json_list([str(g) for g in bundle], "    ")
                                 for bundle in self.allocation.as_lists()], "  ")
         realized = ("null" if self.realized_error is None
-                    else json_rationals(self.realized_error, "  "))
+                    else _json_rationals(self.realized_error, "  "))
         return (f'{{\n  "source": {json.dumps(self.source)},\n'
                 f'  "allocator": {json.dumps(self.allocator)},\n'
                 f'  "seed": {json.dumps(self.seed)},\n'

@@ -1,6 +1,5 @@
 """Domain types, bundle surgery, distance, and fairness metrics."""
 
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -178,7 +177,6 @@ class TestTypes:
         general = ValuationProfile((vec("1/4", "3/4"), vec("1/2", "1/2")))
         for inst in (Instance(p, v, (F(3, 4), F(3, 4))), Instance(general, general, (1, 1))):
             assert Instance.from_json_dict(inst.to_json_dict()) == inst
-            assert inst.to_json() == json.dumps(inst.to_json_dict(), indent=2)
 
 
 def wire(rows, n=2, identical=True, **extra):
@@ -200,6 +198,10 @@ class TestInstanceWire:
         with pytest.raises(ValueError, match="expected 3 agent rows, got 2"):
             Instance.from_json_dict(wire([["1/2", "1/2"]] * 2, n=3))
 
+    def test_huge_agent_count_with_one_row(self):
+        with pytest.raises(ValueError, match=f"^expected {10 ** 12} agent rows, got 1$"):
+            Instance.from_json_dict(wire([["1/2", "1/2"]], n=10 ** 12))
+
     @pytest.mark.parametrize("entry", [[], {}, None, 0.5])
     def test_entry_that_is_not_a_rational(self, entry):
         name = type(entry).__name__
@@ -214,11 +216,6 @@ class TestInstanceWire:
     def test_identical_rows_equal_as_json_values_check_every_entry(self, rows, message):
         with pytest.raises(ValueError, match=message):
             Instance.from_json_dict(wire(rows))
-
-    def test_identical_rows_share_one_vector(self):
-        inst = Instance.from_json_dict(wire([["1/4", "1/4", "1/2"]] * 3, n=3))
-        for profile in (inst.predictions, inst.truths):
-            assert all(v is profile.vectors[0] for v in profile.vectors)
 
     def test_general_rows_get_one_vector_each(self):
         inst = Instance.from_json_dict(wire([["1/4", "1/4", "1/2"]] * 3, n=3,

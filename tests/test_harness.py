@@ -326,6 +326,12 @@ class TestCliErrors:
         self._fails("run", "--instance", self._instance(tmp_path, ONE_ROW_FOR_TWO_AGENTS),
                     "--allocator", "ef1-lowest", message="expected 2 agent rows, got 1")
 
+    def test_instance_with_one_row_and_a_huge_agent_count(self, tmp_path):
+        huge = {**ONE_ROW_FOR_TWO_AGENTS, "n": 10 ** 12}
+        self._fails("run", "--instance", self._instance(tmp_path, huge),
+                    "--allocator", "ef1-lowest",
+                    message=f"expected {10 ** 12} agent rows, got 1")
+
     def test_unnormalized_instance(self, tmp_path):
         self._fails("run", "--instance", self._instance(tmp_path, UNNORMALIZED),
                     "--allocator", "ef1-lowest", message="values sum to 5/6, expected 1")
