@@ -27,14 +27,11 @@ from .core import (
 )
 from .offline import (
     BudgetExceededError,
-    EnvyGraph,
     brute_force_best_factor,
     cut_and_choose,
     eliminate_envy_cycles,
-    envy_graph,
     lpt,
     minimax_online_factor,
-    unenvied_agent,
 )
 from .online import (
     FormKind,

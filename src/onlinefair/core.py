@@ -95,15 +95,14 @@ def cmp_sqrt3(x: Fraction) -> int:
     return (t > 0) - (t < 0)
 
 
-def bracket_threshold(cmp, lo: Fraction = ZERO, hi: Fraction = ONE,
-                      width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Fraction, Fraction]:
-    """Rational bracket (lo, hi) around an irrational threshold.
+def bracket_threshold(cmp, width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Fraction, Fraction]:
+    """Rational bracket (lo, hi) around an irrational threshold in (0, 1).
 
     ``cmp`` is an exact comparator returning <0 below the threshold and >0
-    above it (never 0 for rational input).  Plain bisection; 64 halvings of
-    the unit interval reach width 2^-64.
+    above it (never 0 for rational input).  Plain bisection from the unit
+    interval; 64 halvings reach width 2^-64.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = ZERO, ONE
     if not (cmp(lo) < 0 < cmp(hi)):
         raise ValueError("initial bracket does not straddle the threshold")
     while hi - lo > width:

@@ -201,9 +201,8 @@ def replay(transcript: GameTranscript) -> Allocation:
 # Generators
 # ---------------------------------------------------------------------------
 
-def gen_random_vector(horizon: int, rng: random.Random, max_weight: int = 20
-                      ) -> ValuationVector:
-    weights = [rng.randint(1, max_weight) for _ in range(horizon)]
+def gen_random_vector(horizon: int, rng: random.Random) -> ValuationVector:
+    weights = [rng.randint(1, 20) for _ in range(horizon)]
     total = sum(weights)
     return ValuationVector(tuple(Fraction(w, total) for w in weights))
 
@@ -297,10 +296,8 @@ def perturb(profile: ValuationProfile, d: Sequence[Fraction], seed: int,
     return ValuationProfile(padded)
 
 
-def make_instance(predictions: ValuationProfile, truths: ValuationProfile,
-                  accuracy: Optional[Sequence[Fraction]] = None) -> Instance:
-    if accuracy is None:
-        accuracy = tuple(1 - tv_distance(predictions.vector(i), truths.vector(i))
-                         for i in range(predictions.agents))
-    return Instance(predictions=predictions, truths=truths,
-                    declared_accuracy=tuple(rat(x) for x in accuracy))
+def make_instance(predictions: ValuationProfile, truths: ValuationProfile) -> Instance:
+    """An instance declaring each agent's realized accuracy 1 - TV(p_i, v_i)."""
+    accuracy = tuple(1 - tv_distance(predictions.vector(i), truths.vector(i))
+                     for i in range(predictions.agents))
+    return Instance(predictions=predictions, truths=truths, declared_accuracy=accuracy)

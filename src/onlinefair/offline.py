@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -63,91 +62,43 @@ def cut_and_choose(p1: ValuationVector, p2: ValuationVector) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# Envy graph machinery
+# Envy-cycle elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed envy relation: edge (i, j) means i values j's bundle above its own."""
+def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile
+                          ) -> tuple[Allocation, int]:
+    """Rotate bundles along envy cycles until some agent is unenvied.
 
-    agents: int
-    edges: frozenset[tuple[int, int]]
-
-    def sources(self) -> list[int]:
-        envied = {j for (_, j) in self.edges}
-        return [i for i in range(self.agents) if i not in envied]
-
-
-def envy_graph(alloc: Allocation, profile: ValuationProfile) -> EnvyGraph:
-    n = profile.agents
-    edges = set()
-    for i in range(n):
-        vi = profile.vector(i)
-        own = vi.weight(alloc.bundles[i])
-        for j in range(n):
-            if i != j and own < vi.weight(alloc.bundles[j]):
-                edges.add((i, j))
-    return EnvyGraph(agents=n, edges=frozenset(edges))
-
-
-def _find_cycle(graph: EnvyGraph) -> Optional[list[int]]:
-    """First directed cycle in lowest-agent-id DFS order, or None."""
-    adj: dict[int, list[int]] = {i: [] for i in range(graph.agents)}
-    for i, j in sorted(graph.edges):
-        adj[i].append(j)
-    color = {i: 0 for i in range(graph.agents)}  # 0 new, 1 on stack, 2 done
-    for root in range(graph.agents):
-        if color[root] != 0:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        path: list[int] = []
-        color[root] = 1
-        path.append(root)
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adj[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = adj[node][idx]
-                if color[nxt] == 1:
-                    return path[path.index(nxt):]
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return None
-
-
-def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile) -> Allocation:
-    """Rotate bundles along envy cycles until the envy graph is acyclic.
-
-    Each agent on a cycle receives the bundle of the agent it envies; bundle
-    contents never change, only ownership.  Every rotation strictly reduces
-    the edge count, so at most n(n-1)/2 rotations happen.
+    Returns the allocation and its lowest-id unenvied agent; agent i envies j
+    when i values j's bundle above its own.  While every agent is envied, the
+    walk from agent 0 to each agent's lowest-id envier repeats an agent and so
+    closes a cycle, on which each agent takes the bundle it envies.  That
+    raises the own value of every agent on the cycle and changes no other
+    agent's, so no allocation repeats and the loop ends.  Bundle contents
+    never change, only ownership.
     """
-    bundles = list(alloc.bundles)
-    current = alloc
-    for _ in range(profile.agents * (profile.agents - 1) // 2 + 1):
-        cycle = _find_cycle(envy_graph(current, profile))
-        if cycle is None:
-            return current
-        rotated = bundles[:]
-        for pos, agent in enumerate(cycle):
-            rotated[agent] = bundles[cycle[(pos + 1) % len(cycle)]]
-        bundles = rotated
-        current = Allocation.of(bundles, num_goods=alloc.num_goods)
-    raise RuntimeError("cycle elimination failed to terminate")  # pragma: no cover
-
-
-def unenvied_agent(alloc: Allocation, profile: ValuationProfile) -> int:
-    """Lowest-id agent that nobody envies; requires an acyclic envy graph."""
-    sources = envy_graph(alloc, profile).sources()
-    if not sources:
-        raise ValueError("envy graph has a cycle; eliminate cycles first")
-    return min(sources)
+    n = profile.agents
+    while True:
+        bundles = alloc.bundles
+        envier: list[Optional[int]] = [None] * n  # lowest-id envier of each bundle
+        for i in range(n):
+            vi = profile.vector(i)
+            own = vi.weight(bundles[i])
+            for j in range(n):
+                if envier[j] is None and own < vi.weight(bundles[j]):
+                    envier[j] = i
+        if None in envier:
+            return alloc, envier.index(None)
+        walk: list[int] = []
+        agent = 0
+        while agent not in walk:
+            walk.append(agent)
+            agent = envier[agent]
+        cycle = walk[walk.index(agent):]  # each agent envies the one before it
+        rotated = list(bundles)
+        for k, a in enumerate(cycle):
+            rotated[a] = bundles[cycle[k - 1]]
+        alloc = Allocation.of(rotated, num_goods=alloc.num_goods)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .core import (
     cmp_golden,
     rat,
 )
-from .offline import cut_and_choose, eliminate_envy_cycles, lpt, unenvied_agent
+from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 
 
 class OnlineAllocator:
@@ -108,10 +108,11 @@ class PredictionFollower(OnlineAllocator):
     """Precompute an offline split of the predictions and follow it blindly.
 
     The base procedure must be exact on the predictions (largest-value-first
-    for identical agents, cut-and-choose for two non-identical ones).  Envy
-    cycles are rotated away first so some agent is unenvied; goods beyond the
-    predicted horizon go to that agent, predicted goods to their precomputed
-    owner, true values ignored throughout.
+    for identical agents, cut-and-choose for two non-identical ones).  Neither
+    base leaves an envy cycle: under identical valuations nobody envies a
+    lightest bundle, and the chooser takes the half it prefers, so it envies
+    nobody.  Goods beyond the predicted horizon go to an unenvied agent,
+    predicted goods to their precomputed owner, true values ignored throughout.
     """
 
     name = "follower"
@@ -130,8 +131,7 @@ class PredictionFollower(OnlineAllocator):
             planned = cut_and_choose(prediction.vector(0), prediction.vector(1))
         else:
             raise ValueError(f"unknown follower base {base!r}")
-        settled = eliminate_envy_cycles(planned, prediction)
-        self.unenvied = unenvied_agent(settled, prediction)
+        settled, self.unenvied = eliminate_envy_cycles(planned, prediction)
         self.owner = {g: i for i, b in enumerate(settled.bundles) for g in b}
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:

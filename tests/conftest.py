@@ -160,6 +160,12 @@ def reference_envy_edges(alloc: Allocation, profile: ValuationProfile) -> set:
     return edges
 
 
+def reference_sources(alloc: Allocation, profile: ValuationProfile) -> list[int]:
+    """Agents nobody envies, in id order."""
+    envied = {j for _, j in reference_envy_edges(alloc, profile)}
+    return [i for i in range(profile.agents) if i not in envied]
+
+
 def _stats_envy_factor(bstates) -> Fraction:
     """Envy-up-to-any-good factor from per-(bundle, agent) (sum, min) stats,
     straight from the definition; ``min`` is None for an empty bundle."""

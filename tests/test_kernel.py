@@ -19,7 +19,7 @@ from onlinefair.core import (
     rat,
     tv_distance,
 )
-from onlinefair.offline import envy_graph, lpt
+from onlinefair.offline import eliminate_envy_cycles, lpt
 
 from conftest import (
     allocations_for,
@@ -29,6 +29,7 @@ from conftest import (
     profiles,
     reference_envy_edges,
     reference_lpt,
+    reference_sources,
     reference_tv_distance,
 )
 
@@ -77,9 +78,16 @@ class TestAgainstReferences:
 
     @settings(max_examples=300)
     @given(mixed_profiles(max_goods=8), st.data())
-    def test_envy_graph(self, profile, data):
+    def test_envy_cycle_elimination(self, profile, data):
         alloc = data.draw(allocations_for(profile))
-        assert set(envy_graph(alloc, profile).edges) == reference_envy_edges(alloc, profile)
+        settled, unenvied = eliminate_envy_cycles(alloc, profile)
+        assert sorted(map(sorted, settled.bundles)) == sorted(map(sorted, alloc.bundles))
+        assert unenvied == min(reference_sources(settled, profile))
+        if reference_sources(alloc, profile):
+            assert settled == alloc
+        else:  # at least one rotation
+            assert (len(reference_envy_edges(settled, profile))
+                    < len(reference_envy_edges(alloc, profile)))
 
     @settings(max_examples=300)
     @given(mixed_profiles(max_agents=5, max_goods=8), st.data())

@@ -28,10 +28,8 @@ from onlinefair.offline import (
     brute_force_best_factor,
     cut_and_choose,
     eliminate_envy_cycles,
-    envy_graph,
     lpt,
     minimax_online_factor,
-    unenvied_agent,
 )
 from onlinefair.online import ALLOCATOR_NAMES
 from onlinefair.verify import DUEL_PLAN
@@ -42,7 +40,9 @@ from conftest import (
     identical_profiles,
     mixed_vectors,
     profiles,
+    reference_envy_edges,
     reference_minimax,
+    reference_sources,
     vectors,
 )
 
@@ -109,7 +109,7 @@ class TestEnvyGraph:
     def test_source_kept_unchanged(self):
         profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
         alloc = Allocation.of([{0}, {1}], num_goods=2)
-        assert eliminate_envy_cycles(alloc, profile) == alloc
+        assert eliminate_envy_cycles(alloc, profile) == (alloc, 0)
 
     def test_two_cycle_swaps_bundles(self):
         # each agent values the other's bundle strictly above its own
@@ -117,25 +117,27 @@ class TestEnvyGraph:
         p2 = vec("3/4", "1/4")
         profile = ValuationProfile((p1, p2))
         alloc = Allocation.of([{0}, {1}], num_goods=2)
-        settled = eliminate_envy_cycles(alloc, profile)
+        assert reference_envy_edges(alloc, profile) == {(0, 1), (1, 0)}
+        settled, unenvied = eliminate_envy_cycles(alloc, profile)
         assert settled.as_lists() == [[1], [0]]
-        assert not envy_graph(settled, profile).edges
+        assert not reference_envy_edges(settled, profile)
+        assert unenvied == 0
 
     @settings(max_examples=60)
     @given(profiles(min_agents=4, max_agents=4, min_goods=4, max_goods=8), st.data())
-    def test_output_acyclic_and_bundles_preserved(self, profile, data):
+    def test_output_has_a_source_and_bundles_preserved(self, profile, data):
         labels = data.draw(st.lists(st.integers(0, 3), min_size=profile.horizon,
                                     max_size=profile.horizon))
         bundles = [set() for _ in range(4)]
         for g, agent in enumerate(labels):
             bundles[agent].add(g)
         alloc = Allocation.of(bundles, num_goods=profile.horizon)
-        settled = eliminate_envy_cycles(alloc, profile)
+        settled, unenvied = eliminate_envy_cycles(alloc, profile)
         assert sorted(map(sorted, settled.bundles)) == sorted(map(sorted, alloc.bundles))
-        graph = envy_graph(settled, profile)
-        assert graph.sources()
+        assert unenvied == min(reference_sources(settled, profile))
         # rotations never increase the edge count
-        assert len(graph.edges) <= len(envy_graph(alloc, profile).edges)
+        assert (len(reference_envy_edges(settled, profile))
+                <= len(reference_envy_edges(alloc, profile)))
 
     def test_single_rotation_strictly_drops_edges(self):
         # three-agent envy cycle: one rotation removes at least its edges
@@ -144,33 +146,23 @@ class TestEnvyGraph:
                 ValuationVector((F(1, 2), F(1, 3), F(1, 6))))
         profile = ValuationProfile(vecs)
         alloc = Allocation.of([{0}, {1}, {2}], num_goods=3)
-        before = envy_graph(alloc, profile)
-        assert len(before.edges) == 6 and not before.sources()
-        settled = eliminate_envy_cycles(alloc, profile)
-        after = envy_graph(settled, profile)
-        assert len(after.edges) < len(before.edges)
-        assert after.sources()
+        before = reference_envy_edges(alloc, profile)
+        assert len(before) == 6 and not reference_sources(alloc, profile)
+        settled, unenvied = eliminate_envy_cycles(alloc, profile)
+        assert len(reference_envy_edges(settled, profile)) < len(before)
+        assert unenvied == min(reference_sources(settled, profile))
 
     def test_unenvied_agent_lowest_source(self):
         profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
         envy_free = Allocation.of([{0}, {1}], num_goods=2)
-        assert unenvied_agent(envy_free, profile) == 0
+        assert eliminate_envy_cycles(envy_free, profile)[1] == 0
 
     def test_unenvied_agent_single_edge(self):
         # agent 1 envies agent 0 only, so agent 1 is the unenvied source
         profile = ValuationProfile.identical_from(vec("3/4", "1/4"), 2)
         alloc = Allocation.of([{0}, {1}], num_goods=2)
-        graph = envy_graph(alloc, profile)
-        assert graph.edges == {(1, 0)}
-        assert unenvied_agent(alloc, profile) == 1
-
-    def test_unenvied_agent_rejects_cycles(self):
-        p1 = vec("1/4", "3/4")
-        p2 = vec("3/4", "1/4")
-        profile = ValuationProfile((p1, p2))
-        alloc = Allocation.of([{0}, {1}], num_goods=2)
-        with pytest.raises(ValueError):
-            unenvied_agent(alloc, profile)
+        assert reference_envy_edges(alloc, profile) == {(1, 0)}
+        assert eliminate_envy_cycles(alloc, profile) == (alloc, 1)
 
 
 class TestBruteForce:

@@ -18,7 +18,7 @@ from onlinefair.core import (
     rat,
 )
 from onlinefair.harness import gen_random_instance, make_instance, perturb, run_instance
-from onlinefair.offline import lpt
+from onlinefair.offline import cut_and_choose, eliminate_envy_cycles, lpt
 from onlinefair.online import (
     FormKind,
     FormThresholdAllocator,
@@ -137,6 +137,37 @@ class TestPredictionFollower:
         assert follower.unenvied == 1
         decisions = run_identical(follower, ["1/4", "1/4", "1/4", "1/4"])
         assert decisions == [0, 1, 0, 1]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_plans_hold_no_envy_cycle(self, data):
+        # the follower's only traffic: an lpt plan on identical predictions
+        # (n = 2-6) or a cut-and-choose plan on two general ones, with
+        # zero-valued goods and ties; neither plan is ever rotated
+        if data.draw(st.booleans()):
+            base, n = "lpt", data.draw(st.integers(2, 6))
+            prediction = ValuationProfile.identical_from(
+                data.draw(vectors(max_goods=10, max_weight=3)), n)
+            planned = lpt(prediction.vector(0), n)
+        else:
+            base, horizon = "cut-and-choose", data.draw(st.integers(1, 10))
+            prediction = ValuationProfile(tuple(
+                data.draw(vectors(min_goods=horizon, max_goods=horizon, max_weight=3))
+                for _ in range(2)))
+            planned = cut_and_choose(prediction.vector(0), prediction.vector(1))
+        settled, unenvied = eliminate_envy_cycles(planned, prediction)
+        assert settled == planned
+        if base == "lpt":
+            # nobody envies a lightest bundle
+            vals = prediction.vector(0).values
+            totals = [sum((vals[g] for g in b), F(0)) for b in planned.bundles]
+            assert unenvied == totals.index(min(totals))
+        else:
+            # the chooser envies nobody
+            assert unenvied == 0
+        follower = PredictionFollower(prediction, base=base)
+        assert follower.unenvied == unenvied
+        assert follower.owner == {g: i for i, b in enumerate(planned.bundles) for g in b}
 
     def test_follower_bound_needs_min_bundle_mass(self):
         # documented boundary: with empty predicted bundles (more agents than
