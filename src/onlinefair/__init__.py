@@ -10,7 +10,6 @@ from .core import (
     Instance,
     NormalizationError,
     PartitionError,
-    Rational,
     ValuationProfile,
     ValuationVector,
     cmp_golden,
@@ -19,11 +18,9 @@ from .core import (
     ef1_factor,
     efx_factor,
     fairness_report,
-    oset,
     rat,
     rat_str,
     tv_distance,
-    xset,
 )
 from .offline import (
     BudgetExceededError,

@@ -21,7 +21,7 @@ from .harness import (PERTURB_MODES, gen_random_instance, make_instance, perturb
                       run_duel, run_instance)
 from .offline import BudgetExceededError, brute_force_best_factor, minimax_online_factor
 from .online import ALLOCATOR_NAMES
-from .verify import suite_names, verify_all
+from .verify import verify_all
 
 
 def _load_instance(path: str) -> Instance:
@@ -127,8 +127,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or suite_names()
-    results = verify_all(names)
+    results = verify_all(args.suite)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1

@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -29,7 +27,7 @@ RationalLike = Union[Fraction, int, str]
 
 
 class NormalizationError(ValueError):
-    """A value vector that must sum to one does not."""
+    """A value vector does not sum to one."""
 
 
 class PartitionError(ValueError):
@@ -120,16 +118,15 @@ def bracket_threshold(cmp, width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Frac
 
 @dataclass(frozen=True)
 class ValuationVector:
-    """An additive valuation over goods 0..T-1.
+    """An additive valuation over goods 0..T-1 that sums exactly to one.
 
-    ``normalized`` vectors must sum exactly to one; there is no tolerance knob.
-    Construction also sets two plain attributes, outside the dataclass fields:
-    ``den``, the lcm of the value denominators, and ``weights``, one int per
-    good with ``values[g] == Fraction(weights[g], den)``.
+    There is no tolerance knob.  Construction also sets two plain attributes,
+    outside the dataclass fields: ``den``, the lcm of the value denominators,
+    and ``weights``, one int per good with
+    ``values[g] == Fraction(weights[g], den)``.
     """
 
     values: tuple[Fraction, ...]
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         vals = tuple(rat(v) for v in self.values)
@@ -142,7 +139,7 @@ class ValuationVector:
         object.__setattr__(self, "weights", weights)
         if min(weights) < 0:
             raise ValueError("good values must be nonnegative")
-        if self.normalized and sum(weights) != den:
+        if sum(weights) != den:
             raise NormalizationError(
                 f"values sum to {Fraction(sum(weights), den)}, expected 1")
 
@@ -176,8 +173,6 @@ class ValuationProfile:
         horizons = {v.horizon for v in self.vectors}
         if len(horizons) != 1:
             raise ValueError(f"vectors disagree on horizon: {sorted(horizons)}")
-        if any(not v.normalized for v in self.vectors):
-            raise NormalizationError("profile vectors must be normalized")
         if self.identical and any(v.values != self.vectors[0].values for v in self.vectors):
             raise ValueError("profile flagged identical but vectors differ")
 
@@ -327,44 +322,17 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# Bundle surgery and distance
+# Distance
 # ---------------------------------------------------------------------------
 
-def xset(bundle: Iterable[int], f: ValuationVector) -> frozenset[int]:
-    """The bundle minus one minimum-valued good (ties: lowest good id).
-
-    Removing a minimum good leaves the most valuable remainder, which is the
-    set an envious agent compares against under envy-freeness up to any good.
-    Empty in, empty out.
-    """
-    b = frozenset(bundle)
-    if not b:
-        return b
-    w = f.weights
-    g = min(b, key=lambda i: (w[i], i))
-    return b - {g}
-
-
-def oset(bundle: Iterable[int], f: ValuationVector) -> frozenset[int]:
-    """The bundle minus one maximum-valued good (ties: lowest good id)."""
-    b = frozenset(bundle)
-    if not b:
-        return b
-    w = f.weights
-    g = min(b, key=lambda i: (-w[i], i))
-    return b - {g}
-
-
 def tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
-    """Total variation distance between two normalized vectors.
+    """Total variation distance between two value vectors.
 
     Half the l1 distance, with the shorter vector zero-padded so both cover
     max(T, T') dummy-extended time-steps.  Appending zero-valued goods to
     either side leaves the result unchanged.  Both weight vectors are scaled
     to the lcm of the two denominators and summed as ints.
     """
-    if not (p.normalized and v.normalized):
-        raise NormalizationError("tv_distance requires normalized vectors")
     den = lcm(p.den, v.den)
     sp, sv = den // p.den, den // v.den
     wp, wv = p.weights, v.weights

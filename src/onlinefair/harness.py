@@ -165,7 +165,6 @@ def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
 
     class _Walker(OnlineAllocator):
         name = "random-walk"
-        identical_only = False
 
         def _decide(self, t, values):
             return rng.randrange(self.n)

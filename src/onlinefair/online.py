@@ -97,7 +97,6 @@ class LowestValueBundle(OnlineAllocator):
     """
 
     name = "ef1-lowest"
-    identical_only = False
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
         self.last_step_ops = self.n
@@ -116,7 +115,6 @@ class PredictionFollower(OnlineAllocator):
     """
 
     name = "follower"
-    identical_only = False
 
     def __init__(self, prediction: ValuationProfile, base: str = "lpt"):
         super().__init__(n=prediction.agents)

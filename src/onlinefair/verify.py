@@ -1,21 +1,21 @@
 """Named claim-verification suites: the acceptance criteria as runnable checks.
 
-Each suite returns a machine-readable result with a counterexample description
-on failure; the command-line ``verify`` subcommand and the acceptance test
-module both drive these.
+Each suite returns a one-line detail and its failures (counterexample
+descriptions), and ``verify_claims`` builds the machine-readable result under
+the name and criterion the suite was registered with; the command-line
+``verify`` subcommand and the acceptance test module both drive these.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .adversaries import AdversarySpec, build_adversary
 from .bounds import BoundId, BoundParams, eval_bound, invert_bound, sweep_curves
 from .core import (
-    Allocation,
     ONE,
     ValuationProfile,
     ValuationVector,
@@ -45,9 +45,12 @@ F = Fraction
 class SuiteResult:
     suite: str
     criterion: int
-    passed: bool
     detail: str
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -55,7 +58,8 @@ class SuiteResult:
         return f"{mark}  criterion {self.criterion:2d}  {self.suite}: {self.detail}{extra}"
 
 
-_SUITES: dict[str, tuple[int, Callable[[], SuiteResult]]] = {}
+# name -> (criterion, suite); a suite returns (detail, failures)
+_SUITES: dict[str, tuple[int, Callable[[], tuple[str, list[str]]]]] = {}
 
 
 def _suite(name: str, criterion: int):
@@ -70,7 +74,8 @@ def suite_names() -> list[str]:
 
 
 def verify_claims(name: str) -> SuiteResult:
-    return _SUITES[name][1]()
+    criterion, fn = _SUITES[name]
+    return SuiteResult(name, criterion, *fn())
 
 
 def verify_all(names: Optional[Sequence[str]] = None) -> list[SuiteResult]:
@@ -83,7 +88,7 @@ def verify_all(names: Optional[Sequence[str]] = None) -> list[SuiteResult]:
 # ---------------------------------------------------------------------------
 
 @_suite("lpt-exactness", 1)
-def _lpt_exactness() -> SuiteResult:
+def _lpt_exactness() -> tuple[str, list[str]]:
     rng = random.Random(101)
     failures = []
     checked_oracle = 0
@@ -100,9 +105,8 @@ def _lpt_exactness() -> SuiteResult:
             checked_oracle += 1
             if best != 1:
                 failures.append(f"trial {trial}: oracle best {best} != 1")
-    return SuiteResult("lpt-exactness", 1, not failures,
-                       f"1000 identical instances exact; {checked_oracle} oracle cross-checks",
-                       failures)
+    return (f"1000 identical instances exact; {checked_oracle} oracle cross-checks",
+            failures)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +114,7 @@ def _lpt_exactness() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("greedy-guarantee", 2)
-def _greedy_guarantee() -> SuiteResult:
+def _greedy_guarantee() -> tuple[str, list[str]]:
     rng = random.Random(202)
     failures = []
     for trial in range(1000):
@@ -121,8 +125,7 @@ def _greedy_guarantee() -> SuiteResult:
         f = transcript.report.efx_factor
         if cmp_golden(f) < 0:  # exact statement of (2f+1)^2 >= 5
             failures.append(f"trial {trial}: factor {f} below the golden threshold")
-    return SuiteResult("greedy-guarantee", 2, not failures,
-                       "1000 streams at or above the golden-ratio factor", failures)
+    return "1000 streams at or above the golden-ratio factor", failures
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def _greedy_guarantee() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("ef1-baseline", 3)
-def _ef1_baseline() -> SuiteResult:
+def _ef1_baseline() -> tuple[str, list[str]]:
     rng = random.Random(303)
     failures = []
     for trial in range(500):
@@ -138,16 +141,12 @@ def _ef1_baseline() -> SuiteResult:
         t_total = rng.randint(1, 12)
         profile = gen_random_instance(n, t_total, identical=True, seed=rng.randrange(2 ** 30))
         allocator = LowestValueBundle(n)
-        bundles: list[set[int]] = [set() for _ in range(n)]
         for t in range(t_total):
-            values = tuple(profile.vector(i).values[t] for i in range(n))
-            bundles[allocator.step(t, values)].add(t)
-            prefix = Allocation.of([set(b) for b in bundles], num_goods=t + 1)
-            if ef1_factor(prefix, profile) != 1:
+            allocator.step(t, tuple(profile.vector(i).values[t] for i in range(n)))
+            if ef1_factor(allocator.allocation(), profile) != 1:
                 failures.append(f"trial {trial}: prefix t={t} not exactly EF1")
                 break
-    return SuiteResult("ef1-baseline", 3, not failures,
-                       "500 streams exactly EF1 at every prefix", failures)
+    return "500 streams exactly EF1 at every prefix", failures
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,7 @@ def _ef1_baseline() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("follower-guarantee", 4)
-def _follower_guarantee() -> SuiteResult:
+def _follower_guarantee() -> tuple[str, list[str]]:
     # The closed-form bound presumes the lightest predicted bundle carries at
     # least 1/(2n-1) of the mass; a positive singleton bundle hoarding value
     # genuinely breaks it, so the generator resamples until the precondition
@@ -182,9 +181,8 @@ def _follower_guarantee() -> SuiteResult:
             failures.append(
                 f"trial {trial}: factor {transcript.report.efx_factor} < bound {bound} "
                 f"(n={n}, d={d}, mode={mode})")
-    return SuiteResult("follower-guarantee", 4, not failures,
-                       "500 perturbed runs meet the closed-form follower bound "
-                       "(lightest-bundle mass precondition enforced)", failures)
+    return ("500 perturbed runs meet the closed-form follower bound "
+            "(lightest-bundle mass precondition enforced)", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ MAIN_FACTORS = (F(5, 8), F(2, 3), F(7, 10), F(3, 4), F(4, 5), F(7, 8), F(19, 20)
 
 
 @_suite("main-guarantee", 5)
-def _main_guarantee() -> SuiteResult:
+def _main_guarantee() -> tuple[str, list[str]]:
     rng = random.Random(505)
     failures = []
     for a in MAIN_FACTORS:
@@ -213,9 +211,8 @@ def _main_guarantee() -> SuiteResult:
                 failures.append(
                     f"a={a}, trial {trial}: factor {transcript.report.efx_factor} < a "
                     f"(T'={t_pred}, d={d}, mode={mode})")
-    return SuiteResult("main-guarantee", 5, not failures,
-                       f"{len(MAIN_FACTORS)}x200 perturbed runs reach their target factor",
-                       failures)
+    return (f"{len(MAIN_FACTORS)}x200 perturbed runs reach their target factor",
+            failures)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ def _main_guarantee() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("three-goods", 6)
-def _three_goods() -> SuiteResult:
+def _three_goods() -> tuple[str, list[str]]:
     rng = random.Random(606)
     failures = []
     for trial in range(500):
@@ -254,8 +251,7 @@ def _three_goods() -> SuiteResult:
         f = efx_factor(allocator.allocation(), truths)
         if f < a:
             failures.append(f"trial {trial}: factor {f} < a={a} with trailing {trailing}")
-    return SuiteResult("three-goods", 6, not failures,
-                       "500 exact short-horizon runs; 200 bounded-trailing runs", failures)
+    return "500 exact short-horizon runs; 200 bounded-trailing runs", failures
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ def _three_goods() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("example-numbers", 7)
-def _example_numbers() -> SuiteResult:
+def _example_numbers() -> tuple[str, list[str]]:
     failures = []
     lo, hi = bracket_threshold(cmp_golden, width=Fraction(1, 2 ** 120))
     a_star = (lo + hi) / 2 + Fraction(1, 10)  # golden threshold plus one tenth
@@ -287,8 +283,7 @@ def _example_numbers() -> SuiteResult:
     for label, got, want in checks:
         if got != want:
             failures.append(f"{label}: got {got}, wanted {want}")
-    return SuiteResult("example-numbers", 7, not failures,
-                       "worked accuracy/factor numbers reproduced to 3 decimals", failures)
+    return "worked accuracy/factor numbers reproduced to 3 decimals", failures
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ MINIMAX_PLAN: tuple[AdversarySpec, ...] = (
 
 
 @_suite("adversary-defeats", 8)
-def _adversary_defeats() -> SuiteResult:
+def _adversary_defeats() -> tuple[str, list[str]]:
     failures = []
     for spec, allocator, a in DUEL_PLAN:
         transcript = run_duel(allocator, spec, a=a)
@@ -333,13 +328,12 @@ def _adversary_defeats() -> SuiteResult:
         if value >= spec.a:
             failures.append(
                 f"{spec.construction}: minimax value {value} not below a={spec.a}")
-    return SuiteResult("adversary-defeats", 8, not failures,
-                       f"{len(DUEL_PLAN)} duels and {len(MINIMAX_PLAN)} oracle "
-                       "certifications all below target", failures)
+    return (f"{len(DUEL_PLAN)} duels and {len(MINIMAX_PLAN)} oracle "
+            "certifications all below target", failures)
 
 
 @_suite("error-consistency", 9)
-def _error_consistency() -> SuiteResult:
+def _error_consistency() -> tuple[str, list[str]]:
     rng = random.Random(909)
     failures = []
     plans = [spec for spec, _, _ in DUEL_PLAN]
@@ -350,9 +344,8 @@ def _error_consistency() -> SuiteResult:
             except AssertionError as exc:  # normalization or error-interval breach
                 failures.append(f"{spec.construction}: {exc}")
                 break
-    return SuiteResult("error-consistency", 9, not failures,
-                       "30 random decision paths per construction stay inside "
-                       "claimed error intervals with exact normalization", failures)
+    return ("30 random decision paths per construction stay inside "
+            "claimed error intervals with exact normalization", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +353,7 @@ def _error_consistency() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite("figure-curves", 10)
-def _figure_curves() -> SuiteResult:
+def _figure_curves() -> tuple[str, list[str]]:
     failures = []
     grid = [Fraction(k, 100) for k in range(56, 101)]
     ids = [BoundId.FOLLOWER_SUFFICIENT, BoundId.MAIN_SUFFICIENT, BoundId.ID_2_LB]
@@ -394,5 +387,4 @@ def _figure_curves() -> SuiteResult:
     nonid = sweep_curves([BoundId.NONID_2_LB], [F(1, 2)])[0]
     if nonid[BoundId.NONID_2_LB.value] != 1:
         failures.append("non-identical bound must be out of domain at a=1/2")
-    return SuiteResult("figure-curves", 10, not failures,
-                       f"{len(grid)}-point sweep ordered with exact spot values", failures)
+    return f"{len(grid)}-point sweep ordered with exact spot values", failures

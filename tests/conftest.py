@@ -87,7 +87,8 @@ def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str):
 
     ``drop="best"`` removes the good maximizing the remainder (up to any
     good); ``drop="worst"`` minimizes it (up to one good).  The pair is None
-    when the factor is 1.  Independent of the library's xset/oset helpers.
+    when the factor is 1.  Independent of the library's (sum, min, max)
+    reduction in ``fairness_report``.
     """
     factor, pair = Fraction(1), None
     for i in range(profile.agents):

@@ -6,7 +6,8 @@ lines; the same suites back the ``onlinefair verify`` subcommand.
 
 import pytest
 
-from onlinefair.verify import suite_names, verify_claims
+from onlinefair import verify
+from onlinefair.verify import SuiteResult, suite_names, verify_claims
 
 CRITERIA = [
     ("lpt-exactness", 1),
@@ -32,3 +33,18 @@ def test_acceptance_criterion(name, criterion):
     print(result.line())
     assert result.criterion == criterion
     assert result.passed, "; ".join(result.failures[:3])
+
+
+def test_suite_result_passes_iff_no_failures():
+    ok = SuiteResult("figure-curves", 10, "all good", [])
+    bad = SuiteResult("figure-curves", 10, "one off", ["spot value"])
+    assert ok.passed and ok.line().startswith("PASS")
+    assert not bad.passed and bad.line().startswith("FAIL")
+
+
+def test_suite_looked_up_at_call_time(monkeypatch):
+    # a wrapper installed in the registry (as the span tracer does) is the one run
+    monkeypatch.setitem(verify._SUITES, "figure-curves", (10, lambda: ("stub", ["boom"])))
+    result = verify_claims("figure-curves")
+    assert (result.suite, result.criterion, result.detail) == ("figure-curves", 10, "stub")
+    assert result.failures == ["boom"] and not result.passed

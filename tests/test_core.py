@@ -1,4 +1,4 @@
-"""Domain types, bundle surgery, distance, and fairness metrics."""
+"""Domain types, distance, and fairness metrics."""
 
 from fractions import Fraction as F
 
@@ -19,11 +19,9 @@ from onlinefair.core import (
     ef1_factor,
     efx_factor,
     fairness_report,
-    oset,
     rat,
     rat_str,
     tv_distance,
-    xset,
 )
 
 from conftest import direct_envy_factor, profile_with_allocation, vectors
@@ -75,35 +73,6 @@ class TestGoldenComparisons:
         assert cmp_sqrt3(F(74, 100)) > 0
 
 
-class TestBundleSurgery:
-    def test_xset_empty(self):
-        assert xset(set(), vec("1/2", "1/2")) == frozenset()
-
-    def test_xset_removes_minimum(self):
-        assert xset({0, 1, 2}, vec("1/2", "3/10", "1/5")) == {0, 1}
-
-    def test_xset_tie_removes_lowest_id(self):
-        assert xset({0, 1}, vec("1/4", "1/4", "1/2")) == {1}
-
-    def test_oset_empty(self):
-        assert oset(set(), vec("1/2", "1/2")) == frozenset()
-
-    def test_oset_removes_maximum(self):
-        assert oset({0, 1, 2}, vec("1/2", "3/10", "1/5")) == {1, 2}
-
-    def test_oset_tie_removes_lowest_id(self):
-        f = ValuationVector((F(0), F(2, 5), F(2, 5)), normalized=False)
-        assert oset({1, 2}, f) == {2}
-
-    @given(vectors(min_goods=1, max_goods=8), st.data())
-    def test_xset_removes_one_minimum_good(self, f, data):
-        bundle = data.draw(st.sets(st.integers(0, f.horizon - 1), min_size=1))
-        out = xset(bundle, f)
-        assert len(out) == len(bundle) - 1
-        (removed,) = set(bundle) - out
-        assert f.values[removed] == min(f.values[g] for g in bundle)
-
-
 class TestTvDistance:
     def test_identical_vectors(self):
         v = vec("1/3", "1/3", "1/3")
@@ -124,11 +93,6 @@ class TestTvDistance:
         v = ValuationVector((u - d, u + d) + (u,) * (t - 2))
         assert tv_distance(p, v) == d
 
-    def test_rejects_non_normalized(self):
-        half = ValuationVector((F(1, 2),), normalized=False)
-        with pytest.raises(NormalizationError):
-            tv_distance(half, vec("1"))
-
     @given(vectors(), vectors())
     def test_symmetric(self, p, v):
         assert tv_distance(p, v) == tv_distance(v, p)
@@ -136,6 +100,10 @@ class TestTvDistance:
     @given(vectors(max_goods=6), vectors(max_goods=6), vectors(max_goods=6))
     def test_triangle_inequality(self, p, q, r):
         assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r)
+
+    @given(vectors(), vectors())
+    def test_at_most_one(self, p, v):
+        assert 0 <= tv_distance(p, v) <= 1
 
     @given(vectors(), st.integers(1, 3))
     def test_zero_padding_invariance(self, p, extra):
@@ -153,6 +121,15 @@ class TestTypes:
     def test_vector_requires_unit_sum(self):
         with pytest.raises(NormalizationError):
             ValuationVector((F(1, 2), F(1, 3)))
+
+    def test_vector_has_no_normalized_option(self):
+        with pytest.raises(TypeError):
+            ValuationVector((F(1, 2),), normalized=False)
+
+    @given(vectors())
+    def test_every_vector_sums_to_one(self, v):
+        assert sum(v.values) == 1
+        assert sum(v.weights) == v.den
 
     def test_profile_identical_flag_checked(self):
         with pytest.raises(ValueError):
@@ -249,6 +226,13 @@ class TestInstanceWire:
             Instance.from_json_dict(wire([["1", "0"]] * 2, accuracy=[True, True]))
 
 
+def without_least(bundle, f):
+    """The bundle minus one least-valued good under ``f`` (empty stays empty)."""
+    if not bundle:
+        return frozenset()
+    return frozenset(bundle) - {min(bundle, key=lambda g: f.values[g])}
+
+
 class TestFairnessMetrics:
     def test_vacuous_constraints_give_one(self):
         profile = ValuationProfile.identical_from(vec("1"), 2)
@@ -267,6 +251,13 @@ class TestFairnessMetrics:
         assert report.binding_pair == (0, 1)
         assert direct_envy_factor(alloc, profile, "best") == F(2, 5)
         assert direct_envy_factor(alloc, profile, "worst") == F(2, 3)
+
+    def test_efx_drops_least_and_ef1_most_valued_good(self):
+        profile = ValuationProfile.identical_from(vec("3/10", "1/2", "1/5"), 2)
+        alloc = Allocation.of([{0}, {1, 2}], num_goods=3)
+        # agent 0 compares 3/10 with {1} = 1/2 (EFX) and with {2} = 1/5 (EF1)
+        assert efx_factor(alloc, profile) == F(3, 5)
+        assert ef1_factor(alloc, profile) == 1
 
     @settings(max_examples=150)
     @given(profile_with_allocation(max_agents=5, max_goods=12))
@@ -293,7 +284,7 @@ class TestFairnessMetrics:
             vi = profile.vector(i)
             for j in range(profile.agents):
                 if i != j and vi.value(alloc.bundles[i]) < vi.value(
-                        xset(alloc.bundles[j], vi)):
+                        without_least(alloc.bundles[j], vi)):
                     envious = True
         assert (report.efx_factor == 1) == (not envious)
 

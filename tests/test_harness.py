@@ -27,6 +27,7 @@ from onlinefair.harness import (
 )
 from onlinefair.cli import main as cli_main
 from onlinefair.online import ALLOCATOR_NAMES
+from onlinefair.verify import suite_names
 
 from conftest import reference_transcript_dict
 
@@ -257,6 +258,12 @@ class TestCli:
         self._cli("verify", "--suite", "figure-curves")
         out = capsys.readouterr().out
         assert "PASS" in out and "figure-curves" in out
+
+    def test_verify_without_suite_runs_every_suite(self, capsys):
+        self._cli("verify")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[3].rstrip(":") for line in lines] == suite_names()
+        assert all(line.startswith("PASS") for line in lines)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -64,6 +64,21 @@ class TestStepContract:
         a = alloc.allocation()
         assert sum(len(b) for b in a.bundles) == 5
 
+    def test_allocation_is_the_prefix_so_far(self):
+        alloc = LowestValueBundle(3)
+        for t, value in enumerate([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]):
+            agent = alloc.step(t, (value,) * 3)
+            prefix = alloc.allocation()
+            assert prefix.num_goods == t + 1
+            assert t in prefix.bundles[agent]
+            assert set().union(*prefix.bundles) == set(range(t + 1))
+
+    def test_identical_only_declared_by_restricted_allocators(self):
+        restricted = (GreedyGoldenThreshold, ThreeGoodsAllocator, FormThresholdAllocator)
+        assert all(cls.identical_only for cls in restricted)
+        assert not LowestValueBundle.identical_only
+        assert not PredictionFollower.identical_only
+
 
 class TestGreedyGoldenThreshold:
     def test_trace_fills_then_overflows(self):
