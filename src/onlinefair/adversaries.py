@@ -77,23 +77,28 @@ class Adversary:
     is a tuple of per-agent value tuples.  A row given as one value is the same
     for every agent.  The two streaming constructions override ``start``,
     ``reveal`` and ``advance`` and defer to these for queue states.
+
+    ``predicted`` is the emitted prediction: one vector shared by every agent
+    when the construction is identical, one row per agent otherwise.
     """
 
     construction: str = "abstract"
     params: tuple[str, ...] = ()  # the parameter names the construction reads
     agents: Optional[int] = None  # the agent count, where the construction fixes it
+    identical = True  # whether every agent sees the same values
     bound: Optional[BoundId] = None  # the lower bound the construction realizes
 
-    def __init__(self, n: int, horizon: int, a: Fraction, *, identical: bool,
-                 opening: tuple = (),
-                 prediction: Optional[ValuationProfile] = None,
+    def __init__(self, spec: AdversarySpec, horizon: int, opening: tuple = (),
+                 predicted: Optional[tuple] = None,
                  claimed_error: Optional[tuple[Fraction, Fraction]] = None):
-        self.n = n
+        self.n = spec.n
         self.horizon = horizon
-        self.a = a
-        self.identical = identical
         self.opening = self._rows(opening)
-        self.prediction = prediction
+        self.prediction: Optional[ValuationProfile] = None
+        if predicted is not None and self.identical:
+            self.prediction = ValuationProfile.identical_from(ValuationVector(predicted), self.n)
+        elif predicted is not None:
+            self.prediction = ValuationProfile(tuple(ValuationVector(row) for row in predicted))
         self.claimed_error = claimed_error
         self.oblivious_family: Optional[tuple[ValuationProfile, ...]] = None
 
@@ -199,7 +204,7 @@ class GoldenStreamAdversary(Adversary):
             m += 1
             if m > 10 ** 6:
                 raise ParameterError("lam so small the promised horizon is impractical")
-        super().__init__(n=2, horizon=m + 3, a=a, identical=True)
+        super().__init__(spec, horizon=m + 3)
 
     def start(self) -> tuple:
         return ("first",)
@@ -236,8 +241,7 @@ class TripleSplitAdversary(Adversary):
         _require(0 < a <= 1, "need a in (0, 1]")
         _require(n >= 3, "need n >= 3 agents")
         self.eps = a / (3 * (n - 1))
-        super().__init__(n=n, horizon=n + 1, a=a, identical=True,
-                         opening=(self.eps, self.eps))
+        super().__init__(spec, horizon=n + 1, opening=(self.eps, self.eps))
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         left = 1 if max(counts) == 2 else self.n - 1
@@ -253,13 +257,14 @@ class AsymmetricStreamAdversary(Adversary):
 
     construction = "no-pred-2-general"
     agents = 2
+    identical = False
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
         _require(0 < a <= 1, "need a in (0, 1]")
         self.eps = a / 4
         horizon = int(1 / self.eps) + 2  # floor(4/a) + 2
-        super().__init__(n=2, horizon=horizon, a=a, identical=False)
+        super().__init__(spec, horizon)
 
     def start(self) -> tuple:
         return ("g1",)
@@ -333,10 +338,7 @@ class FollowerTightAdversary(Adversary):
         lo, hi = _index(spec, "lo", 0), _index(spec, "hi", 1)
         _require(0 <= lo < t_total and 0 <= hi < t_total and lo != hi,
                  "need distinct perturbation targets lo, hi inside the horizon")
-        prediction = ValuationProfile.identical_from(
-            ValuationVector((u,) * t_total), n)
-        super().__init__(n=n, horizon=t_total, a=a, identical=True,
-                         prediction=prediction, claimed_error=(d, d))
+        super().__init__(spec, t_total, predicted=(u,) * t_total, claimed_error=(d, d))
         self.truth = self._truth(lo, hi)
         if explicit:
             self.oblivious_family = (self.truth,)
@@ -365,6 +367,7 @@ class MirroredPairAdversary(Adversary):
     bound = BoundId.NONID_2_LB
     params = ("lam",)
     agents = 2
+    identical = False
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
@@ -380,13 +383,9 @@ class MirroredPairAdversary(Adversary):
             eps = lam
         self.lam, self.eps = lam, eps
         _require(Fraction(1, 2) - 2 * eps - lam >= 0, "prediction values must be nonnegative")
-        p1 = ValuationVector((2 * eps, 2 * lam,
-                              Fraction(1, 2) - 2 * eps - lam, Fraction(1, 2) - lam))
-        p2 = ValuationVector((2 * lam, 2 * eps,
-                              Fraction(1, 2) - 2 * eps - lam, Fraction(1, 2) - lam))
-        super().__init__(n=2, horizon=4, a=a, identical=False,
-                         opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
-                         prediction=ValuationProfile((p1, p2)),
+        rest = (Fraction(1, 2) - 2 * eps - lam, Fraction(1, 2) - lam)
+        super().__init__(spec, 4, opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
+                         predicted=((2 * eps, 2 * lam) + rest, (2 * lam, 2 * eps) + rest),
                          claimed_error=(eps, eps))
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
@@ -443,9 +442,7 @@ class IdenticalPredictedAdversary(Adversary):
         """Reveal (2lam, 2eps), then ``_tail``; ``predicted`` is the emitted vector."""
         self.lam, self.eps = lam, eps
         _require(Fraction(1, 2) - 3 * eps - lam >= 0, "revealed values must be nonnegative")
-        p = ValuationProfile.identical_from(ValuationVector(predicted), 2)
-        Adversary.__init__(self, n=2, horizon=4, a=spec.a, identical=True,
-                           opening=(2 * lam, 2 * eps), prediction=p, claimed_error=claimed_error)
+        Adversary.__init__(self, spec, 4, (2 * lam, 2 * eps), predicted, claimed_error)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         lam, eps = self.lam, self.eps
@@ -484,14 +481,7 @@ class ManyAgentsPredictedAdversary(Adversary):
             eps = self.eps
             values = opening + (self.base - eps, self.base + eps)
             claimed_iv = (eps, eps)
-        self._predict(spec, opening, values, claimed_iv)
-
-    def _predict(self, spec: AdversarySpec, opening: tuple, predicted: tuple,
-                 claimed_error: tuple[Fraction, Fraction]) -> None:
-        """Reveal ``opening``, then ``_tail``; ``predicted`` is the emitted vector."""
-        p = ValuationProfile.identical_from(ValuationVector(predicted), spec.n)
-        Adversary.__init__(self, n=spec.n, horizon=2 * spec.n - 1, a=spec.a, identical=True,
-                           opening=opening, prediction=p, claimed_error=claimed_error)
+        super().__init__(spec, 2 * n - 1, opening, values, claimed_iv)
 
     def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple:
         """The large regime's 2n-3 goods of value k; the spec's eps, above ``lb``,
@@ -555,7 +545,8 @@ class TwoValueManyAdversary(ManyAgentsPredictedAdversary):
 
     def __init__(self, spec: AdversarySpec):
         opening = self._open_large(spec, self._bound(spec), scale=2)
-        self._predict(spec, opening, opening + (self.base, self.base), (ZERO, 2 * self.eps))
+        Adversary.__init__(self, spec, 2 * spec.n - 1, opening,
+                           opening + (self.base, self.base), (ZERO, 2 * self.eps))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .harness import (PERTURB_MODES, gen_random_instance, make_instance, perturb
                       run_duel, run_instance)
 from .offline import BudgetExceededError, brute_force_best_factor, minimax_online_factor
 from .online import ALLOCATOR_NAMES
-from .verify import verify_all
+from .verify import suite_names, verify_all
 
 
 def _load_instance(path: str) -> Instance:
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("verify", help="run claim-verification suites")
-    p.add_argument("--suite", action="append", help="suite name (repeatable)")
+    p.add_argument("--suite", action="append",
+                   help=f"suite name (repeatable): {', '.join(suite_names())}")
     p.set_defaults(fn=cmd_verify)
 
     return parser

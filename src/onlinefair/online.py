@@ -271,26 +271,26 @@ _ADMISSION = {
 }
 
 
-class FormThresholdAllocator(OnlineAllocator):
+class FormThresholdAllocator(ThreeGoodsAllocator):
     """Two identical agents with a prediction vector and target factor a.
 
     Follows the largest-value-first split of the predictions, but a tracked
     good goes to the heavier side only while its observed value is within its
     form's threshold and fewer than two sit there already.  Goods beyond the
-    predicted horizon go to the lighter side; a horizon of at most three goods
-    is left to the three-goods rule.  With prediction error at most the
+    predicted horizon go to the lighter side; on at most three goods it runs
+    the three-goods rule itself.  With prediction error at most the
     ``main-sufficient`` bound at a, the final allocation reaches factor a.
     """
 
     name = "main"
-    identical_only = True
 
     def __init__(self, prediction: ValuationVector, a: Fraction):
-        super().__init__(n=2)
         a = rat(a)
         self.tag = tag = classify_form(prediction, a)
-        self.delegate = (ThreeGoodsAllocator(prediction.horizon)
-                         if tag.kind is FormKind.THREE_GOODS else None)
+        if tag.kind is FormKind.THREE_GOODS:
+            super().__init__(prediction.horizon)
+        else:
+            OnlineAllocator.__init__(self, n=2)
         self.low, self.high = tag.low_agent, 1 - tag.low_agent
         self.large_in_high = self.large_in_low = 0
         self.threshold, self.fallback = None, False
@@ -299,10 +299,8 @@ class FormThresholdAllocator(OnlineAllocator):
             self.threshold = getattr(tag, anchor) + slack(a)
 
     def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
-        if self.delegate is not None:
-            agent = self.delegate.step(t, values)
-            self.last_step_ops = self.delegate.last_step_ops
-            return agent
+        if self.tag.kind is FormKind.THREE_GOODS:
+            return super()._decide(t, values)
         if t in self.tag.large:
             self.last_step_ops = 3
             admit = values[0] <= self.threshold and self.large_in_high < 2

@@ -73,13 +73,20 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
+def _known(name: str) -> str:
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
+    return name
+
+
 def verify_claims(name: str) -> SuiteResult:
-    criterion, fn = _SUITES[name]
+    criterion, fn = _SUITES[_known(name)]
     return SuiteResult(name, criterion, *fn())
 
 
 def verify_all(names: Optional[Sequence[str]] = None) -> list[SuiteResult]:
-    chosen = list(names) if names else suite_names()
+    """Run the named suites, or all; an unknown name fails before any suite runs."""
+    chosen = [_known(n) for n in names] if names else suite_names()
     return [verify_claims(n) for n in chosen]
 
 

@@ -48,3 +48,11 @@ def test_suite_looked_up_at_call_time(monkeypatch):
     result = verify_claims("figure-curves")
     assert (result.suite, result.criterion, result.detail) == ("figure-curves", 10, "stub")
     assert result.failures == ["boom"] and not result.passed
+
+
+def test_unknown_suite_rejected_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify._SUITES, "figure-curves", (10, lambda: ran.append(1)))
+    with pytest.raises(ValueError, match="unknown suite 'nope'; choose from lpt-exactness"):
+        verify.verify_all(["figure-curves", "nope"])
+    assert ran == []

@@ -172,9 +172,14 @@ class TestPathPromises:
 
     @pytest.mark.parametrize("cid", sorted(BASE_SPECS))
     def test_random_paths_normalized_and_error_bounded(self, cid):
+        identical = _BUILDERS[cid].identical
+        prediction = build_adversary(BASE_SPECS[cid]).prediction
+        if prediction is not None:
+            assert prediction.identical == identical
         rng = random.Random(17)
         for _ in range(25):
-            random_walk_duel(BASE_SPECS[cid], seed=rng.randrange(2 ** 30))
+            transcript = random_walk_duel(BASE_SPECS[cid], seed=rng.randrange(2 ** 30))
+            assert transcript.truths.identical == identical
 
     def test_golden_stream_long_paths(self):
         rng = random.Random(23)

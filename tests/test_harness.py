@@ -347,6 +347,10 @@ class TestCliErrors:
         self._fails("run", "--instance", self._instance(tmp_path, "{"),
                     "--allocator", "ef1-lowest", message="Expecting property name")
 
+    def test_unknown_suite(self):
+        self._fails("verify", "--suite", "ef1-baseline", "--suite", "nope",
+                    message="unknown suite 'nope'; choose from lpt-exactness, ")
+
     def test_zero_denominator(self):
         self._fails("bounds", "--eval", "main-sufficient", "--a", "1/0",
                     message="Fraction(1, 0)")

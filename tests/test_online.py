@@ -24,6 +24,7 @@ from onlinefair.online import (
     FormThresholdAllocator,
     GreedyGoldenThreshold,
     LowestValueBundle,
+    OnlineAllocator,
     PredictionFollower,
     ThreeGoodsAllocator,
     classify_form,
@@ -319,6 +320,35 @@ class TestFormThresholdAllocator:
         got = sorted(map(sorted, transcript.allocation.bundles))
         assert got == sorted(map(sorted, planned.bundles))
         assert transcript.report.efx_factor == 1
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_three_goods_form_is_one_allocator(self, horizon, monkeypatch):
+        # main runs the three-goods rule on its own bundles: one step per good,
+        # with the standalone rule's agents and ops, including trailing goods
+        calls = []
+        step = OnlineAllocator.step
+
+        def counted(allocator, t, values):
+            calls.append(t)
+            return step(allocator, t, values)
+
+        def trace(allocator, truths):
+            return [(allocator.step(t, tuple(v[t] for v in truths.vectors)),
+                     allocator.last_step_ops) for t in range(truths.horizon)]
+
+        monkeypatch.setattr(OnlineAllocator, "step", counted)
+        rng = random.Random(horizon)
+        for trial in range(30):
+            p = gen_random_instance(2, horizon, identical=True, seed=rng.randrange(2 ** 30))
+            truths = p if trial % 3 == 0 else perturb(
+                p, [F(1, 5)] * 2, seed=rng.randrange(2 ** 30),
+                mode=("values", "extra-goods")[trial % 3 - 1])
+            main = make_allocator("main", n=2, prediction=p, a=F(4, 5))
+            assert main.tag.kind is FormKind.THREE_GOODS
+            calls.clear()
+            got = trace(main, truths)
+            assert calls == list(range(truths.horizon))
+            assert got == trace(ThreeGoodsAllocator(horizon), truths)
 
     def test_rejects_factor_outside_range(self):
         p = vec("1/2", "1/4", "1/4")
