@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 from onlinefair.bounds import BoundId, BoundParams, parse_grid, sweep_csv
+from onlinefair.cli import write_in_place
 
 
 def main() -> None:
@@ -30,12 +31,12 @@ def main() -> None:
     identical = sweep_csv(
         [BoundId.FOLLOWER_SUFFICIENT, BoundId.MAIN_SUFFICIENT, BoundId.ID_2_LB],
         grid, BoundParams(n=2))
-    (outdir / "identical_two_agents.csv").write_text(identical)
+    write_in_place(outdir / "identical_two_agents.csv", identical)
 
     general = sweep_csv(
         [BoundId.FOLLOWER_SUFFICIENT, BoundId.NONID_2_LB],
         grid, BoundParams(n=2))
-    (outdir / "general_two_agents.csv").write_text(general)
+    write_in_place(outdir / "general_two_agents.csv", general)
 
     print(f"wrote {outdir / 'identical_two_agents.csv'}")
     print(f"wrote {outdir / 'general_two_agents.csv'}")

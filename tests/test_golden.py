@@ -137,6 +137,18 @@ def test_sweep_figures_default_csvs(tmp_path):
     }
 
 
+def test_sweep_figures_rewrites_existing_csvs_in_place(tmp_path):
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    rerun.mkdir()
+    names = ("identical_two_agents.csv", "general_two_agents.csv")
+    for name in names:
+        (rerun / name).write_text("#" * 100_000)
+    for outdir in (fresh, rerun):
+        proc = _sweep_figures("--outdir", str(outdir))
+        assert proc.returncode == 0, proc.stderr
+    assert [(rerun / n).read_bytes() for n in names] == [(fresh / n).read_bytes() for n in names]
+
+
 @pytest.mark.parametrize("step", ["0", "-1/10"])
 def test_sweep_figures_rejects_nonpositive_step(tmp_path, step):
     proc = _sweep_figures("--outdir", str(tmp_path), f"--step={step}", timeout=30)

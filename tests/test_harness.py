@@ -274,6 +274,85 @@ class TestCli:
         assert proc.stdout.strip() == "1/20"
 
 
+
+EVAL_ARGV = ("bounds", "--eval", "main-sufficient", "--a", "4/5")
+
+
+class TestOutFile:
+    """``--out`` rewrites an existing file in place and accepts non-regular targets."""
+
+    def _write(self, out) -> None:
+        assert cli_main([*EVAL_ARGV, "--out", str(out)]) == 0
+
+    def test_shorter_text_over_longer_file_leaves_only_the_new_bytes(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("#" * 1000)
+        self._write(out)
+        assert out.read_bytes() == b"52/1323"
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("#" * 1000)
+        link.symlink_to(target)
+        self._write(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"52/1323"
+
+    def test_mode_bits_survive_a_rewrite(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("#" * 1000)
+        out.chmod(0o640)
+        self._write(out)
+        assert out.stat().st_mode & 0o7777 == 0o640
+
+    def test_dev_null(self):
+        self._write(os.devnull)
+
+    def test_rewrite_keeps_the_inode_and_never_truncates_on_open(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.txt"
+        out.write_text("#" * 1000)
+        inode = out.stat().st_ino
+        flags, real_open = [], os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        self._write(out)
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == b"52/1323"
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--instance", "{inst}", "--allocator", "main", "--a", "4/5"),
+        ("duel", "--adversary", "two-value-2", "--a", "4/5", "--param", "eps=11/100",
+         "--allocator", "main", "--allocator-a", "4/5"),
+        ("gen", "--n", "2", "--T", "8", "--identical", "--seed", "7"),
+        ("perturb", "--instance", "{inst}", "--d", "1/25", "--seed", "3"),
+        ("oracle", "brute-force", "--instance", "{inst}"),
+        ("oracle", "minimax", "--adversary", "pred-2-identical", "--a", "7/10"),
+        ("bounds", "--sweep", "--ids", "follower-sufficient,main-sufficient,id-2-lb",
+         "--grid", "0.56:1:1/100", "--n", "2"),
+        EVAL_ARGV,
+    ], ids=["run", "duel", "gen", "perturb", "oracle-brute-force", "oracle-minimax",
+            "bounds-sweep", "bounds-eval"])
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capsys, argv):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--n", "2", "--T", "8", "--identical", "--seed", "7",
+                         "--out", str(inst)]) == 0
+        argv = [arg.format(inst=inst) for arg in argv]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        out = tmp_path / "out"
+        out.write_bytes(b"#" * (2 * len(printed) + 100))
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        written = out.read_bytes()
+        # stdout alone ends the text with a newline when it lacks one
+        assert printed == (written if written.endswith(b"\n") else written + b"\n")
+        assert capsys.readouterr().out == ""
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ONE_ROW_FOR_TWO_AGENTS = {"n": 2, "identical": True, "predictions": [["1/2", "1/2"]],
@@ -346,6 +425,15 @@ class TestCliErrors:
     def test_bad_json(self, tmp_path):
         self._fails("run", "--instance", self._instance(tmp_path, "{"),
                     "--allocator", "ef1-lowest", message="Expecting property name")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--allocator", "main"),
+        ("perturb", "--d", "1/25"),
+        ("oracle", "brute-force"),
+    ], ids=["run", "perturb", "oracle-brute-force"])
+    def test_instance_nested_deeper_than_the_recursion_limit(self, tmp_path, argv):
+        deep = self._instance(tmp_path, "[" * 100000 + "]" * 100000)
+        self._fails(*argv, "--instance", deep, message="instance JSON nests too deeply")
 
     def test_unknown_suite(self):
         self._fails("verify", "--suite", "ef1-baseline", "--suite", "nope",
