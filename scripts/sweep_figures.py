@@ -25,18 +25,20 @@ def main() -> None:
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     identical = sweep_csv(
         [BoundId.FOLLOWER_SUFFICIENT, BoundId.MAIN_SUFFICIENT, BoundId.ID_2_LB],
         grid, BoundParams(n=2))
-    write_in_place(outdir / "identical_two_agents.csv", identical)
-
     general = sweep_csv(
         [BoundId.FOLLOWER_SUFFICIENT, BoundId.NONID_2_LB],
         grid, BoundParams(n=2))
-    write_in_place(outdir / "general_two_agents.csv", general)
+
+    outdir = Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_in_place(outdir / "identical_two_agents.csv", identical)
+        write_in_place(outdir / "general_two_agents.csv", general)
+    except OSError as exc:  # --outdir names a file, or a path through one
+        parser.error(f"--outdir {outdir}: {exc.strerror}")
 
     print(f"wrote {outdir / 'identical_two_agents.csv'}")
     print(f"wrote {outdir / 'general_two_agents.csv'}")

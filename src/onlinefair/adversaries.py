@@ -18,7 +18,6 @@ from typing import Mapping, Optional
 
 from .bounds import BoundId, BoundParams, eval_bound
 from .core import (
-    ONE,
     RationalLike,
     ValuationProfile,
     ValuationVector,
@@ -75,8 +74,11 @@ class Adversary:
     zero-valued padding up to ``horizon``.  Opening states are
     ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
     is a tuple of per-agent value tuples.  A row given as one value is the same
-    for every agent.  The two streaming constructions override ``start``,
-    ``reveal`` and ``advance`` and defer to these for queue states.
+    for every agent.  The two streaming constructions define their own
+    ``start``, ``reveal`` and ``advance`` and defer to these for queue states:
+    the golden stream reveals on the opening states, but for as long as its
+    stream lasts rather than for a fixed opening; the asymmetric stream keeps
+    its own state, which carries the mass revealed to each agent.
 
     ``predicted`` is the emitted prediction: one vector shared by every agent
     when the construction is identical, one row per agent otherwise.
@@ -207,26 +209,25 @@ class GoldenStreamAdversary(Adversary):
         super().__init__(spec, horizon=m + 3)
 
     def start(self) -> tuple:
-        return ("first",)
+        return ("open", (0, 0))
 
     def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] in ("first", "stream"):
+        if state[0] == "open":
             return self._bcast(self.eps)
         return super().reveal(state)
 
     def advance(self, state: tuple, agent: int) -> tuple:
-        if state[0] == "first":
-            return ("stream", agent, self.eps)
-        if state[0] == "stream":
-            _, leader, x = state
-            if agent != leader:
-                return self._queue(1 - x - self.eps)
-            x += self.eps
-            if (x + 2) ** 2 > 5:  # leader's total exceeded 2*phi - 3
-                half = (1 - x) / 2
-                return self._queue(half, half)
-            return ("stream", leader, x)
-        return super().advance(state, agent)
+        if state[0] != "open":
+            return super().advance(state, agent)
+        counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
+        # stream while one agent holds every good and its total is at most 2*phi - 3
+        if min(counts) == 0 and (max(counts) * self.eps + 2) ** 2 <= 5:
+            return ("open", counts)
+        return self._queue(*self._tail(counts))
+
+    def _tail(self, counts: tuple[int, ...]) -> tuple:
+        rest = 1 - sum(counts) * self.eps
+        return (rest,) if min(counts) else (rest / 2, rest / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,12 @@ class TripleSplitAdversary(Adversary):
 # ---------------------------------------------------------------------------
 
 class AsymmetricStreamAdversary(Adversary):
-    """Feeds goods worthless to one agent until the other finally shares."""
+    """Feeds goods worthless to one agent until the other finally shares.
+
+    A state ``("stream", fed, mass, first)`` names the agent shown ``eps`` and
+    the mass revealed to each agent so far; the closing good is worth each
+    agent's unrevealed mass.  Counts alone cannot say which agent was fed.
+    """
 
     construction = "no-pred-2-general"
     agents = 2
@@ -267,43 +273,24 @@ class AsymmetricStreamAdversary(Adversary):
         super().__init__(spec, horizon)
 
     def start(self) -> tuple:
-        return ("g1",)
+        return ("stream", 0, (ZERO, ZERO), True)
 
     def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] in ("g1", "starve0"):
-            return (self.eps, ZERO)
-        if state[0] == "starve1":
-            return (ZERO, self.eps)
+        if state[0] == "stream":
+            return tuple(self.eps if i == state[1] else ZERO for i in range(2))
         return super().reveal(state)
 
     def advance(self, state: tuple, agent: int) -> tuple:
-        eps = self.eps
-        if state[0] == "g1":
-            if agent == 1:
-                return self._starve0_state(streamed=1)
-            return self._starve1_state(streamed=0)
-        if state[0] == "starve0":
-            streamed = state[1] + 1
-            if agent == 0:
-                return self._queue((1 - streamed * eps, ONE))
-            return self._starve0_state(streamed)
-        if state[0] == "starve1":
-            streamed = state[1] + 1
-            if agent == 1:
-                return self._queue((1 - eps, 1 - streamed * eps))
-            return self._starve1_state(streamed)
-        return super().advance(state, agent)
-
-    def _starve0_state(self, streamed: int) -> tuple:
-        # keep streaming (eps, 0) only while one more fits the unit budget
-        if (streamed + 1) * self.eps > 1:
-            return self._queue((1 - streamed * self.eps, ONE))
-        return ("starve0", streamed)
-
-    def _starve1_state(self, streamed: int) -> tuple:
-        if (streamed + 1) * self.eps > 1:
-            return self._queue((1 - self.eps, 1 - streamed * self.eps))
-        return ("starve1", streamed)
+        if state[0] != "stream":
+            return super().advance(state, agent)
+        _, fed, mass, first = state
+        mass = tuple(m + self.eps * (i == fed) for i, m in enumerate(mass))
+        if first:
+            fed = 1 - agent  # from now on feed the agent that did not take the first good
+        # stream until the fed agent takes a good or one more would overrun its unit budget
+        if (first or agent != fed) and mass[fed] + self.eps <= 1:
+            return ("stream", fed, mass, False)
+        return self._queue(tuple(1 - m for m in mass))
 
 
 # ---------------------------------------------------------------------------

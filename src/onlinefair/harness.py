@@ -114,77 +114,69 @@ def run_instance(allocator_name: str, instance: Instance, *,
                    truths, instance.predictions, None)
 
 
-def _drive_adversary(adv: Adversary, decide) -> tuple:
-    """Run one adversary game with an arbitrary decision callback."""
+class _RandomWalker(OnlineAllocator):
+    """Seeded uniformly random decisions, for exploring a construction's paths."""
+
+    name = "random-walk"
+
+    def __init__(self, n: int, seed: int):
+        super().__init__(n)
+        self.rng = random.Random(seed)
+
+    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+        return self.rng.randrange(self.n)
+
+
+def _duel(adv: Adversary, allocator: OnlineAllocator,
+          seed: Optional[int]) -> GameTranscript:
+    """Play one game of ``allocator`` against ``adv`` and check the
+    construction's two promises on the path taken: each agent's revealed
+    values sum to one, and each agent's realized error lies in the claimed
+    interval."""
     state = adv.start()
     steps = []
-    reveals: list[tuple[Fraction, ...]] = []
     for t in range(adv.horizon):
         values = adv.reveal(state)
-        reveals.append(values)
-        agent = decide(t, values)
+        agent = allocator.step(t, values)
         steps.append((t, values, agent))
         state = adv.advance(state, agent)
     vectors = []
     for i in range(adv.n):
-        vec = tuple(values[i] for values in reveals)
+        vec = tuple(values[i] for _, values, _ in steps)
         total = sum(vec, start=ZERO)
         if total != 1:
             raise AssertionError(
                 f"adversary broke its normalization promise for agent {i}: {total}")
         vectors.append(ValuationVector(vec))
     truths = ValuationProfile(tuple(vectors), identical=adv.identical)
-    return steps, truths
+    transcript = _finish(f"duel:{adv.construction}", allocator, steps, truths,
+                         adv.prediction, seed)
+    if transcript.realized_error is not None:
+        lo, hi = adv.claimed_error
+        for i, e in enumerate(transcript.realized_error):
+            if not lo <= e <= hi:
+                raise AssertionError(
+                    f"agent {i} realized error {e} outside claimed [{lo}, {hi}]")
+    return transcript
 
 
 def run_duel(allocator_name: str, spec: AdversarySpec, *,
              a: Optional[Fraction] = None,
              coerce_identical: bool = False) -> GameTranscript:
-    """Pit an allocator against an adaptive construction.
-
-    The transcript's realized error is checked against the interval the
-    construction claims, on the branch actually taken.
-    """
+    """Pit an allocator against an adaptive construction."""
     adv = build_adversary(spec)
     allocator = make_allocator(allocator_name, n=adv.n, prediction=adv.prediction,
                                a=a, coerce_identical=coerce_identical)
     if allocator.identical_only and not adv.identical and not coerce_identical:
         raise ValueError(f"{allocator_name} expects identical valuations; "
                          f"{spec.construction} is non-identical")
-    steps, truths = _drive_adversary(adv, allocator.step)
-    transcript = _finish(f"duel:{spec.construction}", allocator, steps, truths,
-                         adv.prediction, None)
-    _check_claimed_error(adv, transcript)
-    return transcript
+    return _duel(adv, allocator, None)
 
 
 def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
     """Drive a construction with seeded random decisions (path exploration)."""
     adv = build_adversary(spec)
-    rng = random.Random(seed)
-
-    class _Walker(OnlineAllocator):
-        name = "random-walk"
-
-        def _decide(self, t, values):
-            return rng.randrange(self.n)
-
-    walker = _Walker(adv.n)
-    steps, truths = _drive_adversary(adv, walker.step)
-    transcript = _finish(f"duel:{spec.construction}", walker, steps, truths,
-                         adv.prediction, seed)
-    _check_claimed_error(adv, transcript)
-    return transcript
-
-
-def _check_claimed_error(adv, transcript: GameTranscript) -> None:
-    if adv.prediction is None or transcript.realized_error is None:
-        return
-    lo, hi = adv.claimed_error
-    for i, e in enumerate(transcript.realized_error):
-        if not lo <= e <= hi:
-            raise AssertionError(
-                f"agent {i} realized error {e} outside claimed [{lo}, {hi}]")
+    return _duel(adv, _RandomWalker(adv.n, seed), seed)
 
 
 def replay(transcript: GameTranscript) -> Allocation:

@@ -1,6 +1,7 @@
 """Adaptive constructions: domains, normalization, branch completeness, errors."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,13 +9,15 @@ import pytest
 from onlinefair.adversaries import (
     _BUILDERS,
     AdversarySpec,
+    IdenticalPredictedAdversary,
     ParameterError,
     build_adversary,
 )
 from onlinefair.bounds import BoundId, BoundParams, eval_bound, in_domain
 from onlinefair.core import ZERO, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
-from onlinefair.offline import minimax_online_factor
+from onlinefair.offline import _compile_opponent, minimax_online_factor
+from onlinefair.verify import verify_claims
 
 BASE_SPECS = {
     "no-pred-2-identical": AdversarySpec("no-pred-2-identical", F(7, 10),
@@ -30,17 +33,27 @@ BASE_SPECS = {
 }
 
 
-def walk_all_paths(adv, state, t, path_values):
-    """Exhaust every decision path, yielding realized per-agent totals."""
-    if t == adv.horizon:
-        totals = [sum((vals[i] for vals in path_values), start=ZERO)
-                  for i in range(adv.n)]
-        yield totals, path_values
-        return
-    values = adv.reveal(state)
-    for d in range(adv.n):
-        yield from walk_all_paths(adv, adv.advance(state, d), t + 1,
-                                  path_values + [values])
+def walk_every_path(adv):
+    """Check that every decision path reveals each agent a total of exactly one.
+
+    Memoized on (state, round, per-agent revealed totals): what is left of a
+    path depends only on the state and the round, so each key is walked once.
+    """
+    seen = set()
+
+    def walk(state, t, totals):
+        if (state, t, totals) in seen:
+            return
+        seen.add((state, t, totals))
+        if t == adv.horizon:
+            assert totals == (1,) * adv.n
+            return
+        values = adv.reveal(state)
+        grown = tuple(total + v for total, v in zip(totals, values))
+        for d in range(adv.n):
+            walk(adv.advance(state, d), t + 1, grown)
+
+    walk(adv.start(), 0, (ZERO,) * adv.n)
 
 
 class TestParameterDomains:
@@ -164,11 +177,7 @@ class TestPredictionShapes:
 class TestPathPromises:
     @pytest.mark.parametrize("cid", sorted(BASE_SPECS))
     def test_exhaustive_normalization_small(self, cid):
-        adv = build_adversary(BASE_SPECS[cid])
-        if adv.n ** adv.horizon > 4096:
-            pytest.skip("exhausted only for small trees; random walks cover the rest")
-        for totals, _ in walk_all_paths(adv, adv.start(), 0, []):
-            assert all(total == 1 for total in totals)
+        walk_every_path(build_adversary(BASE_SPECS[cid]))
 
     @pytest.mark.parametrize("cid", sorted(BASE_SPECS))
     def test_random_paths_normalized_and_error_bounded(self, cid):
@@ -187,6 +196,67 @@ class TestPathPromises:
         for _ in range(25):
             transcript = random_walk_duel(spec, seed=rng.randrange(2 ** 30))
             assert len(transcript.steps) == 51
+
+
+class _LeakyPair(IdenticalPredictedAdversary):
+    """pred-2-identical with half its first tail good missing."""
+
+    def _tail(self, counts):
+        first, *rest = super()._tail(counts)
+        return (first / 2, *rest)
+
+
+class _OverclaimingPair(IdenticalPredictedAdversary):
+    """pred-2-identical claiming errors up to half of the eps it realizes."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.claimed_error = (ZERO, self.eps / 2)
+
+
+class TestBrokenPromises:
+    """A duel against a construction that breaks a promise fails loudly."""
+
+    @pytest.mark.parametrize("cls,message", [
+        (_LeakyPair, "normalization promise for agent 0"),
+        (_OverclaimingPair, "agent 0 realized error .* outside claimed"),
+    ])
+    def test_duels_and_error_suite_report_the_breach(self, monkeypatch, cls, message):
+        monkeypatch.setitem(_BUILDERS, "pred-2-identical", cls)
+        spec = AdversarySpec("pred-2-identical", F(7, 10))
+        with pytest.raises(AssertionError, match=message):
+            random_walk_duel(spec, seed=0)
+        with pytest.raises(AssertionError, match=message):
+            run_duel("ef1-lowest", spec)
+        (failure,) = verify_claims("error-consistency").failures
+        assert re.match(f"pred-2-identical: .*{message}", failure)
+
+
+class TestStreamStateGraphs:
+    """The two streams' compiled state counts, which set the oracle's cost."""
+
+    @pytest.mark.parametrize("spec,states", [
+        (AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 50)}), 145),
+        (AdversarySpec("no-pred-2-identical", F(19, 20), params={"lam": F(33, 100)}), 10),
+        (AdversarySpec("no-pred-2-identical", F(7, 10)), 73),
+        (AdversarySpec("no-pred-2-general", F(1, 2)), 32),
+        (AdversarySpec("no-pred-2-general", F(1, 10)), 160),
+    ])
+    def test_compiled_state_count(self, spec, states):
+        assert len(_compile_opponent(build_adversary(spec), 10 ** 6)[1]) == states
+
+    def test_asymmetric_close_depends_on_the_order_not_only_the_counts(self):
+        # both paths leave each agent one good, but the stream fed different agents
+        adv = build_adversary(AdversarySpec("no-pred-2-general", F(1, 2)))
+
+        def closing_row(path):
+            state = adv.start()
+            for agent in path:
+                state = adv.advance(state, agent)
+            return adv.reveal(state)
+
+        assert closing_row([0, 1]) == (F(7, 8), F(7, 8))
+        assert closing_row([1, 0]) == (F(3, 4), F(1))
 
 
 class TestRealizedError:

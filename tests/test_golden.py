@@ -157,6 +157,17 @@ def test_sweep_figures_rejects_nonpositive_step(tmp_path, step):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("outdir,reason", [("afile", "File exists"),
+                                           ("afile/sub", "Not a directory")])
+def test_sweep_figures_rejects_an_outdir_through_a_file(tmp_path, outdir, reason):
+    (tmp_path / "afile").write_text("kept")
+    proc = _sweep_figures("--outdir", str(tmp_path / outdir), timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(f"error: --outdir {tmp_path / outdir}: {reason}")
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
 # ---------------------------------------------------------------------------
 # gen -> perturb -> run: seeded pipelines give the same bytes every time
 # ---------------------------------------------------------------------------
