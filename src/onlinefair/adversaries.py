@@ -12,6 +12,7 @@ many opening goods each agent took.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -68,17 +69,18 @@ def _check_reads(spec: AdversarySpec, names: tuple[str, ...], where: str = "") -
 class Adversary:
     """Base opponent: the one opening/queue state machine.
 
-    A construction reveals the rows of ``opening`` one per round.  Once they
-    are all placed, ``_tail(counts)`` gives the remaining goods from the number
+    A construction reveals the rows of ``opening`` one per round.  Once the
+    opening ends, ``_tail(counts)`` gives the remaining goods from the number
     of opening goods each agent took; they form a fixed queue followed by
     zero-valued padding up to ``horizon``.  Opening states are
     ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
     is a tuple of per-agent value tuples.  A row given as one value is the same
-    for every agent.  The two streaming constructions define their own
-    ``start``, ``reveal`` and ``advance`` and defer to these for queue states:
-    the golden stream reveals on the opening states, but for as long as its
-    stream lasts rather than for a fixed opening; the asymmetric stream keeps
-    its own state, which carries the mass revealed to each agent.
+    for every agent.  The opening lasts while ``_opening_goes_on(counts)``
+    holds, by default until every row is placed; the golden stream also ends
+    it once both agents hold a good.  Only the asymmetric stream defines its
+    own ``start``, ``reveal`` and ``advance``, deferring to these for queue
+    states: its state carries the mass revealed to each agent, which counts
+    cannot hold.
 
     ``predicted`` is the emitted prediction: one vector shared by every agent
     when the construction is identical, one row per agent otherwise.
@@ -129,11 +131,15 @@ class Adversary:
     def advance(self, state: tuple, agent: int) -> tuple:
         if state[0] == "open":
             counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
-            if sum(counts) < len(self.opening):
+            if self._opening_goes_on(counts):
                 return ("open", counts)
             return self._queue(*self._tail(counts))
         remaining = state[1]
         return ("q", remaining[1:]) if remaining else state
+
+    def _opening_goes_on(self, counts: tuple[int, ...]) -> bool:
+        """Whether the opening reveals another row, given each agent's count."""
+        return sum(counts) < len(self.opening)
 
     def _bcast(self, v: Fraction) -> tuple[Fraction, ...]:
         return (v,) * self.n
@@ -198,32 +204,19 @@ class GoldenStreamAdversary(Adversary):
             lam = (a - upper) / 2
         _require(lam > 0, "need lam > 0 (zero lam degenerates the stream)")
         _require(cmp_golden(a - lam) > 0, "need lam < a - (phi-1): (a-lam)^2+(a-lam)-1 > 0")
-        self.eps = lam / 4
-        self.lam = lam
-        # smallest m with m*eps > 2*phi - 3 = sqrt(5) - 2, decided exactly
-        m = 1
-        while (m * self.eps + 2) ** 2 <= 5:
-            m += 1
-            if m > 10 ** 6:
-                raise ParameterError("lam so small the promised horizon is impractical")
-        super().__init__(spec, horizon=m + 3)
+        self.eps = eps = lam / 4
+        # the stream's length: the smallest m with m*eps > 2*phi - 3 = sqrt(5) - 2;
+        # for eps = p/q that is m*p + 2q > sqrt(5q^2), and as 5q^2 is no square,
+        # m*p + 2q >= isqrt(5q^2) + 1
+        p, q = eps.numerator, eps.denominator
+        m = -((2 * q - math.isqrt(5 * q * q) - 1) // p)
+        if m > 10 ** 6:
+            raise ParameterError("lam so small the promised horizon is impractical")
+        super().__init__(spec, horizon=m + 3, opening=((eps, eps),) * m)
 
-    def start(self) -> tuple:
-        return ("open", (0, 0))
-
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
-        if state[0] == "open":
-            return self._bcast(self.eps)
-        return super().reveal(state)
-
-    def advance(self, state: tuple, agent: int) -> tuple:
-        if state[0] != "open":
-            return super().advance(state, agent)
-        counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
+    def _opening_goes_on(self, counts: tuple[int, ...]) -> bool:
         # stream while one agent holds every good and its total is at most 2*phi - 3
-        if min(counts) == 0 and (max(counts) * self.eps + 2) ** 2 <= 5:
-            return ("open", counts)
-        return self._queue(*self._tail(counts))
+        return min(counts) == 0 and super()._opening_goes_on(counts)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         rest = 1 - sum(counts) * self.eps

@@ -72,20 +72,31 @@ _UNIT = _Domain("", lambda a: True, lambda width: ZERO)
 _GOLDEN = _Domain("need a in (phi-1, 1]: a^2 + a - 1 > 0", lambda a: cmp_golden(a) > 0,
                   lambda width: bracket_threshold(cmp_golden, width=width)[1])
 _MANY_AGENTS = _Domain("need a in (0, 1]", lambda a: a > 0, lambda width: width, agents=3)
-# the follower and three-goods bounds hold on all of [0, 1]
-_DOMAINS = {
-    BoundId.NONID_2_LB: _Domain("need a in (1/2, 1]", lambda a: a > Fraction(1, 2),
-                                lambda width: Fraction(1, 2) + width),
-    BoundId.ID_2_LB: _GOLDEN,
-    BoundId.IDN_LB_SMALL: _MANY_AGENTS,
-    BoundId.IDN_LB_LARGE: _MANY_AGENTS,
-    BoundId.IDN_LB_COMBINED: _MANY_AGENTS,
-    BoundId.MAIN_SUFFICIENT: _GOLDEN,
-    BoundId.TWO_VALUE_SUFFICIENT: _GOLDEN,
-    BoundId.TWO_VALUE_2_LB: _Domain("need a in (sqrt(3)-1, 1]: a^2 + 2a - 2 > 0",
-                                    lambda a: cmp_sqrt3(a) > 0,
-                                    lambda width: bracket_threshold(cmp_sqrt3, width=width)[1]),
-    BoundId.TWO_VALUE_N_LB: _MANY_AGENTS,
+
+# each bound's domain and its value at (a, n, a_tilde); the follower and
+# three-goods bounds hold on all of [0, 1]
+_BOUNDS: dict[BoundId, tuple[_Domain, Callable[[Fraction, int, Fraction], Fraction]]] = {
+    BoundId.FOLLOWER_SUFFICIENT: (_UNIT, lambda a, n, at: (at - a) / ((2 * n - 2 + at) * (1 + a))),
+    BoundId.FOLLOWER_NECESSARY: (_UNIT, lambda a, n, at: (1 - a) / ((2 * n - 1) * (1 + a))),
+    BoundId.NONID_2_LB: (_Domain("need a in (1/2, 1]", lambda a: a > Fraction(1, 2),
+                                 lambda width: Fraction(1, 2) + width),
+                         lambda a, n, at: (1 - a) / min(6 * a, Fraction(4))),
+    # 2a(2+a) crosses 4 exactly at sqrt(3)-1
+    BoundId.ID_2_LB: (_GOLDEN, lambda a, n, at:
+                      (1 - a) / (2 * a * (2 + a) if cmp_sqrt3(a) <= 0 else Fraction(4))),
+    BoundId.IDN_LB_SMALL: (_MANY_AGENTS, lambda a, n, at: 1 / (2 * (n - 1 + 2 * a))),
+    BoundId.IDN_LB_LARGE: (_MANY_AGENTS, lambda a, n, at: (1 - a * a) / (4 + (2 * n - 3) * a)),
+    BoundId.IDN_LB_COMBINED: (_MANY_AGENTS, lambda a, n, at: min(
+        _BOUNDS[BoundId.IDN_LB_SMALL][1](a, n, at), _BOUNDS[BoundId.IDN_LB_LARGE][1](a, n, at))),
+    BoundId.MAIN_SUFFICIENT: (_GOLDEN, lambda a, n, at: passthrough_cutoff(a) * (1 - a) / (1 + a)),
+    BoundId.THREE_GOODS_SUFFICIENT: (_UNIT, lambda a, n, at: (1 - a) / (1 + a)),
+    BoundId.TWO_VALUE_SUFFICIENT: (_GOLDEN, lambda a, n, at: Fraction(2, 5) * (1 - a) / (1 + a)),
+    BoundId.TWO_VALUE_2_LB: (_Domain("need a in (sqrt(3)-1, 1]: a^2 + 2a - 2 > 0",
+                                     lambda a: cmp_sqrt3(a) > 0,
+                                     lambda width: bracket_threshold(cmp_sqrt3, width=width)[1]),
+                             lambda a, n, at: (1 - a) / 2),
+    BoundId.TWO_VALUE_N_LB: (_MANY_AGENTS,
+                             lambda a, n, at: 2 * (1 - a * a) / (4 + (2 * n - 3) * a)),
 }
 
 
@@ -99,7 +110,7 @@ def in_domain(bound: BoundId, a: Fraction, params: BoundParams = BoundParams()) 
 
 def check_domain(bound: BoundId, a: Fraction, params: BoundParams = BoundParams()) -> None:
     """Raise ``DomainError`` naming the failed test unless ``a`` is in the domain."""
-    domain = _DOMAINS.get(bound, _UNIT)
+    domain = _BOUNDS[bound][0]
     if not 0 <= a <= 1:
         raise DomainError(f"{bound.value}: a={a} outside [0, 1]")
     if params.n < domain.agents:
@@ -125,35 +136,7 @@ def eval_bound(bound: BoundId, a: Fraction,
     """Exact error value of a bound at factor ``a`` (domain-checked)."""
     a = rat(a)
     check_domain(bound, a, params)
-    n, at = params.n, params.a_tilde
-    if bound is BoundId.FOLLOWER_SUFFICIENT:
-        return (at - a) / ((2 * n - 2 + at) * (1 + a))
-    if bound is BoundId.FOLLOWER_NECESSARY:
-        return (1 - a) / ((2 * n - 1) * (1 + a))
-    if bound is BoundId.NONID_2_LB:
-        return (1 - a) / min(6 * a, Fraction(4))
-    if bound is BoundId.ID_2_LB:
-        # 2a(2+a) crosses 4 exactly at sqrt(3)-1
-        den = 2 * a * (2 + a) if cmp_sqrt3(a) <= 0 else Fraction(4)
-        return (1 - a) / den
-    if bound is BoundId.IDN_LB_SMALL:
-        return 1 / (2 * (n - 1 + 2 * a))
-    if bound is BoundId.IDN_LB_LARGE:
-        return (1 - a * a) / (4 + (2 * n - 3) * a)
-    if bound is BoundId.IDN_LB_COMBINED:
-        return min(eval_bound(BoundId.IDN_LB_SMALL, a, params),
-                   eval_bound(BoundId.IDN_LB_LARGE, a, params))
-    if bound is BoundId.MAIN_SUFFICIENT:
-        return passthrough_cutoff(a) * (1 - a) / (1 + a)
-    if bound is BoundId.THREE_GOODS_SUFFICIENT:
-        return (1 - a) / (1 + a)
-    if bound is BoundId.TWO_VALUE_SUFFICIENT:
-        return Fraction(2, 5) * (1 - a) / (1 + a)
-    if bound is BoundId.TWO_VALUE_2_LB:
-        return (1 - a) / 2
-    if bound is BoundId.TWO_VALUE_N_LB:
-        return 2 * (1 - a * a) / (4 + (2 * n - 3) * a)
-    raise AssertionError(bound)
+    return _BOUNDS[bound][1](a, params.n, params.a_tilde)
 
 
 PRECISION = Fraction(1, 2 ** 64)
@@ -176,7 +159,7 @@ def invert_bound(bound: BoundId, d: Fraction,
         if a < 0:
             raise ValueError(f"d={d} exceeds the bound's range (max {at / k})")
         return a
-    lo, hi = _DOMAINS.get(bound, _UNIT).inner(PRECISION), ONE
+    lo, hi = _BOUNDS[bound][0].inner(PRECISION), ONE
     # sampled monotonicity check before trusting bisection
     samples = [lo + (hi - lo) * Fraction(i, 8) for i in range(9)]
     values = [eval_bound(bound, s, params) for s in samples]

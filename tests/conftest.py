@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from onlinefair.adversaries import GoldenStreamAdversary
 from onlinefair.core import Allocation, ValuationProfile, ValuationVector, rat_str
 from onlinefair.offline import BudgetExceededError
 
@@ -225,3 +226,42 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
         return memo[key]
 
     return rec(adversary.start(), (((Fraction(0), None),) * n,) * n, 0)
+
+
+def reference_golden_length(eps: Fraction) -> int:
+    """The golden stream's length, counted up: the smallest m >= 1 with
+    m*eps > sqrt(5) - 2, that is (m*eps + 2)^2 > 5."""
+    m = 1
+    while (m * eps + 2) ** 2 <= 5:
+        m += 1
+    return m
+
+
+class ReferenceGoldenStream(GoldenStreamAdversary):
+    """The golden stream on its own ``start``, ``reveal`` and ``advance``.
+
+    It streams ``(eps, eps)`` while one agent holds every good and that agent's
+    total is at most sqrt(5) - 2, decided by squaring at every step, and takes
+    its horizon from ``reference_golden_length``.  It shares only the tail and
+    the queue states with the library's golden stream.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.horizon = reference_golden_length(self.eps) + 3
+
+    def start(self):
+        return ("open", (0, 0))
+
+    def reveal(self, state):
+        if state[0] == "open":
+            return (self.eps, self.eps)
+        return super().reveal(state)
+
+    def advance(self, state, agent):
+        if state[0] != "open":
+            return super().advance(state, agent)
+        counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
+        if min(counts) == 0 and (max(counts) * self.eps + 2) ** 2 <= 5:
+            return ("open", counts)
+        return self._queue(*self._tail(counts))

@@ -14,10 +14,12 @@ from onlinefair.adversaries import (
     build_adversary,
 )
 from onlinefair.bounds import BoundId, BoundParams, eval_bound, in_domain
-from onlinefair.core import ZERO, tv_distance
+from onlinefair.core import ZERO, cmp_golden, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
 from onlinefair.offline import _compile_opponent, minimax_online_factor
 from onlinefair.verify import verify_claims
+
+from conftest import ReferenceGoldenStream, reference_golden_length
 
 BASE_SPECS = {
     "no-pred-2-identical": AdversarySpec("no-pred-2-identical", F(7, 10),
@@ -147,6 +149,26 @@ class TestHorizons:
                                             params={"lam": F(33, 100)}))
         assert adv.horizon == 6
 
+    def test_golden_stream_length_matches_counting_up(self):
+        # the continued-fraction convergents of sqrt(5) - 2 = [0; 4, 4, ...], split
+        # into k goods, put k*eps just below or just above the threshold
+        near = [F(p, q * k) for p, q in ((1, 4), (4, 17), (17, 72), (72, 305), (305, 1292))
+                for k in (3, 4, 5, 100, 1000)]
+        rng = random.Random(20)  # eps >= 3/10^5 keeps m below 10^4
+        spread = [F(rng.randint(30, 999), rng.randint(1000, 10 ** 6)) for _ in range(30)]
+        for eps in near + spread:
+            if eps * 4 >= F(19, 50):  # at a = 1, lam = 4*eps must stay below 2 - phi > 19/50
+                continue
+            adv = build_adversary(AdversarySpec("no-pred-2-identical", 1,
+                                                params={"lam": 4 * eps}))
+            assert len(adv.opening) == adv.horizon - 3 == reference_golden_length(eps), eps
+
+    def test_golden_stream_refuses_an_impractical_horizon(self):
+        # lam/4 * 10^6 < sqrt(5) - 2, so the stream would run past 10^6 goods
+        with pytest.raises(ParameterError, match="impractical"):
+            build_adversary(AdversarySpec("no-pred-2-identical", F(2, 3),
+                                          params={"lam": F(1, 1100000)}))
+
     def test_fixed_horizons(self):
         assert build_adversary(BASE_SPECS["no-pred-3-identical"]).horizon == 4
         assert build_adversary(BASE_SPECS["no-pred-2-general"]).horizon == 10
@@ -244,6 +266,17 @@ class TestStreamStateGraphs:
     ])
     def test_compiled_state_count(self, spec, states):
         assert len(_compile_opponent(build_adversary(spec), 10 ** 6)[1]) == states
+
+    @pytest.mark.parametrize("a,lam", [
+        (a, lam) for a in (F(31, 50), F(13, 20), F(7, 10), F(4, 5), F(19, 20), F(1))
+        for lam in (None, F(1, 20), F(1, 50), F(1, 100))
+        if lam is None or cmp_golden(a - lam) > 0  # a - lam must stay above phi - 1
+    ], ids=str)
+    def test_golden_stream_compiles_as_its_own_state_machine(self, a, lam):
+        spec = AdversarySpec("no-pred-2-identical", a, params={} if lam is None else {"lam": lam})
+        adv, ref = build_adversary(spec), ReferenceGoldenStream(spec)
+        assert adv.horizon == ref.horizon
+        assert _compile_opponent(adv, 10 ** 6) == _compile_opponent(ref, 10 ** 6)
 
     def test_asymmetric_close_depends_on_the_order_not_only_the_counts(self):
         # both paths leave each agent one good, but the stream fed different agents
