@@ -3,11 +3,13 @@
 All values are arbitrary-precision rationals (``fractions.Fraction``) at the
 API; there is no floating point anywhere in the metric or allocation paths.
 Each value vector also carries its values as integer weights over one common
-denominator (the lcm of the value denominators), and the metrics here and the
-offline and online setup paths compute on those Python ints, building a
-``Fraction`` only for a result.  Irrational thresholds (the golden-ratio and
-sqrt(3) cut-offs) are decided through squared integer comparisons, never
-approximated.
+denominator (the lcm of the value denominators), and the metrics here, the
+offline paths and the online allocators' setup compute on those Python ints,
+building a ``Fraction`` only for a result.  The online allocators step on ints
+too, over a running denominator of their own (see ``online``).  Irrational
+thresholds (the golden-ratio and sqrt(3) cut-offs) are decided through squared
+integer comparisons, after exact linear tests against an integer bracket for
+the golden ratio, never approximated.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads; all operations are pure functions.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -76,15 +78,36 @@ def decimal_str(x: Fraction, places: int = 3) -> str:
 # Exact comparisons against irrational thresholds
 # ---------------------------------------------------------------------------
 
+# 2^65 (sqrt(5)-1)/2 = sqrt(5) 2^64 - 2^64 lies strictly between these two ints
+_GOLDEN_LO = isqrt(5 << 128) - (1 << 64)
+_GOLDEN_HI = _GOLDEN_LO + 1
+
+
+def cmp_golden_int(num: int, den: int) -> int:
+    """Exact order of ``num/den`` relative to (sqrt(5)-1)/2, as -1/0/+1.
+
+    The sign of (2 num + den)^2 - 5 den^2, valid for den > 0 and
+    num/den > -1/2; equality never occurs for ints.  A value outside the
+    bracket (_GOLDEN_LO, _GOLDEN_HI) / 2^65 is decided by one linear test, so
+    a running denominator of thousands of bits is squared only inside it.
+    """
+    x = num << 65
+    if x >= _GOLDEN_HI * den:
+        return 1
+    if 0 <= x <= _GOLDEN_LO * den:
+        return -1
+    t = (2 * num + den) ** 2 - 5 * den * den
+    return (t > 0) - (t < 0)
+
+
 def cmp_golden(x: Fraction) -> int:
     """Exact order of ``x`` relative to (sqrt(5)-1)/2, as -1/0/+1.
 
-    Uses sign((2x+1)^2 - 5), valid for x > -1/2; equality never occurs for
-    rational x.  Note (2x+1)^2 - 5 = 4(x^2 + x - 1), so ``cmp_golden(a) > 0``
-    is exactly the test a^2 + a - 1 > 0.
+    The sign of (2x+1)^2 - 5, through ``cmp_golden_int``.  Note
+    (2x+1)^2 - 5 = 4(x^2 + x - 1), so ``cmp_golden(a) > 0`` is exactly the
+    test a^2 + a - 1 > 0.
     """
-    t = (2 * x + 1) ** 2 - 5
-    return (t > 0) - (t < 0)
+    return cmp_golden_int(x.numerator, x.denominator)
 
 
 def cmp_sqrt3(x: Fraction) -> int:
@@ -354,6 +377,10 @@ class FairnessReport:
     to *any* good; ``ef1_factor`` the analogue up to *one* good.  Vacuous
     comparisons (empty or singleton opposing bundle) contribute 1, and all
     entries are clamped into [0, 1].
+
+    The convention is EFX₀: the envier removes the other bundle's
+    least-valued good even when that good is worth zero to it.  This is
+    stronger than EFX⁺, which removes only goods the envier values above zero.
     """
 
     efx_factor: Fraction

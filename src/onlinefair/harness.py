@@ -123,7 +123,7 @@ class _RandomWalker(OnlineAllocator):
         super().__init__(n)
         self.rng = random.Random(seed)
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         return self.rng.randrange(self.n)
 
 

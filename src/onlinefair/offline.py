@@ -139,9 +139,10 @@ def _envy_factor(bstates, views) -> tuple[int, int]:
     an int pair (num, den).
 
     Agent i with observer o compares its own sum against ``sum - min`` of the
-    other bundles under o, so only the largest such drop per observer
-    matters.  Its own drop never exceeds its own sum, so when i holds the
-    largest drop it envies nobody and the ratio, at least 1, changes nothing.
+    other bundles under o (EFX₀: the least-valued good goes even when it is
+    worth zero to o), so only the largest such drop per observer matters.
+    Its own drop never exceeds its own sum, so when i holds the largest drop
+    it envies nobody and the ratio, at least 1, changes nothing.
     """
     tops = []
     for o in range(len(bstates[0])):

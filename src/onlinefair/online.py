@@ -11,6 +11,10 @@ Five allocators share one stepping contract:
   the largest-value-first split of the predictions and admits its tracked
   goods to the heavier side only while their observed values stay inside
   exact error margins.
+
+Values arrive as exact rationals, but every allocator steps on Python ints:
+``OnlineAllocator.step`` keeps each agent's bundle value as an int over one
+running denominator, so no decision builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,22 +22,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .bounds import BoundId, check_domain, eval_bound, late_y_margin, passthrough_cutoff
-from .core import (
-    Allocation,
-    ValuationProfile,
-    ValuationVector,
-    ZERO,
-    cmp_golden,
-    rat,
-)
+from .core import Allocation, ValuationProfile, ValuationVector, cmp_golden_int, rat
 from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 
 
 class OnlineAllocator:
-    """Single-run stateful allocator; goods must arrive in index order."""
+    """Single-run stateful allocator; goods must arrive in index order.
+
+    ``step`` accepts each good's values as Fractions, ints or ``"p/q"``
+    strings.  It keeps ``den``, the lcm of every value denominator revealed so
+    far, and ``own[i]``, agent i's value of its own bundle times ``den``, an
+    int.  A value whose denominator does not divide ``den`` first rescales
+    ``den`` and every ``own`` entry.  ``_decide(t, weights)`` then gets the
+    good's values times ``den``, one int per agent, so a decision compares
+    ints over one denominator.  A rejected step changes nothing.
+    """
 
     name = "abstract"
     identical_only = False
@@ -44,27 +51,37 @@ class OnlineAllocator:
         self.n = n
         self.next_t = 0
         self.bundles: list[set[int]] = [set() for _ in range(n)]
-        self.own_value: list[Fraction] = [ZERO] * n
+        self.den = 1
+        self.own = [0] * n
         self.last_step_ops = 0
 
     def step(self, t: int, values: tuple[Fraction, ...]) -> int:
         if t != self.next_t:
             raise ValueError(f"good {t} arrived out of order (expected {self.next_t})")
-        values = tuple(rat(v) for v in values)
-        if len(values) != self.n:
+        ratios = [rat(v).as_integer_ratio() for v in values]
+        if len(ratios) != self.n:
             raise ValueError("need one revealed value per agent")
-        if any(v.numerator < 0 for v in values):
-            raise ValueError("revealed values must be nonnegative")
-        agent = self._decide(t, values)
+        den = self.den
+        for num, d in ratios:
+            if num < 0:
+                raise ValueError("revealed values must be nonnegative")
+            if den % d:
+                den = lcm(den, d)
+        if den != self.den:
+            scale = den // self.den
+            self.own = [w * scale for w in self.own]
+            self.den = den
+        weights = tuple([num * (den // d) for num, d in ratios])
+        agent = self._decide(t, weights)
         self.bundles[agent].add(t)
-        self.own_value[agent] += values[agent]
+        self.own[agent] += weights[agent]
         self.next_t += 1
         return agent
 
     def allocation(self) -> Allocation:
         return Allocation.of([set(b) for b in self.bundles], num_goods=self.next_t)
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         raise NotImplementedError
 
 
@@ -81,9 +98,9 @@ class GreedyGoldenThreshold(OnlineAllocator):
     def __init__(self):
         super().__init__(n=2)
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         self.last_step_ops = 1
-        if cmp_golden(self.own_value[0] + values[0]) <= 0:
+        if cmp_golden_int(self.own[0] + weights[0], self.den) <= 0:
             return 0
         return 1
 
@@ -98,9 +115,9 @@ class LowestValueBundle(OnlineAllocator):
 
     name = "ef1-lowest"
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         self.last_step_ops = self.n
-        return min(range(self.n), key=lambda i: (self.own_value[i], i))
+        return self.own.index(min(self.own))
 
 
 class PredictionFollower(OnlineAllocator):
@@ -132,7 +149,7 @@ class PredictionFollower(OnlineAllocator):
         settled, self.unenvied = eliminate_envy_cycles(planned, prediction)
         self.owner = {g: i for i, b in enumerate(settled.bundles) for g in b}
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         self.last_step_ops = 1
         return self.owner.get(t, self.unenvied)
 
@@ -156,8 +173,8 @@ class ThreeGoodsAllocator(OnlineAllocator):
         self.isolated_first = False
         self.trailing_target: Optional[int] = None
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
-        own = self.own_value
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
+        own = self.own
         if t >= self.t_pred:
             if self.trailing_target is None:
                 self.trailing_target = 0 if own[0] <= own[1] else 1
@@ -167,9 +184,9 @@ class ThreeGoodsAllocator(OnlineAllocator):
             self.last_step_ops = 0
             return 0
         if t == 1:  # good 0 is agent 0's whole bundle
-            v0, v1 = own[0], values[0]
+            v0, v1 = own[0], weights[0]
             self.last_step_ops = 2
-            if max(v0, v1) >= 1 - v0 - v1:
+            if max(v0, v1) >= self.den - v0 - v1:  # the whole mass is den
                 self.isolated_first = True
                 return 1
             return 0
@@ -298,12 +315,14 @@ class FormThresholdAllocator(ThreeGoodsAllocator):
             anchor, slack, self.fallback = _ADMISSION[tag.kind]
             self.threshold = getattr(tag, anchor) + slack(a)
 
-    def _decide(self, t: int, values: tuple[Fraction, ...]) -> int:
+    def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         if self.tag.kind is FormKind.THREE_GOODS:
-            return super()._decide(t, values)
+            return super()._decide(t, weights)
         if t in self.tag.large:
             self.last_step_ops = 3
-            admit = values[0] <= self.threshold and self.large_in_high < 2
+            th = self.threshold
+            admit = (weights[0] * th.denominator <= th.numerator * self.den
+                     and self.large_in_high < 2)
             if admit or (self.fallback and self.large_in_low >= 1):
                 self.large_in_high += 1
                 return self.high

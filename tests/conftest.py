@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from onlinefair.adversaries import GoldenStreamAdversary
 from onlinefair.core import Allocation, ValuationProfile, ValuationVector, rat_str
 from onlinefair.offline import BudgetExceededError
+from onlinefair.online import FormKind
 
 
 def normalized_vector(weights) -> ValuationVector:
@@ -265,3 +266,71 @@ class ReferenceGoldenStream(GoldenStreamAdversary):
         if min(counts) == 0 and (max(counts) * self.eps + 2) ** 2 <= 5:
             return ("open", counts)
         return self._queue(*self._tail(counts))
+
+
+class ReferenceFractionRules:
+    """The online decision rules on Fraction bundle values, as they stood
+    before stepping moved to integer weights over a running denominator.
+
+    ``allocator`` is a freshly built library allocator.  It is read only for
+    its setup (agent count, promised horizon, ``main``'s form, sides and
+    threshold) and is never stepped.  ``run`` replays a stream of value tuples
+    and returns the decisions of ``greedy-phi``, ``ef1-lowest``,
+    ``three-goods`` or ``main``, each comparing Fractions straight from its
+    definition.
+    """
+
+    def __init__(self, allocator):
+        self.allocator = allocator
+        self.own = [Fraction(0)] * allocator.n
+        self.trailing = None
+        self.isolated_first = False
+        self.in_high = self.in_low = 0
+
+    def run(self, stream) -> list[int]:
+        decisions = []
+        for t, values in enumerate(stream):
+            values = tuple(Fraction(v) for v in values)
+            agent = self.decide(t, values)
+            self.own[agent] += values[agent]
+            decisions.append(agent)
+        return decisions
+
+    def decide(self, t: int, values) -> int:
+        own, allocator = self.own, self.allocator
+        if allocator.name == "greedy-phi":  # own[0] + v <= (sqrt(5)-1)/2
+            return 0 if (2 * (own[0] + values[0]) + 1) ** 2 <= 5 else 1
+        if allocator.name == "ef1-lowest":
+            return min(range(allocator.n), key=lambda i: (own[i], i))
+        if allocator.name == "main" and allocator.tag.kind is not FormKind.THREE_GOODS:
+            return self.main(t, values)
+        return self.three_goods(t, values)
+
+    def three_goods(self, t: int, values) -> int:
+        own = self.own
+        if t >= self.allocator.t_pred:
+            if self.trailing is None:
+                self.trailing = 0 if own[0] <= own[1] else 1
+            return self.trailing
+        if t == 0:
+            return 0
+        if t == 1:
+            if max(own[0], values[0]) >= 1 - own[0] - values[0]:
+                self.isolated_first = True
+                return 1
+            return 0
+        if self.isolated_first:
+            return 1 if own[0] >= own[1] else 0
+        return 1
+
+    def main(self, t: int, values) -> int:
+        allocator = self.allocator
+        tag = allocator.tag
+        if t in tag.large:
+            admit = values[0] <= allocator.threshold and self.in_high < 2
+            if admit or (allocator.fallback and self.in_low >= 1):
+                self.in_high += 1
+                return allocator.high
+            self.in_low += 1
+            return allocator.low
+        return allocator.high if t in tag.heavy else allocator.low

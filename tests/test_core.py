@@ -14,6 +14,7 @@ from onlinefair.core import (
     ValuationProfile,
     ValuationVector,
     cmp_golden,
+    cmp_golden_int,
     cmp_sqrt3,
     decimal_str,
     ef1_factor,
@@ -66,6 +67,25 @@ class TestGoldenComparisons:
             a = F(num, 20)
             sign = (a * a + a - 1 > 0) - (a * a + a - 1 < 0)
             assert cmp_golden(a) == sign
+
+    @given(st.integers(0, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10 ** 6))
+    def test_int_form_reads_any_scaling(self, num, den, k):
+        # weights over an unreduced running denominator, as the allocators step
+        assert cmp_golden_int(k * num, k * den) == cmp_golden(F(num, den))
+
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+    def test_int_form_is_the_squared_sign(self, num, den):
+        t = (2 * num + den) ** 2 - 5 * den * den
+        assert cmp_golden_int(num, den) == (t > 0) - (t < 0)
+
+    def test_int_form_inside_its_linear_bracket(self):
+        # ratios of consecutive Fibonacci numbers close in on (sqrt(5)-1)/2 from
+        # both sides; from about 2^33 on they fall inside the 2^-65 bracket
+        a, b = 1, 2
+        for _ in range(120):
+            t = (2 * a + b) ** 2 - 5 * b * b
+            assert cmp_golden_int(a, b) == cmp_golden_int(3 * a, 3 * b) == (t > 0) - (t < 0)
+            a, b = b, a + b
 
     def test_cmp_sqrt3_examples(self):
         assert cmp_sqrt3(F(7, 10)) < 0

@@ -2,26 +2,38 @@
 
 The references live in ``conftest.py`` and share no code with the library.
 Inputs mix small integer weights (zero-valued goods, ties) with vectors whose
-value denominators are large and pairwise coprime.
+value denominators are large and pairwise coprime.  The online allocators'
+integer stepping is checked decision by decision against their Fraction rules.
 """
 
 from fractions import Fraction as F
+from functools import partial
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onlinefair.core import (
     NormalizationError,
+    ValuationProfile,
     ValuationVector,
     fairness_report,
     rat,
     tv_distance,
 )
 from onlinefair.offline import eliminate_envy_cycles, lpt
+from onlinefair.online import (
+    FormKind,
+    FormThresholdAllocator,
+    GreedyGoldenThreshold,
+    LowestValueBundle,
+    ThreeGoodsAllocator,
+)
 
 from conftest import (
+    PRIMES,
+    ReferenceFractionRules,
     allocations_for,
     coprime_vectors,
     direct_envy,
@@ -97,6 +109,115 @@ class TestAgainstReferences:
         efx, pair = direct_envy(alloc, profile, "best")
         assert (report.efx_factor, report.binding_pair) == (efx, pair)
         assert report.ef1_factor == direct_envy(alloc, profile, "worst")[0]
+
+
+def columns(profile: ValuationProfile) -> list[tuple[F, ...]]:
+    """The profile's values as a stream: per good, its value to each agent."""
+    return list(zip(*(v.values for v in profile.vectors)))
+
+
+def stepped(allocator, stream) -> list[int]:
+    return [allocator.step(t, values) for t, values in enumerate(stream)]
+
+
+def agrees(make, stream) -> list[int]:
+    """Step a fresh allocator through ``stream``, check every decision against
+    the Fraction rule, and return the decisions."""
+    got = stepped(make(), stream)
+    assert got == ReferenceFractionRules(make()).run(stream)
+    return got
+
+
+# identical two-agent streams, and two-agent streams whose rows differ
+two_agent_profiles = st.one_of(
+    mixed_vectors(max_goods=10).map(lambda f: ValuationProfile.identical_from(f, 2)),
+    mixed_profiles(max_agents=2, max_goods=10))
+
+# predictions whose largest-value-first split tracks goods through a threshold
+THRESHOLD_PREDICTIONS = tuple(ValuationVector(tuple(map(F, row))) for row in (
+    ("33/100", "33/100", "33/100", "1/100"),
+    ("13/40", "13/40", "13/40", "1/40"),
+    ("34/100", "33/100", "32/100", "1/100"),
+    ("355/1000", "355/1000", "285/1000", "5/1000"),
+    ("355/1000", "285/1000", "355/1000", "5/1000"),
+))
+
+
+class TestSteppingAgainstFractionRules:
+    @settings(max_examples=300)
+    @given(mixed_profiles(max_agents=5, max_goods=10))
+    def test_ef1_lowest(self, profile):
+        agrees(partial(LowestValueBundle, profile.agents), columns(profile))
+
+    @settings(max_examples=300)
+    @given(two_agent_profiles)
+    def test_greedy_phi(self, profile):
+        agrees(GreedyGoldenThreshold, columns(profile))
+
+    @settings(max_examples=300)
+    @given(two_agent_profiles, st.integers(1, 3))
+    def test_three_goods(self, profile, horizon):
+        agrees(partial(ThreeGoodsAllocator, horizon), columns(profile))
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.sampled_from(THRESHOLD_PREDICTIONS), mixed_vectors(max_goods=8)),
+           st.sampled_from([F(2, 3), F(7, 10), F(4, 5), F(19, 20), F(1)]),
+           mixed_vectors(max_goods=8), st.data())
+    def test_main(self, prediction, a, truths, data):
+        make = partial(FormThresholdAllocator, prediction, a)
+        try:
+            allocator = make()
+        except ValueError:  # a split no balanced input reaches
+            assume(False)
+        stream = []
+        for t, value in enumerate(truths.values):
+            if t in allocator.tag.large:  # sometimes on, just above or just below
+                shift = data.draw(st.sampled_from([None, 0, F(1, PRIMES[-1]), -F(1, PRIMES[-1])]))
+                if shift is not None and allocator.threshold + shift >= 0:
+                    value = allocator.threshold + shift
+            stream.append((value, value))
+        agrees(make, stream)
+
+    def test_zero_valued_goods(self):
+        zeros = [(F(0),) * 3, (F(1, 2),) * 3, (F(0),) * 3, (F(1, 4),) * 3, (F(1, 4),) * 3]
+        assert agrees(partial(LowestValueBundle, 3), zeros) == [0, 0, 1, 1, 2]
+        halves = [(F(v), F(v)) for v in (0, F(1, 2), 0, F(1, 2))]
+        assert agrees(GreedyGoldenThreshold, halves) == [0, 0, 0, 1]
+        # den is still 1 when three-goods weighs its first two goods
+        stream = [(F(v), F(v)) for v in (0, 0, 1)]
+        assert agrees(partial(ThreeGoodsAllocator, 3), stream) == [0, 0, 1]
+
+    def test_own_value_ties(self):
+        quarters = [(F(1, 4),) * 4] * 8
+        assert agrees(partial(LowestValueBundle, 4), quarters) == [0, 1, 2, 3] * 2
+        crossed = [(F(1, 3), F(1, 2)), (F(1, 2), F(1, 3)), (F(1, 6), F(1, 6))]
+        assert agrees(partial(LowestValueBundle, 2), crossed) == [0, 1, 0]
+        # max(v0, v1) equals the rest at t = 1, then equal bundles at t = 2 and 3
+        thirds = [(F(1, 3),) * 2] * 3 + [(F(0),) * 2]
+        assert agrees(partial(ThreeGoodsAllocator, 3), thirds) == [0, 1, 1, 0]
+        halves = [(F(1, 2),) * 2] * 2 + [(F(0),) * 2]
+        assert agrees(partial(ThreeGoodsAllocator, 2), halves) == [0, 1, 0]
+
+    def test_denominators_stop_dividing_mid_stream(self):
+        stream = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (F(1, 6), F(1, 3)),
+                  (F(1, PRIMES[6]), F(1, 5)), (F(1, 12), F(1, 10))]
+        for make in (GreedyGoldenThreshold, partial(LowestValueBundle, 2),
+                     partial(ThreeGoodsAllocator, 3)):
+            allocator, dens = make(), []
+            for t, values in enumerate(stream):
+                allocator.step(t, values)
+                dens.append(allocator.den)
+            assert dens == [2, 4, 12, 60 * PRIMES[6], 60 * PRIMES[6]]
+            agrees(make, stream)
+
+    def test_main_admits_a_good_at_threshold_equality(self):
+        make = partial(FormThresholdAllocator, THRESHOLD_PREDICTIONS[1], F(4, 5))
+        allocator = make()
+        assert allocator.tag.kind is FormKind.FORM1 and not allocator.fallback
+        th = allocator.threshold
+        stream = [(v, v) for v in (th, th + F(1, 10 ** 12), th, F(1, 40))]
+        high, low = allocator.high, allocator.low
+        assert agrees(make, stream) == [high, low, high, low]
 
 
 class TestRatFastPath:

@@ -46,17 +46,79 @@ def run_identical(allocator, values):
     return decisions
 
 
+def contract_allocators():
+    """One of each allocator, built fresh, all on two agents."""
+    p = vec("13/40", "13/40", "13/40", "1/40")
+    return (GreedyGoldenThreshold(), LowestValueBundle(2), ThreeGoodsAllocator(3),
+            PredictionFollower(ValuationProfile.identical_from(p, 2)),
+            FormThresholdAllocator(p, F(4, 5)))
+
+
+# a stream whose denominators stop dividing the running one, with zero-valued goods
+CONTRACT_STREAM = [F(0), F(1, 3), F(1, 4), F(0), F(1, 7), F(11, 84), F(1, 7)]
+
+
+def state(alloc):
+    return alloc.next_t, alloc.den, list(alloc.own), [set(b) for b in alloc.bundles]
+
+
 class TestStepContract:
+    @pytest.mark.parametrize("bad,error,message", [
+        ((F(1, 7), F(-1, 3)), ValueError, r"^revealed values must be nonnegative$"),
+        ((F(-1, 5), F(1, 5)), ValueError, r"^revealed values must be nonnegative$"),
+        ((F(1, 7), 0.5), TypeError, r"^expected an exact rational, got float$"),
+        ((F(1, 7),), ValueError, r"^need one revealed value per agent$"),
+        ((F(1, 7), F(1, 7), F(-1, 7)), ValueError, r"^need one revealed value per agent$"),
+    ])
+    def test_a_rejected_step_changes_nothing(self, bad, error, message):
+        # the first value of each bad step would rescale the running denominator
+        for alloc, twin in zip(contract_allocators(), contract_allocators()):
+            for t, v in enumerate(CONTRACT_STREAM[:3]):
+                assert alloc.step(t, (v, v)) == twin.step(t, (v, v))
+            before = state(alloc)
+            with pytest.raises(error, match=message):
+                alloc.step(3, bad)
+            assert state(alloc) == before
+            for t, v in enumerate(CONTRACT_STREAM[3:], start=3):
+                assert alloc.step(t, (v, v)) == twin.step(t, (v, v))
+            assert state(alloc) == state(twin)
+
     def test_out_of_order_rejected(self):
         alloc = LowestValueBundle(2)
         alloc.step(0, (F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^good 2 arrived out of order \(expected 1\)$"):
             alloc.step(2, (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="out of order"):
+            alloc.step(0, (F(1, 2), F(1, 2)))
+        assert alloc.step(1, (F(1, 3), F(1, 3))) == 1
+        assert alloc.allocation().as_lists() == [[0], [1]]
 
     def test_negative_value_rejected(self):
         alloc = LowestValueBundle(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^revealed values must be nonnegative$"):
             alloc.step(0, (F(1, 2), F(-1, 2)))
+        with pytest.raises(ValueError, match=r"^revealed values must be nonnegative$"):
+            alloc.step(0, ("-1/3", 1))
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
+            LowestValueBundle(2).step(0, (0.5, F(1, 2)))
+
+    def test_every_value_form_gives_the_same_decisions(self):
+        forms = {
+            "fractions": lambda v: (v, v),
+            "strings": lambda v: (f"{v.numerator}/{v.denominator}",) * 2,
+            "ints where integral": lambda v: (int(v) if v.denominator == 1 else v,) * 2,
+            "mixed": lambda v: (str(v), v),
+            "a generator": lambda v: (x for x in (v, v)),
+        }
+        runs = {}
+        for form, wrap in forms.items():
+            allocs = contract_allocators()
+            runs[form] = [[alloc.step(t, wrap(v)) for t, v in enumerate(CONTRACT_STREAM)]
+                          for alloc in allocs]
+            assert all(alloc.den == 84 for alloc in allocs)
+        assert all(run == runs["fractions"] for run in runs.values())
 
     def test_partition_maintained(self):
         alloc = LowestValueBundle(3)
