@@ -191,7 +191,8 @@ class GoldenStreamAdversary(Adversary):
 
     def __init__(self, spec: AdversarySpec):
         a = spec.a
-        _require(cmp_golden(a) > 0 and a <= 1, "need a in (phi-1, 1]: a^2+a-1 > 0")
+        # the golden tests need a positive argument: a^2+a-1 > 0 also holds below -phi
+        _require(0 < a <= 1 and cmp_golden(a) > 0, "need a in (phi-1, 1]: a^2+a-1 > 0")
         lam = spec.param("lam")
         if lam is None:
             width = Fraction(1, 2 ** 20)
@@ -203,7 +204,8 @@ class GoldenStreamAdversary(Adversary):
                 _, upper = bracket_threshold(cmp_golden, width=width)
             lam = (a - upper) / 2
         _require(lam > 0, "need lam > 0 (zero lam degenerates the stream)")
-        _require(cmp_golden(a - lam) > 0, "need lam < a - (phi-1): (a-lam)^2+(a-lam)-1 > 0")
+        _require(lam < a and cmp_golden(a - lam) > 0,
+                 "need lam < a - (phi-1): (a-lam)^2+(a-lam)-1 > 0")
         self.eps = eps = lam / 4
         # the stream's length: the smallest m with m*eps > 2*phi - 3 = sqrt(5) - 2;
         # for eps = p/q that is m*p + 2q > sqrt(5q^2), and as 5q^2 is no square,

@@ -92,8 +92,7 @@ def cmd_run(args) -> int:
 def cmd_duel(args) -> int:
     spec = _adversary_spec(args)
     transcript = run_duel(args.allocator, spec,
-                          a=rat(args.allocator_a) if args.allocator_a else None,
-                          coerce_identical=args.coerce_identical)
+                          a=rat(args.allocator_a) if args.allocator_a else None)
     _emit(transcript.to_json(), args.out)
     return 0
 
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="name=p/q")
     p.add_argument("--allocator", required=True, choices=ALLOCATOR_NAMES)
     p.add_argument("--allocator-a", dest="allocator_a")
-    p.add_argument("--coerce-identical", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_duel)
 

@@ -97,14 +97,22 @@ def _finish(source: str, allocator: OnlineAllocator,
                           realized_error=realized, seed=seed)
 
 
+def _allocator(name: str, n: int, identical: bool, prediction: Optional[ValuationProfile],
+               a: Optional[Fraction]) -> OnlineAllocator:
+    """``make_allocator``'s allocator, refused if it is identical-only and the
+    true valuations it will see are not ``identical``."""
+    allocator = make_allocator(name, n=n, prediction=prediction, a=a)
+    if allocator.identical_only and not identical:
+        raise ValueError(f"{name} needs identical true valuations")
+    return allocator
+
+
 def run_instance(allocator_name: str, instance: Instance, *,
                  a: Optional[Fraction] = None) -> GameTranscript:
     """Feed an instance's true values through an allocator, in arrival order."""
     truths = instance.truths
-    allocator = make_allocator(allocator_name, n=instance.agents,
-                               prediction=instance.predictions, a=a)
-    if allocator.identical_only and not truths.identical:
-        raise ValueError(f"{allocator_name} needs identical true valuations")
+    allocator = _allocator(allocator_name, instance.agents, truths.identical,
+                           instance.predictions, a)
     steps = []
     columns = zip(*(v.values for v in truths.vectors))  # per good, its value to each agent
     for t, values in enumerate(columns):
@@ -161,15 +169,10 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
 
 
 def run_duel(allocator_name: str, spec: AdversarySpec, *,
-             a: Optional[Fraction] = None,
-             coerce_identical: bool = False) -> GameTranscript:
-    """Pit an allocator against an adaptive construction."""
+             a: Optional[Fraction] = None) -> GameTranscript:
+    """Pit an allocator against an adaptive construction inside the allocator's scope."""
     adv = build_adversary(spec)
-    allocator = make_allocator(allocator_name, n=adv.n, prediction=adv.prediction,
-                               a=a, coerce_identical=coerce_identical)
-    if allocator.identical_only and not adv.identical and not coerce_identical:
-        raise ValueError(f"{allocator_name} expects identical valuations; "
-                         f"{spec.construction} is non-identical")
+    allocator = _allocator(allocator_name, adv.n, adv.identical, adv.prediction, a)
     return _duel(adv, allocator, None)
 
 

@@ -43,7 +43,8 @@ class OnlineAllocator:
     """
 
     name = "abstract"
-    identical_only = False
+    agents: Optional[int] = None  # the agent count, where the allocator fixes it
+    identical_only = False  # whether it needs every agent to share one valuation
 
     def __init__(self, n: int):
         if n < 2:
@@ -93,10 +94,11 @@ class GreedyGoldenThreshold(OnlineAllocator):
     """
 
     name = "greedy-phi"
+    agents = 2
     identical_only = True
 
     def __init__(self):
-        super().__init__(n=2)
+        super().__init__(n=self.agents)
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         self.last_step_ops = 1
@@ -163,10 +165,11 @@ class ThreeGoodsAllocator(OnlineAllocator):
     """
 
     name = "three-goods"
+    agents = 2
     identical_only = True
 
     def __init__(self, predicted_horizon: int):
-        super().__init__(n=2)
+        super().__init__(n=self.agents)
         if not 1 <= predicted_horizon <= 3:
             raise ValueError("promised horizon must be 1, 2, or 3")
         self.t_pred = predicted_horizon
@@ -307,7 +310,7 @@ class FormThresholdAllocator(ThreeGoodsAllocator):
         if tag.kind is FormKind.THREE_GOODS:
             super().__init__(prediction.horizon)
         else:
-            OnlineAllocator.__init__(self, n=2)
+            OnlineAllocator.__init__(self, n=self.agents)
         self.low, self.high = tag.low_agent, 1 - tag.low_agent
         self.large_in_high = self.large_in_low = 0
         self.threshold, self.fallback = None, False
@@ -336,51 +339,44 @@ class FormThresholdAllocator(ThreeGoodsAllocator):
 # Factory
 # ---------------------------------------------------------------------------
 
-ALLOCATOR_NAMES = (
-    "greedy-phi",
-    "ef1-lowest",
-    "follower:lpt",
-    "follower:cut-and-choose",
-    "three-goods",
-    "main",
-)
+_ALLOCATORS = {
+    "greedy-phi": GreedyGoldenThreshold,
+    "ef1-lowest": LowestValueBundle,
+    "follower:lpt": PredictionFollower,
+    "follower:cut-and-choose": PredictionFollower,
+    "three-goods": ThreeGoodsAllocator,
+    "main": FormThresholdAllocator,
+}
+ALLOCATOR_NAMES = tuple(_ALLOCATORS)
 
 
 def make_allocator(name: str, *, n: int,
                    prediction: Optional[ValuationProfile] = None,
-                   a: Optional[Fraction] = None,
-                   coerce_identical: bool = False) -> OnlineAllocator:
-    """Build an allocator by its command-line name.
+                   a: Optional[Fraction] = None) -> OnlineAllocator:
+    """Build an allocator by its command-line name, for ``n`` agents.
 
-    ``coerce_identical`` lets identical-only allocators run on non-identical
-    input by adopting agent 0's view; useful for scope-limit experiments, the
-    guarantees do not carry over.
+    An allocator whose class fixes ``agents`` is refused at any other n.  Its
+    ``identical_only`` is checked by the runners, which see the true values.
     """
+    cls = _ALLOCATORS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown allocator {name!r}; choose from {ALLOCATOR_NAMES}")
+    if cls.agents not in (None, n):
+        raise ValueError(f"{name} handles exactly {cls.agents} agents, not n={n}")
     if name == "greedy-phi":
-        if n != 2:
-            raise ValueError("greedy-phi handles exactly two agents")
         return GreedyGoldenThreshold()
     if name == "ef1-lowest":
         return LowestValueBundle(n)
-    if name in ("follower:lpt", "follower:cut-and-choose"):
+    if name.startswith("follower:"):
         if prediction is None:
             raise ValueError(f"{name} needs a prediction profile")
-        base = name.split(":", 1)[1]
-        if base == "lpt" and coerce_identical and not prediction.identical:
-            prediction = ValuationProfile.identical_from(prediction.vector(0), n)
-        return PredictionFollower(prediction, base=base)
+        return PredictionFollower(prediction, base=name.split(":", 1)[1])
     if name == "three-goods":
-        if n != 2:
-            raise ValueError("three-goods handles exactly two agents")
         if prediction is None:
             raise ValueError("three-goods needs the promised horizon from a prediction")
         return ThreeGoodsAllocator(prediction.horizon)
-    if name == "main":
-        if n != 2:
-            raise ValueError("the form-guided allocator handles exactly two agents")
-        if prediction is None or a is None:
-            raise ValueError("the form-guided allocator needs a prediction and --a")
-        if not prediction.identical and not coerce_identical:
-            raise ValueError("the form-guided allocator needs identical predictions")
-        return FormThresholdAllocator(prediction.vector(0), rat(a))
-    raise ValueError(f"unknown allocator {name!r}; choose from {ALLOCATOR_NAMES}")
+    if prediction is None or a is None:
+        raise ValueError("the form-guided allocator needs a prediction and --a")
+    if not prediction.identical:
+        raise ValueError("the form-guided allocator needs identical predictions")
+    return FormThresholdAllocator(prediction.vector(0), rat(a))

@@ -17,7 +17,7 @@ from onlinefair.bounds import BoundId, BoundParams, eval_bound, in_domain
 from onlinefair.core import ZERO, cmp_golden, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
 from onlinefair.offline import _compile_opponent, minimax_online_factor
-from onlinefair.verify import verify_claims
+from onlinefair.verify import DUEL_PLAN, verify_claims
 
 from conftest import ReferenceGoldenStream, reference_golden_length
 
@@ -59,14 +59,18 @@ def walk_every_path(adv):
 
 
 class TestParameterDomains:
-    def test_factor_below_golden_rejected(self):
-        with pytest.raises(ParameterError, match="phi-1"):
-            build_adversary(AdversarySpec("no-pred-2-identical", F(3, 5)))
+    # a^2+a-1 > 0 also holds below -phi, outside the golden test's domain
+    @pytest.mark.parametrize("a,params", [(F(3, 5), {}), (F(-3), {}),
+                                          (F(-3), {"lam": F(1, 10)})])
+    def test_factor_below_golden_rejected(self, a, params):
+        with pytest.raises(ParameterError, match=re.escape("need a in (phi-1, 1]")):
+            build_adversary(AdversarySpec("no-pred-2-identical", a, params=params))
 
-    def test_lam_too_large_rejected(self):
-        with pytest.raises(ParameterError, match="lam"):
+    @pytest.mark.parametrize("lam", [F(1, 10), F(5)])
+    def test_lam_too_large_rejected(self, lam):
+        with pytest.raises(ParameterError, match=re.escape("need lam < a - (phi-1)")):
             build_adversary(AdversarySpec("no-pred-2-identical", F(7, 10),
-                                          params={"lam": F(1, 10)}))
+                                          params={"lam": lam}))
 
     def test_zero_lam_rejected(self):
         with pytest.raises(ParameterError, match="lam > 0"):
@@ -329,35 +333,24 @@ class TestRealizedError:
         assert transcript.realized_error is None
 
 
+# the exact factor each allocator reaches in its DUEL_PLAN duel, in plan order
+DUEL_FACTORS = (F(12, 19), F(1, 5), F(1, 7), F(7, 27), F(11, 16), F(1925, 2801), F(0),
+                F(11, 32), F(39, 50), F(11, 32))
+
+
 class TestDefeats:
-    def test_every_construction_defeats_its_target(self):
-        plan = [
-            (BASE_SPECS["no-pred-2-identical"], "greedy-phi", None),
-            (BASE_SPECS["no-pred-3-identical"], "ef1-lowest", None),
-            (BASE_SPECS["no-pred-2-general"], "ef1-lowest", None),
-            (AdversarySpec("follower-tight", F(7, 10), params={"lo": 1, "hi": 0}),
-             "follower:lpt", None),
-            (BASE_SPECS["pred-2-general"], "follower:cut-and-choose", None),
-            (BASE_SPECS["pred-2-identical"], "main", F(7, 10)),
-            (BASE_SPECS["pred-n-identical"], "follower:lpt", None),
-            (BASE_SPECS["two-value-2"], "main", F(4, 5)),
-            (BASE_SPECS["two-value-n"], "follower:lpt", None),
-        ]
-        for spec, allocator, a in plan:
-            transcript = run_duel(allocator, spec, a=a)
-            assert transcript.report.efx_factor < spec.a, spec.construction
+    @pytest.mark.parametrize("spec,allocator,a,factor",
+                             [row + (f,) for row, f in zip(DUEL_PLAN, DUEL_FACTORS, strict=True)],
+                             ids=[f"{s.construction}-{al}-{s.a}" for s, al, _ in DUEL_PLAN])
+    def test_every_construction_defeats_its_target(self, spec, allocator, a, factor):
+        transcript = run_duel(allocator, spec, a=a)
+        assert transcript.report.efx_factor == factor < spec.a
 
     def test_follower_tight_targets_larger_group(self):
         spec = AdversarySpec("follower-tight", F(7, 10), n=3,
                              params={"lo": 2, "hi": 0})
         transcript = run_duel("follower:lpt", spec)
         assert transcript.report.efx_factor < F(7, 10)
-
-    def test_scope_misapplication_documented(self):
-        # the identical-only form allocator fed a non-identical construction
-        spec = AdversarySpec("pred-2-general", F(3, 4))
-        transcript = run_duel("main", spec, a=F(3, 4), coerce_identical=True)
-        assert transcript.report.efx_factor < F(3, 4)
 
     @pytest.mark.parametrize("a", [F(31, 50), F(63, 100)])
     def test_identical_pair_defeats_factors_just_above_the_golden_threshold(self, a):

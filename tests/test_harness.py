@@ -266,10 +266,7 @@ class TestCli:
         assert all(line.startswith("PASS") for line in lines)
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "onlinefair.cli", "bounds", "--eval",
-             "id-2-lb", "--a", "4/5"],
-            capture_output=True, text=True)
+        proc = _run_module("onlinefair.cli", "bounds", "--eval", "id-2-lb", "--a", "4/5")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1/20"
 
@@ -503,6 +500,26 @@ class TestCliErrors:
             "brute-force-instance", "minimax-adversary", "param-without-value"])
     def test_missing_argument(self, argv, message):
         self._fails(*argv, message=message)
+
+    def test_golden_stream_factor_below_minus_phi(self):
+        # a^2+a-1 > 0 at a = -3 too, so the quadratic test alone would accept it
+        self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "-3",
+                    "--param", "lam=1/10", message="need a in (phi-1, 1]")
+
+    @pytest.mark.parametrize("allocator,message", [
+        (("main", "--allocator-a", "3/4"), "the form-guided allocator needs identical predictions"),
+        (("greedy-phi",), "greedy-phi needs identical true valuations"),
+    ], ids=["main", "greedy-phi"])
+    def test_identical_only_allocator_on_a_non_identical_duel(self, allocator, message):
+        self._fails("duel", "--adversary", "pred-2-general", "--a", "3/4",
+                    "--allocator", *allocator, message=message)
+
+    @pytest.mark.parametrize("allocator", [("three-goods",), ("main", "--a", "4/5")])
+    def test_two_agent_allocator_on_three_agents(self, tmp_path, allocator):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--n", "3", "--T", "4", "--identical", "--out", str(inst)]) == 0
+        self._fails("run", "--instance", str(inst), "--allocator", *allocator,
+                    message=f"{allocator[0]} handles exactly 2 agents, not n=3")
 
     def test_minimax_horizon_deeper_than_the_recursion_limit(self):
         self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "7/10",

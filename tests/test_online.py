@@ -138,9 +138,9 @@ class TestStepContract:
 
     def test_identical_only_declared_by_restricted_allocators(self):
         restricted = (GreedyGoldenThreshold, ThreeGoodsAllocator, FormThresholdAllocator)
-        assert all(cls.identical_only for cls in restricted)
-        assert not LowestValueBundle.identical_only
-        assert not PredictionFollower.identical_only
+        assert all(cls.identical_only and cls.agents == 2 for cls in restricted)
+        for cls in (LowestValueBundle, PredictionFollower):
+            assert not cls.identical_only and cls.agents is None
 
 
 class TestGreedyGoldenThreshold:
