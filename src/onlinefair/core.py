@@ -152,12 +152,19 @@ class ValuationVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(rat(v) for v in self.values)
+        vals = tuple(map(rat, self.values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("a valuation vector needs at least one good")
-        den = lcm(*{v.denominator for v in vals})
-        weights = tuple(v.numerator * (den // v.denominator) for v in vals)
+        # one call per value; each pair is unpacked at once, so no tuple
+        # outlives its value and the pairs start no cyclic collection
+        nums, dens = [], []
+        for v in vals:
+            p, q = v.as_integer_ratio()
+            nums.append(p)
+            dens.append(q)
+        den = lcm(*set(dens))
+        weights = tuple([p * (den // q) for p, q in zip(nums, dens)])
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "weights", weights)
         if min(weights) < 0:
@@ -254,7 +261,9 @@ class Instance:
     """Predictions plus realized truths, with a declared per-agent accuracy.
 
     The declared accuracy must be a valid lower bound on the realized accuracy
-    1 - TV(p_i, v_i); this is validated post hoc on construction.
+    1 - TV(p_i, v_i); this is validated post hoc on construction.  The
+    distances it computes are kept as a plain attribute, outside the dataclass
+    fields: ``realized_error``, with ``realized_error[i] == TV(p_i, v_i)``.
     """
 
     predictions: ValuationProfile
@@ -269,13 +278,17 @@ class Instance:
             raise ValueError("predictions and truths disagree on the agent count")
         if len(self.declared_accuracy) != n:
             raise ValueError("need one declared accuracy per agent")
+        errors = []
         for i, acc in enumerate(self.declared_accuracy):
             if not (0 <= acc <= 1):
                 raise ValueError(f"accuracy of agent {i} outside [0, 1]")
-            realized = 1 - tv_distance(self.predictions.vector(i), self.truths.vector(i))
+            error = tv_distance(self.predictions.vector(i), self.truths.vector(i))
+            realized = 1 - error
             if realized < acc:
                 raise ValueError(
                     f"agent {i}: declared accuracy {acc} exceeds realized {realized}")
+            errors.append(error)
+        object.__setattr__(self, "realized_error", tuple(errors))
 
     @property
     def agents(self) -> int:

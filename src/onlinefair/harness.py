@@ -1,7 +1,9 @@
 """Game runner, instance generators, and exact perturbation machinery.
 
-Every run is seeded and sequential (the online model is inherently ordered);
-transcripts carry enough to replay a run bit-for-bit.
+Every run is seeded and sequential (the online model is inherently ordered).
+A transcript keeps the agent chosen for each good beside the true values,
+which are the values each step revealed; replaying the choices reproduces the
+allocation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ def _json_rationals(values: Iterable[Fraction], indent: str) -> str:
 class GameTranscript:
     """Ordered record of one online run.
 
-    ``steps`` holds (good id, per-agent revealed values, chosen agent);
-    replaying the steps reproduces ``allocation`` exactly.
+    ``choices[t]`` is the agent that got good t.  The values revealed at good t
+    are the truths' column t, so the transcript keeps them once, in ``truths``;
+    replaying the choices reproduces ``allocation`` exactly.
     """
 
     source: str
     allocator: str
-    steps: tuple[tuple[int, tuple[Fraction, ...], int], ...]
+    choices: tuple[int, ...]
     allocation: Allocation
     truths: ValuationProfile
     report: FairnessReport
@@ -62,11 +65,24 @@ class GameTranscript:
     def to_json(self) -> str:
         """The transcript as JSON, byte for byte as ``json.dumps(..., indent=2)``
         of the schema ``{source, allocator, seed, steps: [{t, values, agent}],
-        allocation, efx_factor, ef1_factor, realized_error}``."""
+        allocation, efx_factor, ef1_factor, realized_error}``.
+
+        A step's values are read from the truths' column; each truth vector's
+        distinct values are encoded once, from its int weights."""
+        # equal weights have one sum, which is their den, so agents with equal
+        # vectors share one encoded column
+        encoded: dict[tuple[int, ...], list[str]] = {}
+        for v in self.truths.vectors:
+            if v.weights not in encoded:
+                text = {w: f'"{rat_str(Fraction(w, v.den))}"' for w in set(v.weights)}
+                encoded[v.weights] = [text[w] for w in v.weights]
+        # a step's values, laid out as _json_list lays out a list that is never
+        # empty; zip stops at the last choice, so goods not yet placed are not written
+        rows = map(",\n        ".join, zip(*[encoded[v.weights] for v in self.truths.vectors]))
         steps = _json_list([
-            f'{{\n      "t": {t},\n      "values": {_json_rationals(vals, "      ")},'
+            f'{{\n      "t": {t},\n      "values": [\n        {row}\n      ],'
             f'\n      "agent": {agent}\n    }}'
-            for t, vals, agent in self.steps], "  ")
+            for t, (row, agent) in enumerate(zip(rows, self.choices))], "  ")
         allocation = _json_list([_json_list([str(g) for g in bundle], "    ")
                                 for bundle in self.allocation.as_lists()], "  ")
         realized = ("null" if self.realized_error is None
@@ -81,20 +97,14 @@ class GameTranscript:
                 f'  "realized_error": {realized}\n}}')
 
 
-def _finish(source: str, allocator: OnlineAllocator,
-            steps: list[tuple[int, tuple[Fraction, ...], int]],
-            truths: ValuationProfile,
-            predictions: Optional[ValuationProfile],
+def _finish(source: str, allocator: OnlineAllocator, choices: tuple[int, ...],
+            truths: ValuationProfile, realized_error: Optional[tuple[Fraction, ...]],
             seed: Optional[int]) -> GameTranscript:
     alloc = allocator.allocation()
-    report = fairness_report(alloc, truths)
-    realized = None
-    if predictions is not None:
-        realized = tuple(tv_distance(predictions.vector(i), truths.vector(i))
-                         for i in range(truths.agents))
-    return GameTranscript(source=source, allocator=allocator.name, steps=tuple(steps),
-                          allocation=alloc, truths=truths, report=report,
-                          realized_error=realized, seed=seed)
+    return GameTranscript(source=source, allocator=allocator.name, choices=choices,
+                          allocation=alloc, truths=truths,
+                          report=fairness_report(alloc, truths),
+                          realized_error=realized_error, seed=seed)
 
 
 def _allocator(name: str, n: int, identical: bool, prediction: Optional[ValuationProfile],
@@ -113,13 +123,11 @@ def run_instance(allocator_name: str, instance: Instance, *,
     truths = instance.truths
     allocator = _allocator(allocator_name, instance.agents, truths.identical,
                            instance.predictions, a)
-    steps = []
     columns = zip(*(v.values for v in truths.vectors))  # per good, its value to each agent
-    for t, values in enumerate(columns):
-        agent = allocator.step(t, values)
-        steps.append((t, values, agent))
-    return _finish(f"instance:n={instance.agents}", allocator, steps,
-                   truths, instance.predictions, None)
+    step = allocator.step
+    choices = tuple([step(t, values) for t, values in enumerate(columns)])
+    return _finish(f"instance:n={instance.agents}", allocator, choices,
+                   truths, instance.realized_error, None)
 
 
 class _RandomWalker(OnlineAllocator):
@@ -142,30 +150,34 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
     values sum to one, and each agent's realized error lies in the claimed
     interval."""
     state = adv.start()
-    steps = []
+    revealed = []
+    choices = []
     for t in range(adv.horizon):
         values = adv.reveal(state)
         agent = allocator.step(t, values)
-        steps.append((t, values, agent))
+        revealed.append(values)
+        choices.append(agent)
         state = adv.advance(state, agent)
     vectors = []
     for i in range(adv.n):
-        vec = tuple(values[i] for _, values, _ in steps)
+        vec = tuple(values[i] for values in revealed)
         total = sum(vec, start=ZERO)
         if total != 1:
             raise AssertionError(
                 f"adversary broke its normalization promise for agent {i}: {total}")
         vectors.append(ValuationVector(vec))
     truths = ValuationProfile(tuple(vectors), identical=adv.identical)
-    transcript = _finish(f"duel:{adv.construction}", allocator, steps, truths,
-                         adv.prediction, seed)
-    if transcript.realized_error is not None:
+    realized = None
+    if adv.prediction is not None:
+        realized = tuple(tv_distance(adv.prediction.vector(i), truths.vector(i))
+                         for i in range(adv.n))
         lo, hi = adv.claimed_error
-        for i, e in enumerate(transcript.realized_error):
+        for i, e in enumerate(realized):
             if not lo <= e <= hi:
                 raise AssertionError(
                     f"agent {i} realized error {e} outside claimed [{lo}, {hi}]")
-    return transcript
+    return _finish(f"duel:{adv.construction}", allocator, tuple(choices), truths,
+                   realized, seed)
 
 
 def run_duel(allocator_name: str, spec: AdversarySpec, *,
@@ -183,12 +195,12 @@ def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
 
 
 def replay(transcript: GameTranscript) -> Allocation:
-    """Rebuild the final allocation from recorded steps (determinism check)."""
+    """Rebuild the final allocation from recorded choices (determinism check)."""
     n = transcript.truths.agents
     bundles: list[set[int]] = [set() for _ in range(n)]
-    for t, _, agent in transcript.steps:
+    for t, agent in enumerate(transcript.choices):
         bundles[agent].add(t)
-    return Allocation.of(bundles, num_goods=len(transcript.steps))
+    return Allocation.of(bundles, num_goods=len(transcript.choices))
 
 
 # ---------------------------------------------------------------------------

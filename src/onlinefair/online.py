@@ -355,14 +355,18 @@ def make_allocator(name: str, *, n: int,
                    a: Optional[Fraction] = None) -> OnlineAllocator:
     """Build an allocator by its command-line name, for ``n`` agents.
 
-    An allocator whose class fixes ``agents`` is refused at any other n.  Its
-    ``identical_only`` is checked by the runners, which see the true values.
+    An allocator whose class fixes ``agents`` is refused at any other n, and
+    a target factor ``a`` is refused by every allocator but ``main``, the one
+    that reads it.  Its ``identical_only`` is checked by the runners, which see
+    the true values.
     """
     cls = _ALLOCATORS.get(name)
     if cls is None:
         raise ValueError(f"unknown allocator {name!r}; choose from {ALLOCATOR_NAMES}")
     if cls.agents not in (None, n):
         raise ValueError(f"{name} handles exactly {cls.agents} agents, not n={n}")
+    if a is not None and name != "main":
+        raise ValueError(f"{name} reads no target factor a; only main does")
     if name == "greedy-phi":
         return GreedyGoldenThreshold()
     if name == "ef1-lowest":

@@ -122,14 +122,16 @@ def reference_tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
 
 
 def reference_transcript_dict(transcript) -> dict:
-    """The transcript's JSON schema as a dict, built straight from its fields."""
+    """The transcript's JSON schema as a dict, built straight from its fields;
+    step t's values are the truths' column t."""
+    vectors = transcript.truths.vectors
     return {
         "source": transcript.source,
         "allocator": transcript.allocator,
         "seed": transcript.seed,
         "steps": [
-            {"t": t, "values": [rat_str(v) for v in vals], "agent": agent}
-            for t, vals, agent in transcript.steps
+            {"t": t, "values": [rat_str(v.values[t]) for v in vectors], "agent": agent}
+            for t, agent in enumerate(transcript.choices)
         ],
         "allocation": transcript.allocation.as_lists(),
         "efx_factor": rat_str(transcript.report.efx_factor),

@@ -221,7 +221,7 @@ class TestPathPromises:
         spec = AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 50)})
         for _ in range(25):
             transcript = random_walk_duel(spec, seed=rng.randrange(2 ** 30))
-            assert len(transcript.steps) == 51
+            assert len(transcript.choices) == 51
 
 
 class _LeakyPair(IdenticalPredictedAdversary):

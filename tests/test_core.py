@@ -164,8 +164,9 @@ class TestTypes:
     def test_instance_declared_accuracy_validated(self):
         p = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
         v = ValuationProfile.identical_from(vec("1/4", "3/4"), 2)
-        Instance(p, v, (F(3, 4), F(3, 4)))  # realized accuracy is exactly 3/4
-        with pytest.raises(ValueError):
+        inst = Instance(p, v, (F(3, 4), F(3, 4)))  # realized accuracy is exactly 3/4
+        assert inst.realized_error == (F(1, 4), F(1, 4))
+        with pytest.raises(ValueError, match="declared accuracy 4/5 exceeds realized 3/4"):
             Instance(p, v, (F(4, 5), F(4, 5)))
 
     def test_instance_json_round_trip(self):

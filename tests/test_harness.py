@@ -26,7 +26,7 @@ from onlinefair.harness import (
     run_instance,
 )
 from onlinefair.cli import main as cli_main
-from onlinefair.online import ALLOCATOR_NAMES
+from onlinefair.online import ALLOCATOR_NAMES, OnlineAllocator
 from onlinefair.verify import suite_names
 
 from conftest import reference_transcript_dict
@@ -155,6 +155,24 @@ def _instance_runs(horizon: int):
             for name in ALLOCATOR_NAMES if name != "three-goods" or horizon <= 3]
 
 
+def _general_two_denominators() -> list[GameTranscript]:
+    """Two general truth rows over denominators 4 and 6, each with a zero-valued good."""
+    truths = ValuationProfile((ValuationVector((F(1, 2), F(0), F(1, 4), F(1, 4))),
+                               ValuationVector((F(1, 3), F(1, 6), F(1, 2), F(0)))))
+    predictions = ValuationProfile((ValuationVector((F(1, 4),) * 4),) * 2)
+    inst = make_instance(predictions, truths)
+    return [run_instance(name, inst) for name in ("ef1-lowest", "follower:cut-and-choose")]
+
+
+def _identical_shared_vector() -> list[GameTranscript]:
+    """Three identical agents whose truths are one shared vector object."""
+    truths = ValuationProfile.identical_from(
+        ValuationVector((F(1, 5), F(0), F(3, 10), F(1, 2), F(0))), 3)
+    predictions = ValuationProfile.identical_from(ValuationVector((F(1, 5),) * 5), 3)
+    inst = make_instance(predictions, truths)
+    return [run_instance(name, inst) for name in ("ef1-lowest", "follower:lpt")]
+
+
 WRITER_CASES = {
     "every-allocator-T1": lambda: _instance_runs(1),
     "every-allocator-T3": lambda: _instance_runs(3),
@@ -167,6 +185,8 @@ WRITER_CASES = {
         "greedy-phi", AdversarySpec("no-pred-2-identical", F(7, 10)))],
     "random-walk": lambda: [random_walk_duel(AdversarySpec("two-value-2", F(4, 5)), seed=5)],
     "no-steps": lambda: [_no_steps()],
+    "general-n2-two-denominators": _general_two_denominators,
+    "identical-n3-shared-vector": _identical_shared_vector,
 }
 
 
@@ -174,7 +194,7 @@ def _no_steps() -> GameTranscript:
     """A transcript before any good arrives; no runner returns one."""
     truths = ValuationProfile.identical_from(ValuationVector((F(1),)), 2)
     alloc = Allocation.of([set(), set()], num_goods=0)
-    return GameTranscript(source="empty", allocator="none", steps=(), allocation=alloc,
+    return GameTranscript(source="empty", allocator="none", choices=(), allocation=alloc,
                           truths=truths, report=fairness_report(alloc, truths),
                           realized_error=None)
 
@@ -194,7 +214,33 @@ def test_writer_cases_cover_empty_bundles_and_null_fields():
     assert any(not b for t in transcripts for b in t.allocation.bundles)
     assert any(t.realized_error is None for t in transcripts)
     assert any(t.seed is not None for t in transcripts)
-    assert {len(t.steps) for t in transcripts} >= {0, 1}
+    assert {len(t.choices) for t in transcripts} >= {0, 1}
+    assert any(len({v.den for v in t.truths.vectors}) > 1 for t in transcripts)
+    assert any(0 in v.weights for t in transcripts for v in t.truths.vectors)
+    assert any(t.truths.agents == 3 and len(set(map(id, t.truths.vectors))) == 1
+               for t in transcripts)
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_step_values_are_the_truths_columns(case, monkeypatch):
+    # the writer reads step t's values from the truths' column t
+    calls = []
+    step = OnlineAllocator.step
+
+    def recording(self, t, values):
+        agent = step(self, t, values)
+        calls.append((t, tuple(values), agent))
+        return agent
+
+    monkeypatch.setattr(OnlineAllocator, "step", recording)
+    transcripts = WRITER_CASES[case]()
+    for transcript in transcripts:
+        mine, calls[:len(transcript.choices)] = calls[:len(transcript.choices)], []
+        vectors = transcript.truths.vectors
+        assert mine == [(t, tuple(v[t] for v in vectors), agent)
+                        for t, agent in enumerate(transcript.choices)]
+        assert replay(transcript) == transcript.allocation
+    assert not calls
 
 
 class TestCli:
@@ -520,6 +566,17 @@ class TestCliErrors:
         assert cli_main(["gen", "--n", "3", "--T", "4", "--identical", "--out", str(inst)]) == 0
         self._fails("run", "--instance", str(inst), "--allocator", *allocator,
                     message=f"{allocator[0]} handles exactly 2 agents, not n=3")
+
+    def test_target_factor_the_allocator_does_not_read_on_run(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--n", "2", "--T", "4", "--identical", "--out", str(inst)]) == 0
+        self._fails("run", "--instance", str(inst), "--allocator", "ef1-lowest", "--a", "4/5",
+                    message="ef1-lowest reads no target factor a; only main does")
+
+    def test_target_factor_the_allocator_does_not_read_on_duel(self):
+        self._fails("duel", "--adversary", "two-value-2", "--a", "4/5",
+                    "--allocator", "ef1-lowest", "--allocator-a", "7/10",
+                    message="ef1-lowest reads no target factor a; only main does")
 
     def test_minimax_horizon_deeper_than_the_recursion_limit(self):
         self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "7/10",
