@@ -6,7 +6,9 @@ Each value vector also carries its values as integer weights over one common
 denominator (the lcm of the value denominators), and the metrics here, the
 offline paths and the online allocators' setup compute on those Python ints,
 building a ``Fraction`` only for a result.  The online allocators step on ints
-too, over a running denominator of their own (see ``online``).  Irrational
+too, over a denominator of their own: a run fixes it before the first good
+at the lcm of the true vectors' denominators, and a duel grows it as values
+are revealed (see ``online``).  Irrational
 thresholds (the golden-ratio and sqrt(3) cut-offs) are decided through squared
 integer comparisons, after exact linear tests against an integer bracket for
 the golden ratio, never approximated.
@@ -89,7 +91,7 @@ def cmp_golden_int(num: int, den: int) -> int:
     The sign of (2 num + den)^2 - 5 den^2, valid for den > 0 and
     num/den > -1/2; equality never occurs for ints.  A value outside the
     bracket (_GOLDEN_LO, _GOLDEN_HI) / 2^65 is decided by one linear test, so
-    a running denominator of thousands of bits is squared only inside it.
+    a denominator of thousands of bits is squared only inside it.
     """
     x = num << 65
     if x >= _GOLDEN_HI * den:
@@ -355,6 +357,19 @@ class Instance:
             truths=profile("truths"),
             declared_accuracy=values(field("accuracy", list, "a list")),
         )
+
+
+def make_instance(predictions: ValuationProfile, truths: ValuationProfile) -> Instance:
+    """An instance declaring each agent's realized accuracy 1 - TV(p_i, v_i).
+
+    It is checked at accuracy zero, which every instance meets, and then
+    declares the accuracies that check computed, so each distance is computed
+    once.
+    """
+    instance = Instance(predictions, truths, (ZERO,) * predictions.agents)
+    object.__setattr__(instance, "declared_accuracy",
+                       tuple([1 - e for e in instance.realized_error]))
+    return instance
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .adversaries import Adversary, AdversarySpec, build_adversary
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     ValuationVector,
     ZERO,
     fairness_report,
+    make_instance,  # re-exported beside the runners that take its instances
     rat,
     rat_str,
     tv_distance,
@@ -117,15 +119,29 @@ def _allocator(name: str, n: int, identical: bool, prediction: Optional[Valuatio
     return allocator
 
 
+def truth_columns(allocator: OnlineAllocator,
+                  truths: ValuationProfile) -> Iterator[tuple[int, ...]]:
+    """Per good, its value to each agent as ints over the allocator's ``den``.
+
+    Fixes ``den`` once, before the first good, at the lcm L of the truths'
+    denominators.  A vector whose ``den`` is L is read as it is; any other is
+    scaled to L once.
+    """
+    den = lcm(*{v.den for v in truths.vectors})
+    allocator.rescale(den)
+    return zip(*[v.weights if v.den == den else tuple([w * (den // v.den) for w in v.weights])
+                 for v in truths.vectors])
+
+
 def run_instance(allocator_name: str, instance: Instance, *,
                  a: Optional[Fraction] = None) -> GameTranscript:
     """Feed an instance's true values through an allocator, in arrival order."""
     truths = instance.truths
     allocator = _allocator(allocator_name, instance.agents, truths.identical,
                            instance.predictions, a)
-    columns = zip(*(v.values for v in truths.vectors))  # per good, its value to each agent
     step = allocator.step
-    choices = tuple([step(t, values) for t, values in enumerate(columns)])
+    choices = tuple([step(t, weights)
+                     for t, weights in enumerate(truth_columns(allocator, truths))])
     return _finish(f"instance:n={instance.agents}", allocator, choices,
                    truths, instance.realized_error, None)
 
@@ -154,7 +170,7 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
     choices = []
     for t in range(adv.horizon):
         values = adv.reveal(state)
-        agent = allocator.step(t, values)
+        agent = allocator.step(t, allocator.weigh(values))
         revealed.append(values)
         choices.append(agent)
         state = adv.advance(state, agent)
@@ -300,10 +316,3 @@ def perturb(profile: ValuationProfile, d: Sequence[Fraction], seed: int,
         ValuationVector(v.values + (ZERO,) * (width - v.horizon))
         for v in vecs)
     return ValuationProfile(padded)
-
-
-def make_instance(predictions: ValuationProfile, truths: ValuationProfile) -> Instance:
-    """An instance declaring each agent's realized accuracy 1 - TV(p_i, v_i)."""
-    accuracy = tuple(1 - tv_distance(predictions.vector(i), truths.vector(i))
-                     for i in range(predictions.agents))
-    return Instance(predictions=predictions, truths=truths, declared_accuracy=accuracy)

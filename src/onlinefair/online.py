@@ -12,9 +12,14 @@ Five allocators share one stepping contract:
   goods to the heavier side only while their observed values stay inside
   exact error margins.
 
-Values arrive as exact rationals, but every allocator steps on Python ints:
-``OnlineAllocator.step`` keeps each agent's bundle value as an int over one
-running denominator, so no decision builds a ``Fraction``.
+Every allocator steps on Python ints: ``OnlineAllocator.step`` takes each
+good's values as ints over the allocator's denominator ``den`` and keeps each
+agent's bundle value as an int over it, so no decision builds a ``Fraction``.
+A run that knows its true values up front (``run_instance``) fixes ``den``
+once, with ``rescale``, before the first good; a duel, whose values are
+revealed adaptively, turns each good's exact rationals into ints with
+``weigh``, which rescales ``den`` when a value's denominator does not divide
+it.  The decisions are invariant under rescaling.
 """
 
 from __future__ import annotations
@@ -23,23 +28,26 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bounds import BoundId, check_domain, eval_bound, late_y_margin, passthrough_cutoff
-from .core import Allocation, ValuationProfile, ValuationVector, cmp_golden_int, rat
+from .core import (Allocation, RationalLike, ValuationProfile, ValuationVector,
+                   cmp_golden_int, rat)
 from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 
 
 class OnlineAllocator:
     """Single-run stateful allocator; goods must arrive in index order.
 
-    ``step`` accepts each good's values as Fractions, ints or ``"p/q"``
-    strings.  It keeps ``den``, the lcm of every value denominator revealed so
-    far, and ``own[i]``, agent i's value of its own bundle times ``den``, an
-    int.  A value whose denominator does not divide ``den`` first rescales
-    ``den`` and every ``own`` entry.  ``_decide(t, weights)`` then gets the
-    good's values times ``den``, one int per agent, so a decision compares
-    ints over one denominator.  A rejected step changes nothing.
+    It keeps ``den``, a positive int, and ``own[i]``, agent i's value of its
+    own bundle times ``den``, an int.  ``step(t, weights)`` takes good t's
+    values times ``den``, one int per agent, and hands them to
+    ``_decide(t, weights)``, so a decision compares ints over one
+    denominator.  ``rescale(den)`` re-expresses ``own`` over a multiple of
+    ``den``; ``weigh(values)`` turns one good's values, given as Fractions,
+    ints or ``"p/q"`` strings, into the ints ``step`` takes, rescaling first
+    if a value's denominator does not divide ``den``.  A rejected step or
+    ``weigh`` changes nothing.
     """
 
     name = "abstract"
@@ -56,9 +64,17 @@ class OnlineAllocator:
         self.own = [0] * n
         self.last_step_ops = 0
 
-    def step(self, t: int, values: tuple[Fraction, ...]) -> int:
-        if t != self.next_t:
-            raise ValueError(f"good {t} arrived out of order (expected {self.next_t})")
+    def rescale(self, den: int) -> None:
+        """Express every bundle value over ``den``, a multiple of ``self.den``."""
+        scale, rest = divmod(den, self.den)
+        if rest or scale < 1:
+            raise ValueError(f"cannot rescale denominator {self.den} to {den}")
+        if scale != 1:
+            self.own = [w * scale for w in self.own]
+            self.den = den
+
+    def weigh(self, values: Iterable[RationalLike]) -> tuple[int, ...]:
+        """One good's exact values, one per agent, as ints over ``den``."""
         ratios = [rat(v).as_integer_ratio() for v in values]
         if len(ratios) != self.n:
             raise ValueError("need one revealed value per agent")
@@ -68,11 +84,14 @@ class OnlineAllocator:
                 raise ValueError("revealed values must be nonnegative")
             if den % d:
                 den = lcm(den, d)
-        if den != self.den:
-            scale = den // self.den
-            self.own = [w * scale for w in self.own]
-            self.den = den
-        weights = tuple([num * (den // d) for num, d in ratios])
+        self.rescale(den)
+        return tuple([num * (den // d) for num, d in ratios])
+
+    def step(self, t: int, weights: tuple[int, ...]) -> int:
+        if t != self.next_t:
+            raise ValueError(f"good {t} arrived out of order (expected {self.next_t})")
+        if len(weights) != self.n:
+            raise ValueError("need one revealed value per agent")
         agent = self._decide(t, weights)
         self.bundles[agent].add(t)
         self.own[agent] += weights[agent]

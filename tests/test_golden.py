@@ -30,6 +30,7 @@ from onlinefair.harness import (
     perturb,
     random_walk_duel,
     run_instance,
+    truth_columns,
 )
 from onlinefair.offline import BudgetExceededError, minimax_online_factor
 from onlinefair.online import (
@@ -448,8 +449,8 @@ def _main_runs(kind, a, values, tracked) -> str:
         out.append(run_instance("main", make_instance(p, truths), a=a).to_json())
         allocator = make_allocator("main", n=2, prediction=p, a=a)
         ops = []
-        for t, v in enumerate(truth.values):
-            allocator.step(t, (v, v))
+        for t, weights in enumerate(truth_columns(allocator, truths)):
+            allocator.step(t, weights)
             ops.append(allocator.last_step_ops)
         out.append(json.dumps(ops))
     return "\n".join(out)

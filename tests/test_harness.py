@@ -1,6 +1,8 @@
 """Runner, generators, exact perturbation, transcripts, and the CLI surface."""
 
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from onlinefair import core, harness
 from onlinefair.adversaries import AdversarySpec
 from onlinefair.core import (Allocation, Instance, ValuationProfile, ValuationVector,
                              fairness_report, rat, tv_distance)
@@ -26,7 +29,7 @@ from onlinefair.harness import (
     run_instance,
 )
 from onlinefair.cli import main as cli_main
-from onlinefair.online import ALLOCATOR_NAMES, OnlineAllocator
+from onlinefair.online import ALLOCATOR_NAMES, OnlineAllocator, make_allocator
 from onlinefair.verify import suite_names
 
 from conftest import reference_transcript_dict
@@ -48,6 +51,30 @@ class TestGenerators:
     def test_single_good_gets_everything(self):
         profile = gen_random_instance(2, 1, identical=True, seed=0)
         assert profile.vector(0).values == (F(1),)
+
+    def test_make_instance_declares_realized_accuracy_once(self, monkeypatch):
+        p = gen_random_instance(3, 6, identical=False, seed=21)
+        truths = perturb(p, [F(1, 10), F(1, 20), F(0)], seed=22, mode="mixed")
+        distances = []
+        tv = core.tv_distance
+
+        def counted(a, b):
+            distances.append(tv(a, b))
+            return distances[-1]
+
+        monkeypatch.setattr(core, "tv_distance", counted)
+        inst = make_instance(p, truths)
+        assert distances == [F(1, 10), F(1, 20), F(0)] == list(inst.realized_error)
+        assert inst.declared_accuracy == (F(9, 10), F(19, 20), F(1))
+        assert inst == Instance(p, truths, inst.declared_accuracy)
+        assert Instance.from_json_dict(inst.to_json_dict()) == inst
+
+    def test_make_instance_checks_the_agent_count(self):
+        p = gen_random_instance(2, 4, identical=True, seed=1)
+        truths = gen_random_instance(3, 4, identical=True, seed=2)
+        for pair in ((p, truths), (truths, p)):
+            with pytest.raises(ValueError, match="^predictions and truths disagree"):
+                make_instance(*pair)
 
 
 class TestPerturb:
@@ -227,9 +254,9 @@ def test_step_values_are_the_truths_columns(case, monkeypatch):
     calls = []
     step = OnlineAllocator.step
 
-    def recording(self, t, values):
-        agent = step(self, t, values)
-        calls.append((t, tuple(values), agent))
+    def recording(self, t, weights):
+        agent = step(self, t, weights)
+        calls.append((t, tuple(F(w, self.den) for w in weights), agent))
         return agent
 
     monkeypatch.setattr(OnlineAllocator, "step", recording)
@@ -241,6 +268,115 @@ def test_step_values_are_the_truths_columns(case, monkeypatch):
                         for t, agent in enumerate(transcript.choices)]
         assert replay(transcript) == transcript.allocation
     assert not calls
+
+
+def stepped_on_values(allocator: OnlineAllocator, truths: ValuationProfile) -> tuple[int, ...]:
+    """The choices from stepping on the truths' Fraction columns through ``weigh``,
+    so the allocator's ``den`` runs up with the denominators revealed so far."""
+    columns = zip(*(v.values for v in truths.vectors))
+    return tuple([allocator.step(t, allocator.weigh(values)) for t, values in enumerate(columns)])
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_writer_case_choices_match_stepping_on_values(case, monkeypatch):
+    # a twin of each allocator a case builds, stepped on a running denominator
+    built = []
+    make = harness.make_allocator
+
+    def recording(name, **kwargs):
+        built.append((name, kwargs))
+        return make(name, **kwargs)
+
+    monkeypatch.setattr(harness, "make_allocator", recording)
+    for transcript in WRITER_CASES[case]():
+        if transcript.allocator == "random-walk":
+            twin = harness._RandomWalker(transcript.truths.agents, transcript.seed)
+        elif not transcript.choices:  # the transcript no runner returns
+            continue
+        else:
+            name, kwargs = built.pop(0)
+            twin = make(name, **kwargs)
+        assert stepped_on_values(twin, transcript.truths) == transcript.choices
+    assert not built
+
+
+def _prime_vector(rng: random.Random, horizon: int, prime: int) -> ValuationVector:
+    """Values k/prime, about a third of them zero; the last good takes the rest."""
+    head = [0 if rng.random() < 1 / 3 else rng.randint(1, prime // horizon)
+            for _ in range(horizon - 1)]
+    return ValuationVector(tuple(F(w, prime) for w in head) + (F(prime - sum(head), prime),))
+
+
+def _small_vector(rng: random.Random, horizon: int) -> ValuationVector:
+    """Small integer weights with zeros and ties, normalized by their sum."""
+    weights = [rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in range(horizon)]
+    weights[rng.randrange(horizon)] += 1
+    return ValuationVector(tuple(F(w, sum(weights)) for w in weights))
+
+
+# primes near 10^6 and 10^9, so the rows' denominators are pairwise coprime
+DIFFERENTIAL_PRIMES = (1000003, 1000033, 1000037, 999999937, 1000000007, 1000000009)
+# main splits these predictions as form 1 at a = 4/5: its three top goods are tracked
+TRACKING_PREDICTIONS = ValuationProfile.identical_from(
+    ValuationVector((F(13, 40),) * 3 + (F(1, 40),)), 2)
+
+
+def differential_instances():
+    """Seeded (allocator, instance, a) triples for every allocator: general truths
+    over two or more denominators (pairwise-coprime primes, or small weights),
+    identical truths for the allocators that need them, zero-valued goods, n = 3."""
+    rng = random.Random(1919)
+    for name in ALLOCATOR_NAMES:
+        general = name in ("ef1-lowest", "follower:lpt", "follower:cut-and-choose")
+        for trial in range(24):
+            n = 3 if general and name != "follower:cut-and-choose" and trial % 2 else 2
+            horizon = rng.randint(1, 12)
+            primes = rng.sample(DIFFERENTIAL_PRIMES, n)
+
+            def row(i):
+                if trial % 3:
+                    return _prime_vector(rng, horizon, primes[i])
+                return _small_vector(rng, horizon)
+
+            if general:
+                truths = ValuationProfile(tuple(row(i) for i in range(n)))
+            else:
+                truths = ValuationProfile.identical_from(row(0), n)
+            t_pred = rng.randint(1, 3) if name == "three-goods" else rng.randint(1, 12)
+            predictions = gen_random_instance(n, t_pred, name != "follower:cut-and-choose",
+                                              seed=rng.randrange(2 ** 30))
+            a = rng.choice([F(2, 3), F(4, 5), F(1)]) if name == "main" else None
+            if name == "main" and trial % 2:  # the first good on, above or below the threshold
+                predictions, a = TRACKING_PREDICTIONS, F(4, 5)
+                th = make_allocator(name, n=2, prediction=predictions, a=a).threshold
+                first = th + F(rng.choice([-1, 0, 1]), primes[0])
+                rest = _prime_vector(rng, 3, primes[1]).values
+                truths = ValuationProfile.identical_from(
+                    ValuationVector((first,) + tuple((1 - first) * v for v in rest)), 2)
+            yield name, make_instance(predictions, truths), a
+
+
+def test_differential_instances_cover_the_hard_cases():
+    cases = list(differential_instances())
+    assert {name for name, _, _ in cases} == set(ALLOCATOR_NAMES)
+    dens = [[v.den for v in inst.truths.vectors] for _, inst, _ in cases]
+    assert any(len(set(d)) >= 2 and all(math.gcd(x, y) == 1 for x, y in
+                                        itertools.combinations(d, 2)) for d in dens)
+    assert any(len(set(d)) >= 2 and any(math.gcd(x, y) > 1 for x, y in
+                                        itertools.combinations(d, 2)) for d in dens)
+    assert any(0 in v.weights for _, inst, _ in cases for v in inst.truths.vectors)
+    assert {inst.agents for name, inst, _ in cases if name == "ef1-lowest"} == {2, 3}
+    assert {inst.agents for name, inst, _ in cases if name == "follower:lpt"} == {2, 3}
+    # main admits the first tracked good in some runs and turns it away in others
+    assert {run_instance(name, inst, a=a).choices[0] for name, inst, a in cases
+            if inst.predictions is TRACKING_PREDICTIONS} == {0, 1}
+
+
+def test_run_choices_match_stepping_on_values():
+    for name, instance, a in differential_instances():
+        transcript = run_instance(name, instance, a=a)
+        twin = make_allocator(name, n=instance.agents, prediction=instance.predictions, a=a)
+        assert stepped_on_values(twin, instance.truths) == transcript.choices, name
 
 
 class TestCli:

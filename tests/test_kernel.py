@@ -117,7 +117,8 @@ def columns(profile: ValuationProfile) -> list[tuple[F, ...]]:
 
 
 def stepped(allocator, stream) -> list[int]:
-    return [allocator.step(t, values) for t, values in enumerate(stream)]
+    """Step through ``stream``, turning each good's values into ints with ``weigh``."""
+    return [allocator.step(t, allocator.weigh(values)) for t, values in enumerate(stream)]
 
 
 def agrees(make, stream) -> list[int]:
@@ -205,7 +206,7 @@ class TestSteppingAgainstFractionRules:
                      partial(ThreeGoodsAllocator, 3)):
             allocator, dens = make(), []
             for t, values in enumerate(stream):
-                allocator.step(t, values)
+                allocator.step(t, allocator.weigh(values))
                 dens.append(allocator.den)
             assert dens == [2, 4, 12, 60 * PRIMES[6], 60 * PRIMES[6]]
             agrees(make, stream)

@@ -17,7 +17,8 @@ from onlinefair.core import (
     efx_factor,
     rat,
 )
-from onlinefair.harness import gen_random_instance, make_instance, perturb, run_instance
+from onlinefair.harness import (gen_random_instance, make_instance, perturb, run_instance,
+                                truth_columns)
 from onlinefair.offline import cut_and_choose, eliminate_envy_cycles, lpt
 from onlinefair.online import (
     FormKind,
@@ -39,10 +40,15 @@ def vec(*values):
     return ValuationVector(tuple(rat(v) for v in values))
 
 
+def feed(allocator, t, values):
+    """Step good ``t`` on its exact values, turned into ints by ``weigh``."""
+    return allocator.step(t, allocator.weigh(values))
+
+
 def run_identical(allocator, values):
     decisions = []
     for t, v in enumerate(values):
-        decisions.append(allocator.step(t, (rat(v),) * allocator.n))
+        decisions.append(feed(allocator, t, (rat(v),) * allocator.n))
     return decisions
 
 
@@ -71,38 +77,68 @@ class TestStepContract:
         ((F(1, 7), F(1, 7), F(-1, 7)), ValueError, r"^need one revealed value per agent$"),
     ])
     def test_a_rejected_step_changes_nothing(self, bad, error, message):
-        # the first value of each bad step would rescale the running denominator
+        # the first value of each bad good would rescale the running denominator
         for alloc, twin in zip(contract_allocators(), contract_allocators()):
             for t, v in enumerate(CONTRACT_STREAM[:3]):
-                assert alloc.step(t, (v, v)) == twin.step(t, (v, v))
+                assert feed(alloc, t, (v, v)) == feed(twin, t, (v, v))
             before = state(alloc)
             with pytest.raises(error, match=message):
-                alloc.step(3, bad)
+                alloc.weigh(bad)
             assert state(alloc) == before
             for t, v in enumerate(CONTRACT_STREAM[3:], start=3):
-                assert alloc.step(t, (v, v)) == twin.step(t, (v, v))
+                assert feed(alloc, t, (v, v)) == feed(twin, t, (v, v))
             assert state(alloc) == state(twin)
+
+    @pytest.mark.parametrize("t,weights,message", [
+        (3, (1,), r"^need one revealed value per agent$"),
+        (3, (1, 1, 1), r"^need one revealed value per agent$"),
+        (2, (1, 1), r"^good 2 arrived out of order \(expected 3\)$"),
+        (4, (1, 1), r"^good 4 arrived out of order \(expected 3\)$"),
+    ])
+    def test_a_rejected_int_step_changes_nothing(self, t, weights, message):
+        for alloc, twin in zip(contract_allocators(), contract_allocators()):
+            for s, v in enumerate(CONTRACT_STREAM[:3]):
+                assert feed(alloc, s, (v, v)) == feed(twin, s, (v, v))
+            before = state(alloc)
+            with pytest.raises(ValueError, match=message):
+                alloc.step(t, weights)
+            assert state(alloc) == before
+            for s, v in enumerate(CONTRACT_STREAM[3:], start=3):
+                assert feed(alloc, s, (v, v)) == feed(twin, s, (v, v))
+            assert state(alloc) == state(twin)
+
+    def test_rescale_keeps_the_bundle_values(self):
+        alloc = LowestValueBundle(2)
+        for t, v in enumerate(CONTRACT_STREAM[:3]):
+            feed(alloc, t, (v, v))
+        assert (alloc.den, alloc.own) == (12, [4, 3])
+        alloc.rescale(36)
+        assert (alloc.den, alloc.own) == (36, [12, 9])
+        for den in (24, 0, -36):
+            with pytest.raises(ValueError, match=rf"^cannot rescale denominator 36 to {den}$"):
+                alloc.rescale(den)
+            assert (alloc.den, alloc.own) == (36, [12, 9])
 
     def test_out_of_order_rejected(self):
         alloc = LowestValueBundle(2)
-        alloc.step(0, (F(1, 2), F(1, 2)))
+        feed(alloc, 0, (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError, match=r"^good 2 arrived out of order \(expected 1\)$"):
-            alloc.step(2, (F(1, 2), F(1, 2)))
+            feed(alloc, 2, (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError, match="out of order"):
-            alloc.step(0, (F(1, 2), F(1, 2)))
-        assert alloc.step(1, (F(1, 3), F(1, 3))) == 1
+            feed(alloc, 0, (F(1, 2), F(1, 2)))
+        assert feed(alloc, 1, (F(1, 3), F(1, 3))) == 1
         assert alloc.allocation().as_lists() == [[0], [1]]
 
     def test_negative_value_rejected(self):
         alloc = LowestValueBundle(2)
         with pytest.raises(ValueError, match=r"^revealed values must be nonnegative$"):
-            alloc.step(0, (F(1, 2), F(-1, 2)))
+            alloc.weigh((F(1, 2), F(-1, 2)))
         with pytest.raises(ValueError, match=r"^revealed values must be nonnegative$"):
-            alloc.step(0, ("-1/3", 1))
+            alloc.weigh(("-1/3", 1))
 
     def test_float_rejected(self):
         with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
-            LowestValueBundle(2).step(0, (0.5, F(1, 2)))
+            LowestValueBundle(2).weigh((0.5, F(1, 2)))
 
     def test_every_value_form_gives_the_same_decisions(self):
         forms = {
@@ -115,7 +151,7 @@ class TestStepContract:
         runs = {}
         for form, wrap in forms.items():
             allocs = contract_allocators()
-            runs[form] = [[alloc.step(t, wrap(v)) for t, v in enumerate(CONTRACT_STREAM)]
+            runs[form] = [[feed(alloc, t, wrap(v)) for t, v in enumerate(CONTRACT_STREAM)]
                           for alloc in allocs]
             assert all(alloc.den == 84 for alloc in allocs)
         assert all(run == runs["fractions"] for run in runs.values())
@@ -123,14 +159,14 @@ class TestStepContract:
     def test_partition_maintained(self):
         alloc = LowestValueBundle(3)
         for t in range(5):
-            alloc.step(t, (F(1, 5),) * 3)
+            feed(alloc, t, (F(1, 5),) * 3)
         a = alloc.allocation()
         assert sum(len(b) for b in a.bundles) == 5
 
     def test_allocation_is_the_prefix_so_far(self):
         alloc = LowestValueBundle(3)
         for t, value in enumerate([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]):
-            agent = alloc.step(t, (value,) * 3)
+            agent = feed(alloc, t, (value,) * 3)
             prefix = alloc.allocation()
             assert prefix.num_goods == t + 1
             assert t in prefix.bundles[agent]
@@ -186,8 +222,8 @@ class TestLowestValueBundle:
     def test_every_prefix_exactly_ef1(self, profile):
         a = LowestValueBundle(profile.agents)
         bundles = [set() for _ in range(profile.agents)]
-        for t in range(profile.horizon):
-            agent = a.step(t, (profile.vector(0).values[t],) * profile.agents)
+        for t, weights in enumerate(truth_columns(a, profile)):
+            agent = a.step(t, weights)
             bundles[agent].add(t)
             prefix = Allocation.of([set(b) for b in bundles], num_goods=t + 1)
             assert ef1_factor(prefix, profile) == 1
@@ -390,13 +426,13 @@ class TestFormThresholdAllocator:
         calls = []
         step = OnlineAllocator.step
 
-        def counted(allocator, t, values):
+        def counted(allocator, t, weights):
             calls.append(t)
-            return step(allocator, t, values)
+            return step(allocator, t, weights)
 
         def trace(allocator, truths):
-            return [(allocator.step(t, tuple(v[t] for v in truths.vectors)),
-                     allocator.last_step_ops) for t in range(truths.horizon)]
+            return [(allocator.step(t, weights), allocator.last_step_ops)
+                    for t, weights in enumerate(truth_columns(allocator, truths))]
 
         monkeypatch.setattr(OnlineAllocator, "step", counted)
         rng = random.Random(horizon)
@@ -425,9 +461,10 @@ class TestFormThresholdAllocator:
         total = sum(weights)
         p = ValuationVector(tuple(F(w, total) for w in weights))
         allocator = FormThresholdAllocator(p, F(4, 5))
+        p_twice = ValuationProfile.identical_from(p, 2)
         ops = []
-        for t in range(400):
-            allocator.step(t, (p.values[t],) * 2)
+        for t, weights in enumerate(truth_columns(allocator, p_twice)):
+            allocator.step(t, weights)
             ops.append(allocator.last_step_ops)
         assert max(ops) <= 4  # bounded regardless of horizon
 
