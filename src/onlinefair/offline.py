@@ -134,6 +134,19 @@ def _empty_bundles(n: int, observers: int):
     return (((0, None),) * observers,) * n
 
 
+def _tops(bstates) -> list[int]:
+    """Per observer, the largest ``sum - min`` over the nonempty bundles (0 if none)."""
+    tops = []
+    for o in range(len(bstates[0])):
+        top = 0
+        for obs in bstates:
+            s, m = obs[o]
+            if m is not None and s - m > top:
+                top = s - m
+        tops.append(top)
+    return tops
+
+
 def _envy_factor(bstates, views) -> tuple[int, int]:
     """Smallest envy-up-to-any-good ratio over every agent of every view, as
     an int pair (num, den).
@@ -144,14 +157,7 @@ def _envy_factor(bstates, views) -> tuple[int, int]:
     Its own drop never exceeds its own sum, so when i holds the largest drop
     it envies nobody and the ratio, at least 1, changes nothing.
     """
-    tops = []
-    for o in range(len(bstates[0])):
-        top = 0
-        for obs in bstates:
-            s, m = obs[o]
-            if m is not None and s - m > top:
-                top = s - m
-        tops.append(top)
+    tops = _tops(bstates)
     for view in views:
         for i, o in enumerate(view):
             if bstates[i][o][1] is None and tops[o]:
@@ -174,6 +180,14 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     Depth-first in lexicographic order; bundle labels are interchangeable
     (restricted-growth labelling) when every profile values all agents alike.
     Stops at the first exact assignment, since no factor exceeds 1.
+
+    Once the best factor found is positive, a partial assignment is skipped
+    when some agent i, with observer o, could not beat it: when (own sum of i
+    + weight under o of the goods left) / (largest ``sum - min`` under o so
+    far) is at most the best.  Sound because ``sum - min`` of a bundle never
+    falls as goods are added and i's own sum grows by at most the goods left;
+    the witness stays the lexicographically first maximiser, because the best
+    changes only on a strict improvement.
     """
     observers: dict[tuple[int, ...], int] = {}  # distinct weight vectors
     views = tuple(tuple(observers.setdefault(v.weights, len(observers)) for v in p.vectors)
@@ -182,6 +196,12 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     goods = list(zip(*observers))  # per good, its weight to each observer
     symmetric = all(len(set(view)) == 1 for view in views)
     t_total = len(goods)
+    # each distinct (agent, observer) pair of every view
+    seats = tuple(dict.fromkeys((i, o) for view in views for i, o in enumerate(view)))
+    rest = [(0,) * len(observers)]  # rest[t][o]: the weight of goods t.. under o
+    for values in reversed(goods):
+        rest.append(tuple(r + w for r, w in zip(rest[-1], values)))
+    rest.reverse()
     best = (-1, 1)
     best_assign: list[int] = []
     assign = [0] * t_total
@@ -193,6 +213,13 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
             if fn * best[1] > best[0] * fd:
                 best, best_assign = (fn, fd), assign[:]
             return best[0] == best[1]
+        bn, bd = best
+        if bn > 0:
+            tops, left = _tops(bstates), rest[t]
+            for i, o in seats:
+                top = tops[o]
+                if top and (bstates[i][o][0] + left[o]) * bd <= bn * top:
+                    return False
         for b in range(min(used + 1, n) if symmetric else n):
             assign[t] = b
             if rec(t + 1, max(used, b + 1), _bundle_update(bstates, b, goods[t])):
@@ -214,6 +241,8 @@ def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
     Refuses instances whose n^T search space exceeds ``budget``.
     """
     n, t_total = profile.agents, profile.horizon
+    if n < 2:
+        raise ValueError("need at least two agents")
     if n ** t_total > budget:
         raise BudgetExceededError(
             f"{n}^{t_total} allocations exceed the enumeration budget {budget}")
@@ -281,6 +310,14 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     are scored as max over assignment sequences of the min over the family;
     that enumeration is refused up front when its n^horizon leaves exceed
     ``node_budget``.
+
+    A *sink* is a state that reveals zeros and advances to itself, as a
+    construction does once its queue runs out.  The search moves a sink
+    reached more than n rounds before the horizon to n rounds before: a zero
+    good changes only its bundle's min (to 0), so n zero goods reach every
+    final (sum, min) statistic that more of them reach.  ``node_budget``
+    counts the nodes this search visits.  The search keeps its own stack, so
+    the interpreter's recursion limit does not bound the horizon.
     """
     n = adversary.n
     horizon = adversary.horizon
@@ -293,30 +330,40 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
 
     rows, successors, view = _compile_opponent(adversary, node_budget)
     views = (view,)
+    sink = [not any(row) and all(nxt == k for nxt in successors[k])
+            for k, row in enumerate(rows)]
+    settled = horizon - n  # where a sink's zero goods start to matter
     memo: dict = {}
     nodes = 0
 
-    def rec(k: int, bstates, t: int) -> tuple[int, int]:
+    def visit(k: int, bstates, t: int):
+        """Count one node; return its value, or None once it is pushed to expand."""
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"minimax search exceeded {node_budget} nodes")
+        if t < settled and sink[k]:
+            t = settled
         if t == horizon:
             return _envy_factor(bstates, views)
         key = (k, bstates, t)
-        if key in memo:
-            return memo[key]
-        values = rows[k]
-        best = (-1, 1)
-        for d, nxt in enumerate(successors[k]):
-            fn, fd = rec(nxt, _bundle_update(bstates, d, values), t + 1)
-            if fn * best[1] > best[0] * fd:
-                best = (fn, fd)
-        memo[key] = best
-        return best
+        value = memo.get(key)
+        if value is None:
+            stack.append([key, 0, (-1, 1)])
+        return value
 
-    try:
-        return Fraction(*rec(0, _empty_bundles(n, max(view) + 1), 0))
-    except RecursionError:  # one frame per round: a deep horizon cannot be searched
-        raise BudgetExceededError(
-            f"minimax search depth {horizon} exceeds the recursion limit") from None
+    stack: list = []  # per node being expanded: [key, next decision, best so far]
+    value = visit(0, _empty_bundles(n, max(view) + 1), 0)
+    while stack:
+        frame = stack[-1]
+        (k, bstates, t), d, best = frame
+        if value is not None:  # decision d - 1 scored
+            if value[0] * best[1] > best[0] * value[1]:
+                frame[2] = best = value
+        if d == n:
+            memo[frame[0]] = value = best
+            stack.pop()
+            continue
+        frame[1] = d + 1
+        value = visit(successors[k][d], _bundle_update(bstates, d, rows[k]), t + 1)
+    return Fraction(*value)

@@ -629,6 +629,12 @@ class TestCliErrors:
         self._fails("oracle", "brute-force", "--instance", str(inst),
                     message="2^24 allocations exceed the enumeration budget")
 
+    def test_oracle_on_one_agent(self, tmp_path):
+        one = {"n": 1, "identical": True, "predictions": [["1/1500"] * 1500],
+               "truths": [["1/1500"] * 1500], "accuracy": ["1"]}
+        self._fails("oracle", "brute-force", "--instance", self._instance(tmp_path, one),
+                    message="need at least two agents")
+
     def test_missing_instance_file(self, tmp_path):
         self._fails("run", "--instance", str(tmp_path / "missing.json"),
                     "--allocator", "ef1-lowest", message="No such file or directory")
@@ -713,10 +719,6 @@ class TestCliErrors:
         self._fails("duel", "--adversary", "two-value-2", "--a", "4/5",
                     "--allocator", "ef1-lowest", "--allocator-a", "7/10",
                     message="ef1-lowest reads no target factor a; only main does")
-
-    def test_minimax_horizon_deeper_than_the_recursion_limit(self):
-        self._fails("oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", "7/10",
-                    "--param", "lam=1/4000", message="exceeds the recursion limit")
 
 
 def test_python_dash_m_runs_the_cli():

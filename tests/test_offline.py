@@ -1,6 +1,7 @@
 """Offline procedures and the verification oracles."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from onlinefair.harness import (
 )
 from onlinefair.offline import (
     BudgetExceededError,
+    _best_assignment,
     brute_force_best_factor,
     cut_and_choose,
     eliminate_envy_cycles,
@@ -39,6 +41,7 @@ from conftest import (
     direct_envy_factor,
     identical_profiles,
     mixed_vectors,
+    normalized_vector,
     profiles,
     reference_envy_edges,
     reference_minimax,
@@ -165,6 +168,53 @@ class TestEnvyGraph:
         assert eliminate_envy_cycles(alloc, profile) == (alloc, 1)
 
 
+def _direct_best(family) -> tuple[F, list[int]]:
+    """Independent reference: every assignment scored from the definition by
+    its worst factor over ``family``, with the lexicographically first
+    maximiser."""
+    n, horizon = family[0].agents, family[0].horizon
+    best, first = F(-1), None
+    for assign in itertools.product(range(n), repeat=horizon):
+        alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
+                               for i in range(n)], num_goods=horizon)
+        f = min(direct_envy_factor(alloc, profile, "best") for profile in family)
+        if f > best:
+            best, first = f, list(assign)
+    return best, first
+
+
+def _seeded_family(seed: int) -> tuple[ValuationProfile, ...]:
+    """Two or three profiles over the same goods, from weights 0-8, so zero
+    goods and ties are common; some profiles are identical, some general."""
+    rng = random.Random(seed)
+    n = 2 + seed % 2
+    horizon = rng.randint(3, 7 if n == 2 else 5)
+
+    def vector():
+        weights = [rng.choice((0, 0, 1, 2, 4, 8)) for _ in range(horizon)]
+        weights[rng.randrange(horizon)] += 1
+        return normalized_vector(weights)
+
+    return tuple(ValuationProfile.identical_from(vector(), n) if rng.random() < 0.6
+                 else ValuationProfile(tuple(vector() for _ in range(n)))
+                 for _ in range(2 + seed % 3 // 2))
+
+
+FAMILY_CASES = (
+    [(f"follower-tight-n{n}-a{a}", build_adversary(
+        AdversarySpec("follower-tight", F(a), n=n)).oblivious_family)
+     for n in (2, 3) for a in ("1/2", "7/10", "9/10")]
+    + [(f"follower-tight-n{n}-zero-good", build_adversary(AdversarySpec(
+        "follower-tight", F(7, 10), n=n, params={"D": F(1, 2 * n - 1)})).oblivious_family)
+       for n in (2, 3)]
+    + [(f"seeded-{seed}", _seeded_family(seed)) for seed in range(40)]
+    # at good 1 of the first maximiser 0,1,0 no bundle has a positive drop
+    # under agent 0's vector, whose goods left are worth 0 to it: no bound
+    + [("no-drop-yet", (ValuationProfile((vec(0, 1, 0), vec(0, "3/4", "1/4"))),))])
+FAMILIES = [family for _, family in FAMILY_CASES]
+FAMILY_IDS = [name for name, _ in FAMILY_CASES]
+
+
 class TestBruteForce:
     def test_single_good(self):
         profile = ValuationProfile.identical_from(vec("1"), 2)
@@ -206,20 +256,51 @@ class TestBruteForce:
                      st.builds(ValuationProfile.identical_from,
                                coprime_vectors(max_goods=5), st.integers(2, 3))))
     def test_matches_direct_enumeration(self, profile):
-        # independent reference: every assignment scored from the definition;
-        # the witness is the lexicographically first maximiser
-        n, horizon = profile.agents, profile.horizon
-        best, first = F(-1), None
-        for assign in itertools.product(range(n), repeat=horizon):
-            alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
-                                   for i in range(n)], num_goods=horizon)
-            f = direct_envy_factor(alloc, profile, "best")
-            if f > best:
-                best, first = f, assign
         factor, witness = brute_force_best_factor(profile)
-        assert factor == best
         owner = {g: i for i, b in enumerate(witness.bundles) for g in b}
-        assert tuple(owner[g] for g in range(horizon)) == first
+        assert (factor, [owner[g] for g in range(profile.horizon)]) == \
+            _direct_best((profile,))
+
+    def test_one_agent_refused(self):
+        # n^T is 1 for one agent, so the budget alone never refuses it
+        profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 1)
+        with pytest.raises(ValueError, match="need at least two agents"):
+            brute_force_best_factor(profile)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+    def test_pruned_search_matches_direct_enumeration_on_families(self, family):
+        # several profiles at once can keep the best factor below 1, so the
+        # search prunes against bests that a single profile never leaves
+        assert _best_assignment(family) == _direct_best(family)
+
+    def test_families_reach_below_one(self):
+        values = [_best_assignment(family)[0] for family in FAMILIES]
+        assert sum(0 < v < 1 for v in values) >= len(values) // 3
+
+
+class _CrossedPair:
+    """Two agents, then ``pad`` zero-valued goods.  Good 0 is worth 1 to agent
+    0 and 2 to agent 1; good 1 is worth 3 to whoever took good 0 and nothing
+    to the other.  Giving good 1 to the other agent is exact until a zero good
+    arrives; then one bundle's whole value counts against its envier."""
+
+    n = 2
+
+    def __init__(self, pad: int):
+        self.horizon = 2 + pad
+
+    def start(self):
+        return None
+
+    def reveal(self, state):
+        if state is None:
+            return F(1), F(2)
+        if state == "zeros":
+            return F(0), F(0)
+        return tuple(F(3) * (i == state) for i in range(2))
+
+    def advance(self, state, agent):
+        return agent if state is None else "zeros"
 
 
 class TestMinimaxOracle:
@@ -250,6 +331,28 @@ class TestMinimaxOracle:
                              params={"lam": F(1, 50)})
         value = minimax_online_factor(build_adversary(spec))
         assert value == F(12, 19) < F(7, 10)  # the greedy threshold plays optimally
+
+    @pytest.mark.parametrize("construction,a,params,budget,value", [
+        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 100)}, 5_000, F(38, 61)),
+        ("no-pred-2-general", F(1, 10), {}, 2_000, F(1, 38)),
+        ("no-pred-2-identical", F(31, 50), {}, 10 ** 6, F(12379602, 20024599)),
+        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 4000)}, 10 ** 6, F(3778, 6111)),
+    ], ids=["golden-stream-98-goods", "asymmetric-stream-42-goods", "golden-stream-964-goods",
+            "golden-stream-3781-goods"])
+    def test_zero_padding_searched_once(self, construction, a, params, budget, value):
+        # each sink state's zero-valued tail is settled once, not once per
+        # remaining round, so the search grows linearly with the stream; it
+        # keeps its own stack, so a horizon past the recursion limit is searched
+        adv = build_adversary(AdversarySpec(construction, a, params=params))
+        assert minimax_online_factor(adv, node_budget=budget) == value
+
+    @pytest.mark.parametrize("pad", range(6))
+    def test_zero_padding_scored_exactly(self, pad):
+        # the crossed pair leaves both agents envious, so every zero good
+        # lowers the factor: it may be settled early, never skipped
+        adv = _CrossedPair(pad)
+        value = minimax_online_factor(adv)
+        assert value == reference_minimax(adv) == (F(2, 3) if pad else F(1))
 
     def test_budget_enforced(self):
         spec = AdversarySpec("pred-2-identical", F(7, 10))
@@ -311,10 +414,7 @@ def test_minimax_matches_reference(construction, ns, params):
                          ids=[f"{spec.construction}-{alloc}" for spec, alloc, _ in DUEL_PLAN])
 def test_duel_factor_at_most_minimax_value(spec, allocator, a):
     # minimax is the best factor any deterministic online algorithm can force
-    try:
-        value = minimax_online_factor(build_adversary(spec))
-    except BudgetExceededError:
-        pytest.skip("minimax search over the default budget")
+    value = minimax_online_factor(build_adversary(spec))
     assert run_duel(allocator, spec, a=a).report.efx_factor <= value
 
 
