@@ -720,6 +720,19 @@ class TestCliErrors:
                     "--allocator", "ef1-lowest", "--allocator-a", "7/10",
                     message="ef1-lowest reads no target factor a; only main does")
 
+    def test_minimax_horizon_deeper_than_the_recursion_limit(self):
+        # a 3781-good stream is searched on the oracle's own stack, not refused
+        proc = _run_module("onlinefair.cli", "oracle", "minimax", "--adversary",
+                           "no-pred-2-identical", "--a", "7/10", "--param", "lam=1/4000")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {"factor": "3778/6111", "below_target": True}
+
+    def test_minimax_over_its_node_budget(self):
+        # 5^9 assignment sequences against the follower-tight family: over 10^6
+        self._fails("oracle", "minimax", "--adversary", "follower-tight", "--a", "7/10",
+                    "--n", "5", message="5^9 assignments exceed the node budget 1000000")
+
 
 def test_python_dash_m_runs_the_cli():
     proc = _run_module("onlinefair", "verify", "--suite", "three-goods")
