@@ -2,13 +2,14 @@
 
 All values are arbitrary-precision rationals (``fractions.Fraction``) at the
 API; there is no floating point anywhere in the metric or allocation paths.
-Each value vector also carries its values as integer weights over one common
-denominator (the lcm of the value denominators), and the metrics here, the
-offline paths and the online allocators' setup compute on those Python ints,
-building a ``Fraction`` only for a result.  The online allocators step on ints
-too, over a denominator of their own: a run fixes it before the first good
-at the lcm of the true vectors' denominators, and a duel grows it as values
-are revealed (see ``online``).  Irrational
+A value vector is integer weights over one common denominator (the lcm of the
+value denominators), its ``Fraction`` values built only when read, and the
+metrics here, the offline paths and the online allocators' setup compute on
+those Python ints, building a ``Fraction`` only for a result.  The instance
+loader parses each distinct value string once, straight to an int pair.  The
+online allocators step on ints too, over a denominator of their own: a run
+fixes it before the first good at the lcm of the true vectors' denominators,
+and a duel grows it as values are revealed (see ``online``).  Irrational
 thresholds (the golden-ratio and sqrt(3) cut-offs) are decided through squared
 integer comparisons, after exact linear tests against an integer bracket for
 the golden ratio, never approximated.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -42,21 +44,29 @@ def rat(x: RationalLike) -> Fraction:
     """Coerce an int, a ``"p/q"`` string, or a Fraction to an exact rational.
 
     Floats are rejected on purpose: they would silently break exactness.
-    A plain ASCII ``p/q`` or ``-p/q`` (the wire format) is split and built from
-    two ints; every other string goes through ``Fraction(str)``.
+    A string is read by ``ratio``.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if (slash and digits.isascii() and digits.isdigit()
-                and den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den))
-        return Fraction(x)
+        return Fraction(*ratio(x))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def ratio(s: str) -> tuple[int, int]:
+    """A rational string as a reduced int pair ``(p, q)``, ``q > 0``: a plain ASCII
+    ``p/q`` or ``-p/q`` (the wire format) through two ints and their gcd, any
+    other string, a zero denominator included, through ``Fraction(str)``."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (slash and digits.isascii() and digits.isdigit() and den.isascii()
+            and den.isdigit() and (q := int(den))):
+        p = int(num)
+        g = gcd(p, q)
+        return p // g, q // g
+    return Fraction(s).as_integer_ratio()
 
 
 def rat_str(x: Fraction) -> str:
@@ -141,23 +151,24 @@ def bracket_threshold(cmp, width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Frac
 # Value vectors, profiles, instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ValuationVector:
     """An additive valuation over goods 0..T-1 that sums exactly to one.
 
-    There is no tolerance knob.  Construction also sets two plain attributes,
-    outside the dataclass fields: ``den``, the lcm of the value denominators,
-    and ``weights``, one int per good with
-    ``values[g] == Fraction(weights[g], den)``.
+    There is no tolerance knob.  A vector is its int ``weights``, one per good,
+    over ``den``, the lcm of the reduced value denominators, so
+    ``values[g] == Fraction(weights[g], den)``; equality and hashing read
+    ``(den, weights)``, which is canonical.  ``ValuationVector(values)`` builds
+    it from rationals and ``from_weights`` from the pair; the ``values`` tuple
+    of Fractions is built on first read, so a vector that is only stepped,
+    measured and written never holds one.
     """
 
-    values: tuple[Fraction, ...]
+    den: int
+    weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(rat, self.values))
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("a valuation vector needs at least one good")
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        vals = self.__dict__["values"] = tuple(map(rat, values))
         # one call per value; each pair is unpacked at once, so no tuple
         # outlives its value and the pairs start no cyclic collection
         nums, dens = [], []
@@ -166,18 +177,37 @@ class ValuationVector:
             nums.append(p)
             dens.append(q)
         den = lcm(*set(dens))
-        weights = tuple([p * (den // q) for p, q in zip(nums, dens)])
+        self.__post_init__(den, tuple([p * (den // q) for p, q in zip(nums, dens)]))
+
+    @classmethod
+    def from_weights(cls, den: int, weights: tuple[int, ...]) -> "ValuationVector":
+        """The vector ``weights / den``; ``den`` must be canonical: ``gcd(*weights) == 1``."""
+        self = cls.__new__(cls)
+        self.__post_init__(den, weights)
+        return self
+
+    def __post_init__(self, den: int, weights: tuple[int, ...]) -> None:
+        """Set ``den`` and ``weights`` and check them; both constructors end here."""
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "weights", weights)
+        if not weights:
+            raise ValueError("a valuation vector needs at least one good")
         if min(weights) < 0:
             raise ValueError("good values must be nonnegative")
         if sum(weights) != den:
-            raise NormalizationError(
-                f"values sum to {Fraction(sum(weights), den)}, expected 1")
+            raise NormalizationError(f"values sum to {Fraction(sum(weights), den)}, expected 1")
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(w, den) for w in self.weights])
+
+    def __repr__(self) -> str:
+        return f"ValuationVector(values={self.values!r})"
 
     @property
     def horizon(self) -> int:
-        return len(self.values)
+        return len(self.weights)
 
     def weight(self, bundle: Iterable[int]) -> int:
         """The bundle's value times ``den``, an int."""
@@ -205,7 +235,7 @@ class ValuationProfile:
         horizons = {v.horizon for v in self.vectors}
         if len(horizons) != 1:
             raise ValueError(f"vectors disagree on horizon: {sorted(horizons)}")
-        if self.identical and any(v.values != self.vectors[0].values for v in self.vectors):
+        if self.identical and any(v.weights != self.vectors[0].weights for v in self.vectors):
             raise ValueError("profile flagged identical but vectors differ")
 
     @classmethod
@@ -309,7 +339,9 @@ class Instance:
     def from_json_dict(cls, d: dict) -> "Instance":
         """Parse the wire format; a missing key or a wrong JSON type is a ValueError.
 
-        Each distinct value string is parsed once per call.
+        Each distinct value string is parsed once per call, by ``ratio``; a row of
+        strings takes its weights over its lcm from one map of its strings, with
+        no Fraction per good, and any other row is read entry by entry.
         """
         if not isinstance(d, dict):
             raise ValueError(f"an instance is a JSON object, got a {type(d).__name__}")
@@ -323,14 +355,7 @@ class Instance:
                 raise ValueError(f"instance key {key!r} is not {noun}")
             return value
 
-        parsed: dict[str, Fraction] = {}
-
         def value(x) -> Fraction:
-            if type(x) is str:
-                f = parsed.get(x)
-                if f is None:
-                    f = parsed[x] = rat(x)
-                return f
             if isinstance(x, bool):
                 raise ValueError("expected a list of p/q strings, got a bool")
             try:
@@ -343,11 +368,24 @@ class Instance:
                 raise ValueError(f"expected a list of p/q strings, got a {type(seq).__name__}")
             return tuple(map(value, seq))
 
+        pairs: dict[str, tuple[int, int]] = {}
+
+        def vector(row) -> ValuationVector:
+            # types first: 1, True and 1.0 hash alike, and a list does not hash
+            if not isinstance(row, list) or set(map(type, row)) != {str}:
+                return ValuationVector(values(row))
+            distinct = dict.fromkeys(row)  # first occurrences, in row order
+            for s in distinct:
+                distinct[s] = pairs[s] = pairs.get(s) or ratio(s)
+            den = lcm(*{q for _, q in distinct.values()})
+            weight = {s: p * (den // q) for s, (p, q) in distinct.items()}
+            return ValuationVector.from_weights(den, tuple(map(weight.__getitem__, row)))
+
         n = field("n", int, "an int")
         identical = "identical" in d and field("identical", bool, "a bool")
 
         def profile(key: str) -> ValuationProfile:
-            vecs = tuple(ValuationVector(values(row)) for row in field(key, list, "a list"))
+            vecs = tuple(map(vector, field(key, list, "a list")))
             if len(vecs) != n:
                 raise ValueError(f"expected {n} agent rows, got {len(vecs)}")
             return ValuationProfile(vecs, identical=identical)

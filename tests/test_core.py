@@ -1,5 +1,6 @@
 """Domain types, distance, and fairness metrics."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -245,6 +246,81 @@ class TestInstanceWire:
     def test_bool_accuracy_rejected(self):
         with pytest.raises(ValueError, match="got a bool"):
             Instance.from_json_dict(wire([["1", "0"]] * 2, accuracy=[True, True]))
+
+
+def one_agent(prediction, truth):
+    """A one-agent instance dict declaring accuracy zero, so any two rows fit."""
+    return {"n": 1, "predictions": [prediction], "truths": [truth], "accuracy": ["0"]}
+
+
+@st.composite
+def written_rows(draw):
+    """A normalized row of value strings, each value written one of several ways:
+    reduced, unreduced, signed zero, bare int, or a form only ``Fraction(str)``
+    reads.  The weights may be zero and their sum may exceed 2^64."""
+    weights = draw(st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2 ** 80)),
+                            min_size=1, max_size=8).filter(lambda w: sum(w) > 0))
+    row = []
+    for w in weights:
+        v = F(w, sum(weights))
+        p, q = v.numerator, v.denominator
+        forms = [f"{p}/{q}", f"{p * 2}/{q * 2}", f" {p}/{q}", f"+{p}/{q}",
+                 f"{p * 3 ** 41}/{q * 3 ** 41}"]  # the last scales q past 2^64
+        if p == 0:
+            forms.append(f"-0/{draw(st.integers(1, 10 ** 20))}")
+        if q == 1:
+            forms.append(str(p))
+        if q in (2, 4, 5, 8, 10):
+            forms.append(f"0.{p * (1000 // q):03d}".rstrip("0"))  # e.g. "0.5"
+        row.append(draw(st.sampled_from(forms)))
+    return row
+
+
+class TestWireLoader:
+    """Wire rows of strings are built from int pairs; other rows entry by entry."""
+
+    @settings(max_examples=300)
+    @given(written_rows(), written_rows())
+    def test_matches_the_rational_constructor(self, row, other):
+        inst = Instance.from_json_dict(one_agent(row, other))
+        for got, written in ((inst.predictions.vector(0), row), (inst.truths.vector(0), other)):
+            want = ValuationVector(tuple(map(rat, written)))
+            assert (got.den, got.weights) == (want.den, want.weights)
+            assert got.values == want.values
+            assert got == want and hash(got) == hash(want)
+
+    @pytest.mark.parametrize("row,message", [
+        ([1, True], "expected a list of p/q strings, got a bool"),
+        (["1", True], "expected a list of p/q strings, got a bool"),
+        (["1/2", 0.5], "expected a list of p/q strings: expected an exact rational, got float"),
+        ([0, 1.0], "expected a list of p/q strings: expected an exact rational, got float"),
+        (["1", ["1"]], "expected a list of p/q strings: expected an exact rational, got list"),
+        ([{}, "1"], "expected a list of p/q strings: expected an exact rational, got dict"),
+        ("1", "expected a list of p/q strings, got a str"),
+        (["3/2", "-1/2"], "good values must be nonnegative"),
+        (["1/2", "1/3"], "values sum to 5/6, expected 1"),
+        ([], "a valuation vector needs at least one good"),
+    ])
+    def test_entries_that_hash_alike_or_not_at_all_keep_their_messages(self, row, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Instance.from_json_dict(wire([row, row]))
+
+    @pytest.mark.parametrize("entry", ["1/0", "1/00", "-1/0"])
+    def test_zero_denominator(self, entry):
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-?1, 0\)$"):
+            Instance.from_json_dict(wire([["1", entry]] * 2))
+
+    def test_first_bad_entry_in_row_order_is_named(self):
+        with pytest.raises(ZeroDivisionError):
+            Instance.from_json_dict(wire([["1/2", "1/0", "x", "1/2"]] * 2))
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+            Instance.from_json_dict(wire([["1/2", "x", "1/0", "1/2"]] * 2))
+
+    def test_rows_share_parsed_strings_but_not_denominators(self):
+        inst = Instance.from_json_dict(one_agent(["1/2", "1/2"], ["1/2", "1/6", "1/3"]))
+        p, v = inst.predictions.vector(0), inst.truths.vector(0)
+        assert [(p.den, p.weights), (v.den, v.weights)] == [(2, (1, 1)), (6, (3, 1, 2))]
+        assert "values" not in vars(p) and "values" not in vars(v)
 
 
 def without_least(bundle, f):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from onlinefair import core, harness
+from onlinefair import cli, core, harness
 from onlinefair.adversaries import AdversarySpec
 from onlinefair.core import (Allocation, Instance, ValuationProfile, ValuationVector,
                              fairness_report, rat, tv_distance)
@@ -532,6 +532,52 @@ class TestOutFile:
         assert capsys.readouterr().out == ""
 
 
+class TestRunPathReadsWeightsOnly:
+    """``onlinefair run`` steps, measures and writes from each vector's int
+    weights: no vector of an instance loaded from JSON builds its ``values``."""
+
+    RUNS = (
+        ((2, 40, True), "main", ("--a", "7/10")),
+        ((2, 40, True), "greedy-phi", ()),
+        ((3, 40, True), "follower:lpt", ()),
+        ((3, 40, True), "ef1-lowest", ()),
+        ((2, 40, False), "follower:cut-and-choose", ()),
+        ((2, 40, False), "ef1-lowest", ()),
+        ((2, 3, True), "three-goods", ()),
+    )
+
+    @staticmethod
+    def _wire(n: int, horizon: int, identical: bool) -> dict:
+        predictions = gen_random_instance(n, horizon, identical, seed=horizon + n)
+        truths = perturb(predictions, [F(1, 50)] * n, seed=3, mode="mixed")
+        return make_instance(predictions, truths).to_json_dict()
+
+    @staticmethod
+    def _assert_no_values(instance: Instance) -> None:
+        vectors = instance.predictions.vectors + instance.truths.vectors
+        assert not any("values" in vars(v) for v in vectors)
+
+    def test_runs_cover_every_allocator(self):
+        assert {name for _, name, _ in self.RUNS} == set(ALLOCATOR_NAMES)
+
+    @pytest.mark.parametrize("shape,allocator,extra", RUNS, ids=[r[1] for r in RUNS])
+    def test_run_instance(self, shape, allocator, extra):
+        instance = Instance.from_json_dict(self._wire(*shape))
+        transcript = run_instance(allocator, instance, a=rat(extra[1]) if extra else None)
+        transcript.to_json()
+        self._assert_no_values(instance)
+
+    @pytest.mark.parametrize("shape,allocator,extra", RUNS, ids=[r[1] for r in RUNS])
+    def test_cli_run(self, tmp_path, monkeypatch, shape, allocator, extra):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self._wire(*shape)))
+        loaded, load = [], cli._load_instance
+        monkeypatch.setattr(cli, "_load_instance", lambda p: loaded.append(load(p)) or loaded[-1])
+        assert cli_main(["run", "--instance", str(path), "--allocator", allocator, *extra,
+                         "--out", str(tmp_path / "run.json")]) == 0
+        self._assert_no_values(*loaded)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ONE_ROW_FOR_TWO_AGENTS = {"n": 2, "identical": True, "predictions": [["1/2", "1/2"]],
@@ -621,6 +667,13 @@ class TestCliErrors:
     def test_zero_denominator(self):
         self._fails("bounds", "--eval", "main-sufficient", "--a", "1/0",
                     message="Fraction(1, 0)")
+
+    @pytest.mark.parametrize("entry", ["1/0", "1/00"])
+    def test_zero_denominator_in_an_instance(self, tmp_path, entry):
+        rows = [["1/2", entry]] * 2
+        bad = {**ONE_ROW_FOR_TWO_AGENTS, "predictions": rows, "truths": rows}
+        self._fails("run", "--instance", self._instance(tmp_path, bad),
+                    "--allocator", "ef1-lowest", message="onlinefair: Fraction(1, 0)")
 
     def test_oracle_over_budget(self, tmp_path):
         inst = tmp_path / "inst.json"
