@@ -5,8 +5,10 @@ API; there is no floating point anywhere in the metric or allocation paths.
 A value vector is integer weights over one common denominator (the lcm of the
 value denominators), its ``Fraction`` values built only when read, and the
 metrics here, the offline paths and the online allocators' setup compute on
-those Python ints, building a ``Fraction`` only for a result.  The instance
-loader parses each distinct value string once, straight to an int pair.  The
+those Python ints, building a ``Fraction`` only for a result: the envy
+factors keep their minima as int pairs, compared by cross-multiplication.  The
+instance loader parses each distinct value string once, straight to an int
+pair, and the writer encodes each distinct weight once.  The
 online allocators step on ints too, over a denominator of their own: a run
 fixes it before the first good at the lcm of the true vectors' denominators,
 and a duel grows it as values are revealed (see ``online``).  Irrational
@@ -220,6 +222,16 @@ class ValuationVector:
     def __getitem__(self, g: int) -> Fraction:
         return self.values[g]
 
+    def wire_strs(self) -> dict[int, str]:
+        """Each distinct weight mapped to its value in the ``"p/q"`` wire format,
+        as ``rat_str`` writes it, each encoded once from ints."""
+        den = self.den
+        text = {}
+        for w in set(self.weights):
+            g = gcd(w, den)
+            text[w] = f"{w // g}/{den // g}"
+        return text
+
 
 @dataclass(frozen=True)
 class ValuationProfile:
@@ -327,11 +339,16 @@ class Instance:
         return self.predictions.agents
 
     def to_json_dict(self) -> dict:
+        """The wire format; each row is written from its int weights."""
+        def rows(profile: ValuationProfile) -> list[list[str]]:
+            return [list(map(vec.wire_strs().__getitem__, vec.weights))
+                    for vec in profile.vectors]
+
         return {
             "n": self.agents,
             "identical": self.truths.identical,
-            "predictions": [[rat_str(v) for v in vec.values] for vec in self.predictions.vectors],
-            "truths": [[rat_str(v) for v in vec.values] for vec in self.truths.vectors],
+            "predictions": rows(self.predictions),
+            "truths": rows(self.truths),
             "accuracy": [rat_str(a) for a in self.declared_accuracy],
         }
 
@@ -470,43 +487,45 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
     """Compute both envy factors; prefix allocations (fewer goods) are allowed.
 
     Each bundle is reduced to its (sum, min, max) weight under each agent's
-    vector.  Removing a minimum (maximum) good leaves ``sum - min``
+    vector, once per distinct vector object, so an identical profile reduces
+    its bundles once.  Removing a minimum (maximum) good leaves ``sum - min``
     (``sum - max``), and the common denominator cancels in ``own / (sum - min)``,
-    so a ratio is built as a Fraction only when it is below 1.
+    so both minima are kept as int pairs, compared by cross-multiplication, and
+    a Fraction is built only for a per-pair ratio below 1 and for the factors.
     """
     _check_alloc(alloc, profile)
     n = profile.agents
     per_pair = [[ONE] * n for _ in range(n)]
-    efx = ONE
-    ef1 = ONE
+    efx_num = efx_den = ef1_num = ef1_den = 1
     binding: Optional[tuple[int, int]] = None
-    for i in range(n):
-        w = profile.vector(i).weights
-        stats = []
-        for b in alloc.bundles:
-            ws = [w[g] for g in b]
-            stats.append((sum(ws), min(ws), max(ws)) if ws else (0, 0, 0))
+    reduced: dict[int, list[tuple[int, int, int]]] = {}
+    for i, vector in enumerate(profile.vectors):
+        stats = reduced.get(id(vector))
+        if stats is None:
+            w = vector.weights
+            stats = reduced[id(vector)] = []
+            for b in alloc.bundles:
+                ws = [w[g] for g in b]
+                stats.append((sum(ws), min(ws), max(ws)) if ws else (0, 0, 0))
         own = stats[i][0]
         for j in range(n):
             if j == i:
                 continue
             s, lo, hi = stats[j]
             den_x = s - lo
-            r_x = ONE if own >= den_x else Fraction(own, den_x)
-            per_pair[i][j] = r_x
-            if r_x < efx:
-                efx = r_x
-                binding = (i, j)
+            if own < den_x:
+                per_pair[i][j] = Fraction(own, den_x)
+                if own * efx_den < efx_num * den_x:
+                    efx_num, efx_den = own, den_x
+                    binding = (i, j)
             den_o = s - hi
-            if own < den_o:
-                r_o = Fraction(own, den_o)
-                if r_o < ef1:
-                    ef1 = r_o
+            if own < den_o and own * ef1_den < ef1_num * den_o:
+                ef1_num, ef1_den = own, den_o
     return FairnessReport(
-        efx_factor=efx,
-        ef1_factor=ef1,
+        efx_factor=ONE if binding is None else per_pair[binding[0]][binding[1]],
+        ef1_factor=ONE if ef1_num == ef1_den else Fraction(ef1_num, ef1_den),
         per_pair_efx=tuple(tuple(row) for row in per_pair),
-        binding_pair=binding if efx < 1 else None,
+        binding_pair=binding,
     )
 
 

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .adversaries import Adversary, AdversarySpec, build_adversary
@@ -76,7 +76,7 @@ class GameTranscript:
         encoded: dict[tuple[int, ...], list[str]] = {}
         for v in self.truths.vectors:
             if v.weights not in encoded:
-                text = {w: f'"{rat_str(Fraction(w, v.den))}"' for w in set(v.weights)}
+                text = {w: f'"{s}"' for w, s in v.wire_strs().items()}
                 encoded[v.weights] = [text[w] for w in v.weights]
         # a step's values, laid out as _json_list lays out a list that is never
         # empty; zip stops at the last choice, so goods not yet placed are not written
@@ -224,9 +224,10 @@ def replay(transcript: GameTranscript) -> Allocation:
 # ---------------------------------------------------------------------------
 
 def gen_random_vector(horizon: int, rng: random.Random) -> ValuationVector:
+    """Random weights in 1..20 over their sum, reduced by their gcd."""
     weights = [rng.randint(1, 20) for _ in range(horizon)]
-    total = sum(weights)
-    return ValuationVector(tuple(Fraction(w, total) for w in weights))
+    g = gcd(*weights) or 1  # no goods: the vector refuses it, nothing divides by 0
+    return ValuationVector.from_weights(sum(weights) // g, tuple([w // g for w in weights]))
 
 
 def gen_random_instance(n: int, horizon: int, identical: bool, seed: int
@@ -251,6 +252,10 @@ def perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
     it on a disjoint subset: existing untouched coordinates ("values" mode),
     freshly appended goods ("extra-goods"), or both ("mixed", which may also
     trim a zero tail so the realized horizon can shrink).
+
+    The mass moves on ints: over L = lcm(p.den, d.denominator) while it is
+    removed, then over L times the sum of the drawn chunk weights, so each
+    chunk is an int; the result is reduced once by its gcd.
     """
     d = rat(d)
     if not 0 <= d <= 1:
@@ -259,11 +264,14 @@ def perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
         raise ValueError(f"unknown perturbation mode {mode!r}")
     if d == 0:
         return p
-    values = list(p.values)
+    den = lcm(p.den, d.denominator)
+    scale = den // p.den
+    values = [w * scale for w in p.weights]
+    mass = d.numerator * (den // d.denominator)
     positive = [g for g in range(len(values)) if values[g] > 0]
     rng.shuffle(positive)
     removed: set[int] = set()
-    need = d
+    need = mass
     for g in positive:
         if need == 0:
             break
@@ -286,14 +294,17 @@ def perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
     slots = len(targets) + appended
     weights = [rng.randint(1, 9) for _ in range(slots)]
     total_w = sum(weights)
-    chunks = [d * Fraction(w, total_w) for w in weights]
+    den *= total_w
+    values = [v * total_w for v in values]
+    chunks = [mass * w for w in weights]
     for g, c in zip(targets, chunks):
         values[g] += c
     values.extend(chunks[len(targets):])
     if mode == "mixed" and appended == 0:
         while len(values) > 1 and values[-1] == 0:
             values.pop()  # realized horizon may shrink below the prediction's
-    return ValuationVector(tuple(values))
+    g = gcd(den, *values)
+    return ValuationVector.from_weights(den // g, tuple([v // g for v in values]))
 
 
 def perturb(profile: ValuationProfile, d: Sequence[Fraction], seed: int,
@@ -313,6 +324,6 @@ def perturb(profile: ValuationProfile, d: Sequence[Fraction], seed: int,
     width = max(v.horizon for v in vecs)
     padded = tuple(
         v if v.horizon == width else
-        ValuationVector(v.values + (ZERO,) * (width - v.horizon))
+        ValuationVector.from_weights(v.den, v.weights + (0,) * (width - v.horizon))
         for v in vecs)
     return ValuationProfile(padded)

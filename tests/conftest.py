@@ -1,6 +1,7 @@
 """Shared strategies and independent oracles for the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -45,10 +46,11 @@ def mixed_vectors(min_goods=1, max_goods=8):
 
 
 @st.composite
-def identical_profiles(draw, min_agents=2, max_agents=5, min_goods=1, max_goods=8):
+def identical_profiles(draw, min_agents=2, max_agents=5, min_goods=1, max_goods=8,
+                       kind=vectors):
     n = draw(st.integers(min_agents, max_agents))
     return ValuationProfile.identical_from(
-        draw(vectors(min_goods=min_goods, max_goods=max_goods)), n)
+        draw(kind(min_goods=min_goods, max_goods=max_goods)), n)
 
 
 @st.composite
@@ -84,25 +86,38 @@ def _value(values, bundle) -> Fraction:
     return sum((values[g] for g in bundle), Fraction(0))
 
 
-def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str):
-    """Envy factor and its first binding pair (row-major), by subset enumeration.
+def direct_ratios(alloc: Allocation, profile: ValuationProfile, drop: str):
+    """Per ordered pair (i, j), i's value for its own bundle over its value for
+    j's bundle less one good, clamped to 1, by subset enumeration; 1 on the
+    diagonal and toward an empty bundle.
 
     ``drop="best"`` removes the good maximizing the remainder (up to any
-    good); ``drop="worst"`` minimizes it (up to one good).  The pair is None
-    when the factor is 1.  Independent of the library's (sum, min, max)
-    reduction in ``fairness_report``.
+    good); ``drop="worst"`` minimizes it (up to one good).  Independent of the
+    library's (sum, min, max) reduction in ``fairness_report``.
     """
-    factor, pair = Fraction(1), None
-    for i in range(profile.agents):
+    n = profile.agents
+    ratios = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
         vals = profile.vector(i).values
         own = _value(vals, alloc.bundles[i])
-        for j in range(profile.agents):
+        for j in range(n):
             if i == j or not alloc.bundles[j]:
                 continue
             remainders = [_value(vals, alloc.bundles[j] - {g}) for g in alloc.bundles[j]]
             rem = max(remainders) if drop == "best" else min(remainders)
-            if rem > 0 and own / rem < factor:
-                factor, pair = own / rem, (i, j)
+            if rem > 0 and own / rem < 1:
+                ratios[i][j] = own / rem
+    return ratios
+
+
+def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str):
+    """Envy factor and its first binding pair (row-major) from ``direct_ratios``;
+    the pair is None when the factor is 1."""
+    factor, pair = Fraction(1), None
+    for i, row in enumerate(direct_ratios(alloc, profile, drop)):
+        for j, r in enumerate(row):
+            if r < factor:
+                factor, pair = r, (i, j)
     return factor, pair
 
 
@@ -119,6 +134,54 @@ def reference_tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
         b = v.values[t] if t < v.horizon else 0
         total += abs(a - b)
     return total / 2
+
+
+def reference_gen_random_vector(horizon: int, rng: random.Random) -> ValuationVector:
+    """Random weights in 1..20, each value a Fraction over their sum."""
+    weights = [rng.randint(1, 20) for _ in range(horizon)]
+    total = sum(weights)
+    return ValuationVector(tuple(Fraction(w, total) for w in weights))
+
+
+def reference_perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
+                             mode: str) -> ValuationVector:
+    """Exact-distance perturbation on Fraction values: remove mass d from
+    shuffled positive goods, re-deposit it in drawn chunks on untouched goods,
+    appended goods or both, drawing from ``rng`` in the library's order."""
+    if d == 0:
+        return p
+    values = list(p.values)
+    positive = [g for g in range(len(values)) if values[g] > 0]
+    rng.shuffle(positive)
+    removed: set[int] = set()
+    need = d
+    for g in positive:
+        if need == 0:
+            break
+        take = min(need, values[g])
+        values[g] -= take
+        removed.add(g)
+        need -= take
+    if need > 0:
+        raise ValueError(f"insufficient removable mass for distance {d}")
+    untouched = [g for g in range(len(values)) if g not in removed]
+    deposit_existing = mode == "values" or (mode == "mixed" and rng.random() < 0.5)
+    targets: list[int] = []
+    if deposit_existing and untouched:
+        rng.shuffle(untouched)
+        targets = untouched[:rng.randint(1, min(3, len(untouched)))]
+    appended = 0
+    if not targets or mode == "extra-goods" or (mode == "mixed" and rng.random() < 0.5):
+        appended = rng.randint(1, 3)
+    weights = [rng.randint(1, 9) for _ in range(len(targets) + appended)]
+    chunks = [d * Fraction(w, sum(weights)) for w in weights]
+    for g, c in zip(targets, chunks):
+        values[g] += c
+    values.extend(chunks[len(targets):])
+    if mode == "mixed" and appended == 0:
+        while len(values) > 1 and values[-1] == 0:
+            values.pop()
+    return ValuationVector(tuple(values))
 
 
 def reference_transcript_dict(transcript) -> dict:

@@ -578,6 +578,30 @@ class TestRunPathReadsWeightsOnly:
         self._assert_no_values(*loaded)
 
 
+class TestVerifyPathReadsWeightsOnly:
+    """An acceptance-suite trial generates, perturbs and scores from each
+    vector's int weights: no vector it makes or reads builds its ``values``."""
+
+    @staticmethod
+    def _assert_no_values(*profiles: ValuationProfile) -> None:
+        assert not any("values" in vars(v) for p in profiles for v in p.vectors)
+
+    @pytest.mark.parametrize("mode", PERTURB_MODES)
+    @pytest.mark.parametrize("identical", [True, False], ids=["identical", "general"])
+    def test_generate_perturb_and_score(self, identical, mode):
+        n, horizon = 3, 12
+        predictions = gen_random_instance(n, horizon, identical, seed=5)
+        ds = [F(1, 10)] * n if identical else [F(1, 10), F(1, 7), F(1, 3)]
+        truths = perturb(predictions, ds, seed=6, mode=mode)
+        self._assert_no_values(predictions, truths)
+        for profile in (predictions, truths):
+            alloc = Allocation.of([range(i, profile.horizon, n) for i in range(n)],
+                                  num_goods=profile.horizon)
+            fairness_report(alloc, profile)
+        run_instance("ef1-lowest", make_instance(predictions, truths))
+        self._assert_no_values(predictions, truths)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ONE_ROW_FOR_TWO_AGENTS = {"n": 2, "identical": True, "predictions": [["1/2", "1/2"]],

@@ -1,4 +1,5 @@
-"""The integer-weight kernel against Fraction loops written from the definitions.
+"""The integer-weight kernel and generators against Fraction loops written from
+the definitions.
 
 The references live in ``conftest.py`` and share no code with the library.
 Inputs mix small integer weights (zero-valued goods, ties) with vectors whose
@@ -6,6 +7,7 @@ value denominators are large and pairwise coprime.  The online allocators'
 integer stepping is checked decision by decision against their Fraction rules.
 """
 
+import random
 from fractions import Fraction as F
 from functools import partial
 from math import lcm
@@ -22,6 +24,7 @@ from onlinefair.core import (
     rat,
     tv_distance,
 )
+from onlinefair.harness import PERTURB_MODES, gen_random_vector, perturb_vector
 from onlinefair.offline import eliminate_envy_cycles, lpt
 from onlinefair.online import (
     FormKind,
@@ -37,10 +40,14 @@ from conftest import (
     allocations_for,
     coprime_vectors,
     direct_envy,
+    direct_ratios,
+    identical_profiles,
     mixed_vectors,
     profiles,
     reference_envy_edges,
+    reference_gen_random_vector,
     reference_lpt,
+    reference_perturb_vector,
     reference_sources,
     reference_tv_distance,
 )
@@ -48,6 +55,27 @@ from conftest import (
 
 def mixed_profiles(**kwargs):
     return st.one_of(profiles(**kwargs), profiles(kind=coprime_vectors, **kwargs))
+
+
+@st.composite
+def shared_profiles(draw, max_agents=5, max_goods=8):
+    """Profiles whose agents take their vectors from a pool of one to three
+    objects, so some agents share one vector object in a profile that is not
+    flagged identical."""
+    horizon = draw(st.integers(1, max_goods))
+    pool = draw(st.lists(mixed_vectors(min_goods=horizon, max_goods=horizon),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=max_agents))
+    return ValuationProfile(tuple(pool[k] for k in picks))
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as ``(den, weights)``, or as the type and message it raised."""
+    try:
+        v = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return v.den, v.weights
 
 
 class TestWeights:
@@ -101,14 +129,67 @@ class TestAgainstReferences:
             assert (len(reference_envy_edges(settled, profile))
                     < len(reference_envy_edges(alloc, profile)))
 
-    @settings(max_examples=300)
-    @given(mixed_profiles(max_agents=5, max_goods=8), st.data())
+    @settings(max_examples=500)
+    @given(st.one_of(mixed_profiles(max_agents=5, max_goods=8),
+                     identical_profiles(kind=mixed_vectors), shared_profiles()), st.data())
     def test_fairness_report(self, profile, data):
         alloc = data.draw(allocations_for(profile))
         report = fairness_report(alloc, profile)
         efx, pair = direct_envy(alloc, profile, "best")
         assert (report.efx_factor, report.binding_pair) == (efx, pair)
         assert report.ef1_factor == direct_envy(alloc, profile, "worst")[0]
+        assert report.per_pair_efx == tuple(map(tuple, direct_ratios(alloc, profile, "best")))
+
+
+class TestGeneratorsAgainstReferences:
+    """The int-weight generators against their Fraction versions: the same
+    vector, or the same error, and the same random state after every draw."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 16), st.integers(0, 2 ** 32))
+    def test_gen_random_vector(self, horizon, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (outcome(gen_random_vector, horizon, ours)
+                == outcome(reference_gen_random_vector, horizon, theirs))
+        assert ours.getstate() == theirs.getstate()
+
+    def test_gen_random_vector_without_goods(self):
+        ours, theirs = random.Random(3), random.Random(3)
+        refused = (ValueError, "a valuation vector needs at least one good")
+        assert outcome(gen_random_vector, 0, ours) == refused
+        assert outcome(reference_gen_random_vector, 0, theirs) == refused
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=600)
+    @given(mixed_vectors(max_goods=10), st.sampled_from(PERTURB_MODES),
+           st.integers(0, 2 ** 32), st.data())
+    def test_perturb_vector(self, p, mode, seed, data):
+        kind = data.draw(st.sampled_from(["edge", "coprime", "any"]))
+        if kind == "edge":
+            d = data.draw(st.sampled_from([F(0), F(1)]))
+        elif kind == "coprime":  # L = lcm(p.den, q) is a proper multiple of both
+            q = data.draw(st.sampled_from([q for q in PRIMES if p.den % q]))
+            d = F(data.draw(st.integers(0, q)), q)
+        else:
+            d = data.draw(st.fractions(0, 1, max_denominator=10 ** 6))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (outcome(perturb_vector, p, d, ours, mode)
+                == outcome(reference_perturb_vector, p, d, theirs, mode))
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("mode", PERTURB_MODES)
+    def test_insufficient_mass_message(self, mode):
+        # d <= 1 is checked first, so a normalized vector always has the mass:
+        # this vector is built around the constructor's check, its weights
+        # summing to half its den
+        short = ValuationVector.__new__(ValuationVector)
+        object.__setattr__(short, "den", 4)
+        object.__setattr__(short, "weights", (1, 0, 1))
+        ours, theirs = random.Random(8), random.Random(8)
+        refused = (ValueError, "insufficient removable mass for distance 3/4")
+        assert outcome(perturb_vector, short, F(3, 4), ours, mode) == refused
+        assert outcome(reference_perturb_vector, short, F(3, 4), theirs, mode) == refused
+        assert ours.getstate() == theirs.getstate()
 
 
 def columns(profile: ValuationProfile) -> list[tuple[F, ...]]:
