@@ -6,15 +6,15 @@ A value vector is integer weights over one common denominator (the lcm of the
 value denominators), its ``Fraction`` values built only when read, and the
 metrics here, the offline paths and the online allocators' setup compute on
 those Python ints, building a ``Fraction`` only for a result: the envy
-factors keep their minima as int pairs, compared by cross-multiplication.  The
-instance loader parses each distinct value string once, straight to an int
-pair, and the writer encodes each distinct weight once.  The
-online allocators step on ints too, over a denominator of their own: a run
-fixes it before the first good at the lcm of the true vectors' denominators,
-and a duel grows it as values are revealed (see ``online``).  Irrational
-thresholds (the golden-ratio and sqrt(3) cut-offs) are decided through squared
-integer comparisons, after exact linear tests against an integer bracket for
-the golden ratio, never approximated.
+factors keep their minima as int pairs, compared by cross-multiplication, and
+a report holds just the two factors.  The instance loader parses each
+distinct value string once, straight to an int pair, and the writer encodes
+each distinct weight once.  The online allocators step on ints too, over a
+denominator of their own: a run fixes it before the first good at the lcm of
+the true vectors' denominators, and a duel grows it as values are revealed
+(see ``online``).  Irrational thresholds (the golden-ratio and sqrt(3)
+cut-offs) are decided through squared integer comparisons, after exact linear
+tests against an integer bracket for the golden ratio, never approximated.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads; all operations are pure functions.
@@ -458,8 +458,8 @@ class FairnessReport:
 
     ``efx_factor`` is the largest a for which nobody a-envies anyone else up
     to *any* good; ``ef1_factor`` the analogue up to *one* good.  Vacuous
-    comparisons (empty or singleton opposing bundle) contribute 1, and all
-    entries are clamped into [0, 1].
+    comparisons (empty or singleton opposing bundle) contribute 1, as does a
+    pair whose ratio would exceed 1, so both factors lie in [0, 1].
 
     The convention is EFX₀: the envier removes the other bundle's
     least-valued good even when that good is worth zero to it.  This is
@@ -468,8 +468,6 @@ class FairnessReport:
 
     efx_factor: Fraction
     ef1_factor: Fraction
-    per_pair_efx: tuple[tuple[Fraction, ...], ...]
-    binding_pair: Optional[tuple[int, int]]
 
     def __post_init__(self) -> None:
         if self.efx_factor > self.ef1_factor:
@@ -491,13 +489,11 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
     its bundles once.  Removing a minimum (maximum) good leaves ``sum - min``
     (``sum - max``), and the common denominator cancels in ``own / (sum - min)``,
     so both minima are kept as int pairs, compared by cross-multiplication, and
-    a Fraction is built only for a per-pair ratio below 1 and for the factors.
+    a Fraction is built only for the two factors.
     """
     _check_alloc(alloc, profile)
     n = profile.agents
-    per_pair = [[ONE] * n for _ in range(n)]
     efx_num = efx_den = ef1_num = ef1_den = 1
-    binding: Optional[tuple[int, int]] = None
     reduced: dict[int, list[tuple[int, int, int]]] = {}
     for i, vector in enumerate(profile.vectors):
         stats = reduced.get(id(vector))
@@ -513,19 +509,14 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
                 continue
             s, lo, hi = stats[j]
             den_x = s - lo
-            if own < den_x:
-                per_pair[i][j] = Fraction(own, den_x)
-                if own * efx_den < efx_num * den_x:
-                    efx_num, efx_den = own, den_x
-                    binding = (i, j)
+            if own < den_x and own * efx_den < efx_num * den_x:
+                efx_num, efx_den = own, den_x
             den_o = s - hi
             if own < den_o and own * ef1_den < ef1_num * den_o:
                 ef1_num, ef1_den = own, den_o
     return FairnessReport(
-        efx_factor=ONE if binding is None else per_pair[binding[0]][binding[1]],
+        efx_factor=ONE if efx_num == efx_den else Fraction(efx_num, efx_den),
         ef1_factor=ONE if ef1_num == ef1_den else Fraction(ef1_num, ef1_den),
-        per_pair_efx=tuple(tuple(row) for row in per_pair),
-        binding_pair=binding,
     )
 
 

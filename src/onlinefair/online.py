@@ -62,7 +62,6 @@ class OnlineAllocator:
         self.bundles: list[set[int]] = [set() for _ in range(n)]
         self.den = 1
         self.own = [0] * n
-        self.last_step_ops = 0
 
     def rescale(self, den: int) -> None:
         """Express every bundle value over ``den``, a multiple of ``self.den``."""
@@ -120,7 +119,6 @@ class GreedyGoldenThreshold(OnlineAllocator):
         super().__init__(n=self.agents)
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
-        self.last_step_ops = 1
         if cmp_golden_int(self.own[0] + weights[0], self.den) <= 0:
             return 0
         return 1
@@ -137,7 +135,6 @@ class LowestValueBundle(OnlineAllocator):
     name = "ef1-lowest"
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
-        self.last_step_ops = self.n
         return self.own.index(min(self.own))
 
 
@@ -171,7 +168,6 @@ class PredictionFollower(OnlineAllocator):
         self.owner = {g: i for i, b in enumerate(settled.bundles) for g in b}
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
-        self.last_step_ops = 1
         return self.owner.get(t, self.unenvied)
 
 
@@ -200,20 +196,13 @@ class ThreeGoodsAllocator(OnlineAllocator):
         if t >= self.t_pred:
             if self.trailing_target is None:
                 self.trailing_target = 0 if own[0] <= own[1] else 1
-            self.last_step_ops = 1
             return self.trailing_target
-        if t == 0:
-            self.last_step_ops = 0
-            return 0
-        if t == 1:  # good 0 is agent 0's whole bundle
+        if t == 1:  # good 0 is agent 0's whole bundle; the whole mass is den
             v0, v1 = own[0], weights[0]
-            self.last_step_ops = 2
-            if max(v0, v1) >= self.den - v0 - v1:  # the whole mass is den
-                self.isolated_first = True
-                return 1
-            return 0
+            self.isolated_first = max(v0, v1) >= self.den - v0 - v1
+        if t < 2:  # good 1 joins good 0 unless one of the two is worth at least the rest
+            return 1 if self.isolated_first else 0
         # t == 2, promised horizon 3
-        self.last_step_ops = 1
         if self.isolated_first:
             # goods 0 and 1 are alone with agents 0 and 1; keep the higher one alone
             return 1 if own[0] >= own[1] else 0
@@ -341,7 +330,6 @@ class FormThresholdAllocator(ThreeGoodsAllocator):
         if self.tag.kind is FormKind.THREE_GOODS:
             return super()._decide(t, weights)
         if t in self.tag.large:
-            self.last_step_ops = 3
             th = self.threshold
             admit = (weights[0] * th.denominator <= th.numerator * self.den
                      and self.large_in_high < 2)
@@ -350,7 +338,6 @@ class FormThresholdAllocator(ThreeGoodsAllocator):
                 return self.high
             self.large_in_low += 1
             return self.low
-        self.last_step_ops = 1
         return self.high if t in self.tag.heavy else self.low
 
 

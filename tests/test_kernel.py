@@ -40,7 +40,6 @@ from conftest import (
     allocations_for,
     coprime_vectors,
     direct_envy,
-    direct_ratios,
     identical_profiles,
     mixed_vectors,
     profiles,
@@ -135,10 +134,8 @@ class TestAgainstReferences:
     def test_fairness_report(self, profile, data):
         alloc = data.draw(allocations_for(profile))
         report = fairness_report(alloc, profile)
-        efx, pair = direct_envy(alloc, profile, "best")
-        assert (report.efx_factor, report.binding_pair) == (efx, pair)
-        assert report.ef1_factor == direct_envy(alloc, profile, "worst")[0]
-        assert report.per_pair_efx == tuple(map(tuple, direct_ratios(alloc, profile, "best")))
+        assert report.efx_factor == direct_envy(alloc, profile, "best")
+        assert report.ef1_factor == direct_envy(alloc, profile, "worst")
 
 
 class TestGeneratorsAgainstReferences:

@@ -38,7 +38,7 @@ from onlinefair.verify import DUEL_PLAN
 
 from conftest import (
     coprime_vectors,
-    direct_envy_factor,
+    direct_envy,
     identical_profiles,
     mixed_vectors,
     normalized_vector,
@@ -177,7 +177,7 @@ def _direct_best(family) -> tuple[F, list[int]]:
     for assign in itertools.product(range(n), repeat=horizon):
         alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
                                for i in range(n)], num_goods=horizon)
-        f = min(direct_envy_factor(alloc, profile, "best") for profile in family)
+        f = min(direct_envy(alloc, profile, "best") for profile in family)
         if f > best:
             best, first = f, list(assign)
     return best, first

@@ -1,6 +1,7 @@
 """Online allocators: traces, guarantees, and form classification."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -422,7 +423,7 @@ class TestFormThresholdAllocator:
     @pytest.mark.parametrize("horizon", [1, 2, 3])
     def test_three_goods_form_is_one_allocator(self, horizon, monkeypatch):
         # main runs the three-goods rule on its own bundles: one step per good,
-        # with the standalone rule's agents and ops, including trailing goods
+        # with the standalone rule's agents, including trailing goods
         calls = []
         step = OnlineAllocator.step
 
@@ -431,7 +432,7 @@ class TestFormThresholdAllocator:
             return step(allocator, t, weights)
 
         def trace(allocator, truths):
-            return [(allocator.step(t, weights), allocator.last_step_ops)
+            return [allocator.step(t, weights)
                     for t, weights in enumerate(truth_columns(allocator, truths))]
 
         monkeypatch.setattr(OnlineAllocator, "step", counted)
@@ -455,18 +456,52 @@ class TestFormThresholdAllocator:
         with pytest.raises(ValueError):
             FormThresholdAllocator(p, F(11, 10))
 
+    @staticmethod
+    def _step_opcodes(p: ValuationVector, a: F) -> list[int]:
+        """Python opcodes executed by each ``step`` of ``main`` on the truths ``p``."""
+        allocator = FormThresholdAllocator(p, a)
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                count += 1
+            return tracer
+
+        counts = []
+        previous = sys.gettrace()
+        truths = ValuationProfile.identical_from(p, 2)
+        for t, weights in enumerate(truth_columns(allocator, truths)):
+            count = 0
+            sys.settrace(tracer)
+            try:
+                allocator.step(t, weights)
+            finally:
+                sys.settrace(previous)
+            counts.append(count)
+        return counts
+
     def test_constant_work_per_step(self):
-        rng = random.Random(3)
-        weights = [rng.randint(1, 30) for _ in range(400)]
-        total = sum(weights)
-        p = ValuationVector(tuple(F(w, total) for w in weights))
-        allocator = FormThresholdAllocator(p, F(4, 5))
-        p_twice = ValuationProfile.identical_from(p, 2)
-        ops = []
-        for t, weights in enumerate(truth_columns(allocator, p_twice)):
-            allocator.step(t, weights)
-            ops.append(allocator.last_step_ops)
-        assert max(ops) <= 4  # bounded regardless of horizon
+        # the most opcodes any one step executes does not grow with the horizon,
+        # on a tracked form (three tracked tops, then a light tail) and on passthrough
+        def tracked(horizon):
+            tail = horizon - 3
+            return ValuationVector((F(33, 100),) * 3 + (F(1, 100 * tail),) * tail)
+
+        def uniform(horizon):
+            return ValuationVector((F(1, horizon),) * horizon)
+
+        a = F(7, 10)
+        for kind, stream in ((FormKind.FORM1, tracked), (FormKind.PASSTHROUGH, uniform)):
+            peaks = []
+            for horizon in (40, 4000):
+                p = stream(horizon)
+                assert classify_form(p, a).kind is kind
+                counts = self._step_opcodes(p, a)
+                assert min(counts) > 0
+                peaks.append(max(counts))
+            assert peaks[0] == peaks[1], kind
 
     @pytest.mark.parametrize("a", [F(2, 3), F(4, 5)])
     def test_guarantee_under_margin(self, a):
