@@ -41,20 +41,19 @@ from .online import (
     ThreeGoodsAllocator,
     classify_form,
     make_allocator,
-    passthrough_cutoff,
 )
 from .adversaries import (
     AdversarySpec,
     ParameterError,
     build_adversary,
 )
-from .bounds import BoundId, BoundParams, eval_bound, invert_bound, sweep_curves
+from .bounds import (BoundId, BoundParams, eval_bound, invert_bound, passthrough_cutoff,
+                     sweep_curves)
 from .harness import (
     GameTranscript,
     gen_random_instance,
     make_instance,
     perturb,
-    replay,
     run_duel,
     run_instance,
 )

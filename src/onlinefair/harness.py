@@ -1,9 +1,9 @@
 """Game runner, instance generators, and exact perturbation machinery.
 
 Every run is seeded and sequential (the online model is inherently ordered).
-A transcript keeps the agent chosen for each good beside the true values,
-which are the values each step revealed; replaying the choices reproduces the
-allocation bit-for-bit.
+A transcript keeps the allocator's choices, the agent that got each good,
+beside the true values, which are the values each step revealed; its
+allocation is the allocator's, built from those choices.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .adversaries import Adversary, AdversarySpec, build_adversary
 from .core import (
@@ -50,9 +50,9 @@ def _json_rationals(values: Iterable[Fraction], indent: str) -> str:
 class GameTranscript:
     """Ordered record of one online run.
 
-    ``choices[t]`` is the agent that got good t.  The values revealed at good t
-    are the truths' column t, so the transcript keeps them once, in ``truths``;
-    replaying the choices reproduces ``allocation`` exactly.
+    ``choices[t]`` is the agent that got good t, and ``allocation`` is built
+    from them.  The values revealed at good t are the truths' column t, so the
+    transcript keeps them once, in ``truths``.
     """
 
     source: str
@@ -99,51 +99,27 @@ class GameTranscript:
                 f'  "realized_error": {realized}\n}}')
 
 
-def _finish(source: str, allocator: OnlineAllocator, choices: tuple[int, ...],
-            truths: ValuationProfile, realized_error: Optional[tuple[Fraction, ...]],
+def _finish(source: str, allocator: OnlineAllocator, truths: ValuationProfile,
+            realized_error: Optional[tuple[Fraction, ...]],
             seed: Optional[int]) -> GameTranscript:
     alloc = allocator.allocation()
-    return GameTranscript(source=source, allocator=allocator.name, choices=choices,
-                          allocation=alloc, truths=truths,
+    return GameTranscript(source=source, allocator=allocator.name,
+                          choices=tuple(allocator.choices), allocation=alloc, truths=truths,
                           report=fairness_report(alloc, truths),
                           realized_error=realized_error, seed=seed)
-
-
-def _allocator(name: str, n: int, identical: bool, prediction: Optional[ValuationProfile],
-               a: Optional[Fraction]) -> OnlineAllocator:
-    """``make_allocator``'s allocator, refused if it is identical-only and the
-    true valuations it will see are not ``identical``."""
-    allocator = make_allocator(name, n=n, prediction=prediction, a=a)
-    if allocator.identical_only and not identical:
-        raise ValueError(f"{name} needs identical true valuations")
-    return allocator
-
-
-def truth_columns(allocator: OnlineAllocator,
-                  truths: ValuationProfile) -> Iterator[tuple[int, ...]]:
-    """Per good, its value to each agent as ints over the allocator's ``den``.
-
-    Fixes ``den`` once, before the first good, at the lcm L of the truths'
-    denominators.  A vector whose ``den`` is L is read as it is; any other is
-    scaled to L once.
-    """
-    den = lcm(*{v.den for v in truths.vectors})
-    allocator.rescale(den)
-    return zip(*[v.weights if v.den == den else tuple([w * (den // v.den) for w in v.weights])
-                 for v in truths.vectors])
 
 
 def run_instance(allocator_name: str, instance: Instance, *,
                  a: Optional[Fraction] = None) -> GameTranscript:
     """Feed an instance's true values through an allocator, in arrival order."""
     truths = instance.truths
-    allocator = _allocator(allocator_name, instance.agents, truths.identical,
-                           instance.predictions, a)
+    allocator = make_allocator(allocator_name, n=instance.agents, identical=truths.identical,
+                               prediction=instance.predictions, a=a)
     step = allocator.step
-    choices = tuple([step(t, weights)
-                     for t, weights in enumerate(truth_columns(allocator, truths))])
-    return _finish(f"instance:n={instance.agents}", allocator, choices,
-                   truths, instance.realized_error, None)
+    for weights in allocator.columns(truths):
+        step(weights)
+    return _finish(f"instance:n={instance.agents}", allocator, truths,
+                   instance.realized_error, None)
 
 
 class _RandomWalker(OnlineAllocator):
@@ -167,12 +143,10 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
     interval."""
     state = adv.start()
     revealed = []
-    choices = []
-    for t in range(adv.horizon):
+    for _ in range(adv.horizon):
         values = adv.reveal(state)
-        agent = allocator.step(t, allocator.weigh(values))
+        agent = allocator.step(allocator.weigh(values))
         revealed.append(values)
-        choices.append(agent)
         state = adv.advance(state, agent)
     vectors = []
     for i in range(adv.n):
@@ -192,15 +166,15 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
             if not lo <= e <= hi:
                 raise AssertionError(
                     f"agent {i} realized error {e} outside claimed [{lo}, {hi}]")
-    return _finish(f"duel:{adv.construction}", allocator, tuple(choices), truths,
-                   realized, seed)
+    return _finish(f"duel:{adv.construction}", allocator, truths, realized, seed)
 
 
 def run_duel(allocator_name: str, spec: AdversarySpec, *,
              a: Optional[Fraction] = None) -> GameTranscript:
     """Pit an allocator against an adaptive construction inside the allocator's scope."""
     adv = build_adversary(spec)
-    allocator = _allocator(allocator_name, adv.n, adv.identical, adv.prediction, a)
+    allocator = make_allocator(allocator_name, n=adv.n, identical=adv.identical,
+                               prediction=adv.prediction, a=a)
     return _duel(adv, allocator, None)
 
 
@@ -208,15 +182,6 @@ def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
     """Drive a construction with seeded random decisions (path exploration)."""
     adv = build_adversary(spec)
     return _duel(adv, _RandomWalker(adv.n, seed), seed)
-
-
-def replay(transcript: GameTranscript) -> Allocation:
-    """Rebuild the final allocation from recorded choices (determinism check)."""
-    n = transcript.truths.agents
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for t, agent in enumerate(transcript.choices):
-        bundles[agent].add(t)
-    return Allocation.of(bundles, num_goods=len(transcript.choices))
 
 
 # ---------------------------------------------------------------------------

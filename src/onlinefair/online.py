@@ -12,13 +12,14 @@ Five allocators share one stepping contract:
   goods to the heavier side only while their observed values stay inside
   exact error margins.
 
-Every allocator steps on Python ints: ``OnlineAllocator.step`` takes each
+Every allocator steps on Python ints: ``OnlineAllocator.step`` takes the next
 good's values as ints over the allocator's denominator ``den`` and keeps each
 agent's bundle value as an int over it, so no decision builds a ``Fraction``.
-A run that knows its true values up front (``run_instance``) fixes ``den``
-once, with ``rescale``, before the first good; a duel, whose values are
-revealed adaptively, turns each good's exact rationals into ints with
-``weigh``, which rescales ``den`` when a value's denominator does not divide
+The allocator's ``choices``, the agent that got each good, are the one record
+of a run.  A run that knows its true values up front (``run_instance``) steps
+on ``columns``, which fixes ``den`` once, before the first good; a duel, whose
+values are revealed adaptively, turns each good's exact rationals into ints
+with ``weigh``, which grows ``den`` when a value's denominator does not divide
 it.  The decisions are invariant under rescaling.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .bounds import BoundId, check_domain, eval_bound, late_y_margin, passthrough_cutoff
 from .core import (Allocation, RationalLike, ValuationProfile, ValuationVector,
@@ -37,17 +38,19 @@ from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 
 
 class OnlineAllocator:
-    """Single-run stateful allocator; goods must arrive in index order.
+    """Single-run stateful allocator; goods arrive one at a time, in order.
 
-    It keeps ``den``, a positive int, and ``own[i]``, agent i's value of its
-    own bundle times ``den``, an int.  ``step(t, weights)`` takes good t's
-    values times ``den``, one int per agent, and hands them to
-    ``_decide(t, weights)``, so a decision compares ints over one
-    denominator.  ``rescale(den)`` re-expresses ``own`` over a multiple of
-    ``den``; ``weigh(values)`` turns one good's values, given as Fractions,
-    ints or ``"p/q"`` strings, into the ints ``step`` takes, rescaling first
-    if a value's denominator does not divide ``den``.  A rejected step or
-    ``weigh`` changes nothing.
+    ``choices[t]`` is the agent that got good t; ``allocation()`` builds the
+    bundles from it.  The allocator also keeps ``den``, a positive int, and
+    ``own[i]``, agent i's value of its own bundle times ``den``, an int.
+    ``step(weights)`` takes the next good's values times ``den``, one int per
+    agent, and hands them to ``_decide(t, weights)``, t being the number of
+    goods placed so far, so a decision compares ints over one denominator.
+    ``columns(truths)`` gives those ints for values known up front, and
+    ``weigh(values)`` for one good's values, given as Fractions, ints or
+    ``"p/q"`` strings; each first grows ``den`` to a multiple that every value's
+    denominator divides, and ``_rescale`` re-expresses ``own`` over it.  A
+    rejected step or ``weigh`` changes nothing.
     """
 
     name = "abstract"
@@ -58,19 +61,28 @@ class OnlineAllocator:
         if n < 2:
             raise ValueError("need at least two agents")
         self.n = n
-        self.next_t = 0
-        self.bundles: list[set[int]] = [set() for _ in range(n)]
+        self.choices: list[int] = []
         self.den = 1
         self.own = [0] * n
 
-    def rescale(self, den: int) -> None:
+    def _rescale(self, den: int) -> None:
         """Express every bundle value over ``den``, a multiple of ``self.den``."""
-        scale, rest = divmod(den, self.den)
-        if rest or scale < 1:
-            raise ValueError(f"cannot rescale denominator {self.den} to {den}")
-        if scale != 1:
+        if den != self.den:
+            scale = den // self.den
             self.own = [w * scale for w in self.own]
             self.den = den
+
+    def columns(self, truths: ValuationProfile) -> Iterator[tuple[int, ...]]:
+        """Per good, its value to each agent as ints over ``den``.
+
+        Fixes ``den`` once, before the goods, at the lcm L of ``den`` and the
+        truths' denominators.  A vector whose ``den`` is L is read as it is;
+        any other is scaled to L once.
+        """
+        den = lcm(self.den, *{v.den for v in truths.vectors})
+        self._rescale(den)
+        return zip(*[v.weights if v.den == den else tuple([w * (den // v.den) for w in v.weights])
+                     for v in truths.vectors])
 
     def weigh(self, values: Iterable[RationalLike]) -> tuple[int, ...]:
         """One good's exact values, one per agent, as ints over ``den``."""
@@ -83,22 +95,22 @@ class OnlineAllocator:
                 raise ValueError("revealed values must be nonnegative")
             if den % d:
                 den = lcm(den, d)
-        self.rescale(den)
+        self._rescale(den)
         return tuple([num * (den // d) for num, d in ratios])
 
-    def step(self, t: int, weights: tuple[int, ...]) -> int:
-        if t != self.next_t:
-            raise ValueError(f"good {t} arrived out of order (expected {self.next_t})")
+    def step(self, weights: tuple[int, ...]) -> int:
         if len(weights) != self.n:
             raise ValueError("need one revealed value per agent")
-        agent = self._decide(t, weights)
-        self.bundles[agent].add(t)
+        agent = self._decide(len(self.choices), weights)
+        self.choices.append(agent)
         self.own[agent] += weights[agent]
-        self.next_t += 1
         return agent
 
     def allocation(self) -> Allocation:
-        return Allocation.of([set(b) for b in self.bundles], num_goods=self.next_t)
+        bundles: list[set[int]] = [set() for _ in range(self.n)]
+        for t, agent in enumerate(self.choices):
+            bundles[agent].add(t)
+        return Allocation.of(bundles, num_goods=len(self.choices))
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         raise NotImplementedError
@@ -356,15 +368,16 @@ _ALLOCATORS = {
 ALLOCATOR_NAMES = tuple(_ALLOCATORS)
 
 
-def make_allocator(name: str, *, n: int,
+def make_allocator(name: str, *, n: int, identical: bool,
                    prediction: Optional[ValuationProfile] = None,
                    a: Optional[Fraction] = None) -> OnlineAllocator:
-    """Build an allocator by its command-line name, for ``n`` agents.
+    """Build an allocator by its command-line name, for ``n`` agents whose true
+    valuations are ``identical`` or not.
 
-    An allocator whose class fixes ``agents`` is refused at any other n, and
-    a target factor ``a`` is refused by every allocator but ``main``, the one
-    that reads it.  Its ``identical_only`` is checked by the runners, which see
-    the true values.
+    An allocator whose class fixes ``agents`` is refused at any other n, a
+    target factor ``a`` is refused by every allocator but ``main``, the one
+    that reads it, and an ``identical_only`` allocator is refused unless the
+    true valuations are ``identical``.
     """
     cls = _ALLOCATORS.get(name)
     if cls is None:
@@ -374,19 +387,23 @@ def make_allocator(name: str, *, n: int,
     if a is not None and name != "main":
         raise ValueError(f"{name} reads no target factor a; only main does")
     if name == "greedy-phi":
-        return GreedyGoldenThreshold()
-    if name == "ef1-lowest":
-        return LowestValueBundle(n)
-    if name.startswith("follower:"):
+        allocator = GreedyGoldenThreshold()
+    elif name == "ef1-lowest":
+        allocator = LowestValueBundle(n)
+    elif name.startswith("follower:"):
         if prediction is None:
             raise ValueError(f"{name} needs a prediction profile")
-        return PredictionFollower(prediction, base=name.split(":", 1)[1])
-    if name == "three-goods":
+        allocator = PredictionFollower(prediction, base=name.split(":", 1)[1])
+    elif name == "three-goods":
         if prediction is None:
             raise ValueError("three-goods needs the promised horizon from a prediction")
-        return ThreeGoodsAllocator(prediction.horizon)
-    if prediction is None or a is None:
-        raise ValueError("the form-guided allocator needs a prediction and --a")
-    if not prediction.identical:
-        raise ValueError("the form-guided allocator needs identical predictions")
-    return FormThresholdAllocator(prediction.vector(0), rat(a))
+        allocator = ThreeGoodsAllocator(prediction.horizon)
+    else:
+        if prediction is None or a is None:
+            raise ValueError("the form-guided allocator needs a prediction and --a")
+        if not prediction.identical:
+            raise ValueError("the form-guided allocator needs identical predictions")
+        allocator = FormThresholdAllocator(prediction.vector(0), rat(a))
+    if cls.identical_only and not identical:
+        raise ValueError(f"{name} needs identical true valuations")
+    return allocator

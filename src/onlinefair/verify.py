@@ -34,7 +34,6 @@ from .harness import (
     random_walk_duel,
     run_duel,
     run_instance,
-    truth_columns,
 )
 from .offline import brute_force_best_factor, lpt, minimax_online_factor
 from .online import LowestValueBundle, ThreeGoodsAllocator
@@ -149,8 +148,8 @@ def _ef1_baseline() -> tuple[str, list[str]]:
         t_total = rng.randint(1, 12)
         profile = gen_random_instance(n, t_total, identical=True, seed=rng.randrange(2 ** 30))
         allocator = LowestValueBundle(n)
-        for t, weights in enumerate(truth_columns(allocator, profile)):
-            allocator.step(t, weights)
+        for t, weights in enumerate(allocator.columns(profile)):
+            allocator.step(weights)
             if ef1_factor(allocator.allocation(), profile) != 1:
                 failures.append(f"trial {trial}: prefix t={t} not exactly EF1")
                 break
@@ -236,8 +235,8 @@ def _three_goods() -> tuple[str, list[str]]:
         truths = gen_random_instance(2, t_total, identical=True,
                                      seed=rng.randrange(2 ** 30))
         allocator = ThreeGoodsAllocator(t_total)
-        for t, weights in enumerate(truth_columns(allocator, truths)):
-            allocator.step(t, weights)
+        for weights in allocator.columns(truths):
+            allocator.step(weights)
         if efx_factor(allocator.allocation(), truths) != 1:
             failures.append(f"trial {trial}: promised horizon kept but factor below 1")
     for trial in range(200):
@@ -254,8 +253,8 @@ def _three_goods() -> tuple[str, list[str]]:
         vec = tuple(head + tail)
         truths = ValuationProfile.identical_from(ValuationVector(vec), 2)
         allocator = ThreeGoodsAllocator(t_pred)
-        for t, weights in enumerate(truth_columns(allocator, truths)):
-            allocator.step(t, weights)
+        for weights in allocator.columns(truths):
+            allocator.step(weights)
         f = efx_factor(allocator.allocation(), truths)
         if f < a:
             failures.append(f"trial {trial}: factor {f} < a={a} with trailing {trailing}")

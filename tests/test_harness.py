@@ -24,7 +24,6 @@ from onlinefair.harness import (
     perturb,
     perturb_vector,
     random_walk_duel,
-    replay,
     run_duel,
     run_instance,
 )
@@ -132,6 +131,15 @@ class TestPerturb:
         v = ValuationVector((F(1, 2), F(1, 2)))
         with pytest.raises(ValueError):
             perturb_vector(v, F(1, 4), random.Random(0), mode="sideways")
+
+
+def replay(transcript: GameTranscript) -> Allocation:
+    """The allocation that the transcript's choices make, built here, apart
+    from the allocator's own ``allocation``."""
+    bundles = [set() for _ in range(transcript.truths.agents)]
+    for t, agent in enumerate(transcript.choices):
+        bundles[agent].add(t)
+    return Allocation.of(bundles, num_goods=len(transcript.choices))
 
 
 class TestTranscripts:
@@ -254,8 +262,9 @@ def test_step_values_are_the_truths_columns(case, monkeypatch):
     calls = []
     step = OnlineAllocator.step
 
-    def recording(self, t, weights):
-        agent = step(self, t, weights)
+    def recording(self, weights):
+        t = len(self.choices)
+        agent = step(self, weights)
         calls.append((t, tuple(F(w, self.den) for w in weights), agent))
         return agent
 
@@ -274,7 +283,7 @@ def stepped_on_values(allocator: OnlineAllocator, truths: ValuationProfile) -> t
     """The choices from stepping on the truths' Fraction columns through ``weigh``,
     so the allocator's ``den`` runs up with the denominators revealed so far."""
     columns = zip(*(v.values for v in truths.vectors))
-    return tuple([allocator.step(t, allocator.weigh(values)) for t, values in enumerate(columns)])
+    return tuple([allocator.step(allocator.weigh(values)) for values in columns])
 
 
 @pytest.mark.parametrize("case", WRITER_CASES)
@@ -348,7 +357,8 @@ def differential_instances():
             a = rng.choice([F(2, 3), F(4, 5), F(1)]) if name == "main" else None
             if name == "main" and trial % 2:  # the first good on, above or below the threshold
                 predictions, a = TRACKING_PREDICTIONS, F(4, 5)
-                th = make_allocator(name, n=2, prediction=predictions, a=a).threshold
+                th = make_allocator(name, n=2, identical=True, prediction=predictions,
+                                    a=a).threshold
                 first = th + F(rng.choice([-1, 0, 1]), primes[0])
                 rest = _prime_vector(rng, 3, primes[1]).values
                 truths = ValuationProfile.identical_from(
@@ -375,7 +385,8 @@ def test_differential_instances_cover_the_hard_cases():
 def test_run_choices_match_stepping_on_values():
     for name, instance, a in differential_instances():
         transcript = run_instance(name, instance, a=a)
-        twin = make_allocator(name, n=instance.agents, prediction=instance.predictions, a=a)
+        twin = make_allocator(name, n=instance.agents, identical=instance.truths.identical,
+                              prediction=instance.predictions, a=a)
         assert stepped_on_values(twin, instance.truths) == transcript.choices, name
 
 

@@ -196,7 +196,7 @@ def columns(profile: ValuationProfile) -> list[tuple[F, ...]]:
 
 def stepped(allocator, stream) -> list[int]:
     """Step through ``stream``, turning each good's values into ints with ``weigh``."""
-    return [allocator.step(t, allocator.weigh(values)) for t, values in enumerate(stream)]
+    return [allocator.step(allocator.weigh(values)) for values in stream]
 
 
 def agrees(make, stream) -> list[int]:
@@ -283,8 +283,8 @@ class TestSteppingAgainstFractionRules:
         for make in (GreedyGoldenThreshold, partial(LowestValueBundle, 2),
                      partial(ThreeGoodsAllocator, 3)):
             allocator, dens = make(), []
-            for t, values in enumerate(stream):
-                allocator.step(t, allocator.weigh(values))
+            for values in stream:
+                allocator.step(allocator.weigh(values))
                 dens.append(allocator.den)
             assert dens == [2, 4, 12, 60 * PRIMES[6], 60 * PRIMES[6]]
             agrees(make, stream)

@@ -1,5 +1,6 @@
 """Online allocators: traces, guarantees, and form classification."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -18,8 +19,7 @@ from onlinefair.core import (
     efx_factor,
     rat,
 )
-from onlinefair.harness import (gen_random_instance, make_instance, perturb, run_instance,
-                                truth_columns)
+from onlinefair.harness import gen_random_instance, make_instance, perturb, run_instance
 from onlinefair.offline import cut_and_choose, eliminate_envy_cycles, lpt
 from onlinefair.online import (
     FormKind,
@@ -34,23 +34,20 @@ from onlinefair.online import (
     passthrough_cutoff,
 )
 
-from conftest import identical_profiles, vectors
+from conftest import identical_profiles, mixed_vectors, profiles, vectors
 
 
 def vec(*values):
     return ValuationVector(tuple(rat(v) for v in values))
 
 
-def feed(allocator, t, values):
-    """Step good ``t`` on its exact values, turned into ints by ``weigh``."""
-    return allocator.step(t, allocator.weigh(values))
+def feed(allocator, values):
+    """Step the next good on its exact values, turned into ints by ``weigh``."""
+    return allocator.step(allocator.weigh(values))
 
 
 def run_identical(allocator, values):
-    decisions = []
-    for t, v in enumerate(values):
-        decisions.append(feed(allocator, t, (rat(v),) * allocator.n))
-    return decisions
+    return [feed(allocator, (rat(v),) * allocator.n) for v in values]
 
 
 def contract_allocators():
@@ -66,7 +63,7 @@ CONTRACT_STREAM = [F(0), F(1, 3), F(1, 4), F(0), F(1, 7), F(11, 84), F(1, 7)]
 
 
 def state(alloc):
-    return alloc.next_t, alloc.den, list(alloc.own), [set(b) for b in alloc.bundles]
+    return list(alloc.choices), alloc.den, list(alloc.own)
 
 
 class TestStepContract:
@@ -80,55 +77,45 @@ class TestStepContract:
     def test_a_rejected_step_changes_nothing(self, bad, error, message):
         # the first value of each bad good would rescale the running denominator
         for alloc, twin in zip(contract_allocators(), contract_allocators()):
-            for t, v in enumerate(CONTRACT_STREAM[:3]):
-                assert feed(alloc, t, (v, v)) == feed(twin, t, (v, v))
+            for v in CONTRACT_STREAM[:3]:
+                assert feed(alloc, (v, v)) == feed(twin, (v, v))
             before = state(alloc)
             with pytest.raises(error, match=message):
                 alloc.weigh(bad)
             assert state(alloc) == before
-            for t, v in enumerate(CONTRACT_STREAM[3:], start=3):
-                assert feed(alloc, t, (v, v)) == feed(twin, t, (v, v))
+            for v in CONTRACT_STREAM[3:]:
+                assert feed(alloc, (v, v)) == feed(twin, (v, v))
             assert state(alloc) == state(twin)
 
-    @pytest.mark.parametrize("t,weights,message", [
-        (3, (1,), r"^need one revealed value per agent$"),
-        (3, (1, 1, 1), r"^need one revealed value per agent$"),
-        (2, (1, 1), r"^good 2 arrived out of order \(expected 3\)$"),
-        (4, (1, 1), r"^good 4 arrived out of order \(expected 3\)$"),
-    ])
-    def test_a_rejected_int_step_changes_nothing(self, t, weights, message):
+    @pytest.mark.parametrize("weights", [(1,), (1, 1, 1)])
+    def test_a_rejected_int_step_changes_nothing(self, weights):
         for alloc, twin in zip(contract_allocators(), contract_allocators()):
-            for s, v in enumerate(CONTRACT_STREAM[:3]):
-                assert feed(alloc, s, (v, v)) == feed(twin, s, (v, v))
+            for v in CONTRACT_STREAM[:3]:
+                assert feed(alloc, (v, v)) == feed(twin, (v, v))
             before = state(alloc)
-            with pytest.raises(ValueError, match=message):
-                alloc.step(t, weights)
+            with pytest.raises(ValueError, match=r"^need one revealed value per agent$"):
+                alloc.step(weights)
             assert state(alloc) == before
-            for s, v in enumerate(CONTRACT_STREAM[3:], start=3):
-                assert feed(alloc, s, (v, v)) == feed(twin, s, (v, v))
+            for v in CONTRACT_STREAM[3:]:
+                assert feed(alloc, (v, v)) == feed(twin, (v, v))
             assert state(alloc) == state(twin)
 
-    def test_rescale_keeps_the_bundle_values(self):
-        alloc = LowestValueBundle(2)
-        for t, v in enumerate(CONTRACT_STREAM[:3]):
-            feed(alloc, t, (v, v))
-        assert (alloc.den, alloc.own) == (12, [4, 3])
-        alloc.rescale(36)
-        assert (alloc.den, alloc.own) == (36, [12, 9])
-        for den in (24, 0, -36):
-            with pytest.raises(ValueError, match=rf"^cannot rescale denominator 36 to {den}$"):
-                alloc.rescale(den)
-            assert (alloc.den, alloc.own) == (36, [12, 9])
-
-    def test_out_of_order_rejected(self):
-        alloc = LowestValueBundle(2)
-        feed(alloc, 0, (F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError, match=r"^good 2 arrived out of order \(expected 1\)$"):
-            feed(alloc, 2, (F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError, match="out of order"):
-            feed(alloc, 0, (F(1, 2), F(1, 2)))
-        assert feed(alloc, 1, (F(1, 3), F(1, 3))) == 1
-        assert alloc.allocation().as_lists() == [[0], [1]]
+    @settings(max_examples=150)
+    @given(st.one_of(identical_profiles(max_agents=2, kind=mixed_vectors),
+                     profiles(max_agents=2, max_goods=8, kind=mixed_vectors)), st.data())
+    def test_columns_after_weighed_goods(self, profile, data):
+        # columns fixes den at the lcm of the running den and the truths' dens,
+        # so switching from weigh to columns after any good changes nothing
+        k = data.draw(st.integers(0, profile.horizon))
+        stream = list(zip(*(v.values for v in profile.vectors)))
+        for alloc, twin in zip(contract_allocators(), contract_allocators()):
+            for values in stream[:k]:
+                feed(alloc, values)
+            for weights in itertools.islice(alloc.columns(profile), k, None):
+                alloc.step(weights)
+            for values in stream:
+                feed(twin, values)
+            assert state(alloc) == state(twin)
 
     def test_negative_value_rejected(self):
         alloc = LowestValueBundle(2)
@@ -152,22 +139,22 @@ class TestStepContract:
         runs = {}
         for form, wrap in forms.items():
             allocs = contract_allocators()
-            runs[form] = [[feed(alloc, t, wrap(v)) for t, v in enumerate(CONTRACT_STREAM)]
+            runs[form] = [[feed(alloc, wrap(v)) for v in CONTRACT_STREAM]
                           for alloc in allocs]
             assert all(alloc.den == 84 for alloc in allocs)
         assert all(run == runs["fractions"] for run in runs.values())
 
     def test_partition_maintained(self):
         alloc = LowestValueBundle(3)
-        for t in range(5):
-            feed(alloc, t, (F(1, 5),) * 3)
+        for _ in range(5):
+            feed(alloc, (F(1, 5),) * 3)
         a = alloc.allocation()
         assert sum(len(b) for b in a.bundles) == 5
 
     def test_allocation_is_the_prefix_so_far(self):
         alloc = LowestValueBundle(3)
         for t, value in enumerate([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]):
-            agent = feed(alloc, t, (value,) * 3)
+            agent = feed(alloc, (value,) * 3)
             prefix = alloc.allocation()
             assert prefix.num_goods == t + 1
             assert t in prefix.bundles[agent]
@@ -223,8 +210,8 @@ class TestLowestValueBundle:
     def test_every_prefix_exactly_ef1(self, profile):
         a = LowestValueBundle(profile.agents)
         bundles = [set() for _ in range(profile.agents)]
-        for t, weights in enumerate(truth_columns(a, profile)):
-            agent = a.step(t, weights)
+        for t, weights in enumerate(a.columns(profile)):
+            agent = a.step(weights)
             bundles[agent].add(t)
             prefix = Allocation.of([set(b) for b in bundles], num_goods=t + 1)
             assert ef1_factor(prefix, profile) == 1
@@ -427,13 +414,12 @@ class TestFormThresholdAllocator:
         calls = []
         step = OnlineAllocator.step
 
-        def counted(allocator, t, weights):
-            calls.append(t)
-            return step(allocator, t, weights)
+        def counted(allocator, weights):
+            calls.append(len(allocator.choices))
+            return step(allocator, weights)
 
         def trace(allocator, truths):
-            return [allocator.step(t, weights)
-                    for t, weights in enumerate(truth_columns(allocator, truths))]
+            return [allocator.step(weights) for weights in allocator.columns(truths)]
 
         monkeypatch.setattr(OnlineAllocator, "step", counted)
         rng = random.Random(horizon)
@@ -442,7 +428,7 @@ class TestFormThresholdAllocator:
             truths = p if trial % 3 == 0 else perturb(
                 p, [F(1, 5)] * 2, seed=rng.randrange(2 ** 30),
                 mode=("values", "extra-goods")[trial % 3 - 1])
-            main = make_allocator("main", n=2, prediction=p, a=F(4, 5))
+            main = make_allocator("main", n=2, identical=True, prediction=p, a=F(4, 5))
             assert main.tag.kind is FormKind.THREE_GOODS
             calls.clear()
             got = trace(main, truths)
@@ -472,11 +458,11 @@ class TestFormThresholdAllocator:
         counts = []
         previous = sys.gettrace()
         truths = ValuationProfile.identical_from(p, 2)
-        for t, weights in enumerate(truth_columns(allocator, truths)):
+        for weights in allocator.columns(truths):
             count = 0
             sys.settrace(tracer)
             try:
-                allocator.step(t, weights)
+                allocator.step(weights)
             finally:
                 sys.settrace(previous)
             counts.append(count)
@@ -634,10 +620,21 @@ class TestFormThresholdAllocator:
 def test_make_allocator_validations():
     p2 = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
     with pytest.raises(ValueError):
-        make_allocator("greedy-phi", n=3)
+        make_allocator("greedy-phi", n=3, identical=True)
     with pytest.raises(ValueError):
-        make_allocator("main", n=2, prediction=p2)  # missing target factor
+        make_allocator("main", n=2, identical=True, prediction=p2)  # missing target factor
     with pytest.raises(ValueError):
-        make_allocator("follower:lpt", n=2, prediction=None)
+        make_allocator("follower:lpt", n=2, identical=True, prediction=None)
     with pytest.raises(ValueError):
-        make_allocator("nope", n=2)
+        make_allocator("nope", n=2, identical=True)
+
+
+@pytest.mark.parametrize("name,a", [("greedy-phi", None), ("three-goods", None),
+                                    ("main", F(4, 5))])
+def test_make_allocator_refuses_identical_only_on_general_truths(name, a):
+    p = ValuationProfile.identical_from(vec("1/2", "1/4", "1/4"), 2)
+    with pytest.raises(ValueError, match=rf"^{name} needs identical true valuations$"):
+        make_allocator(name, n=2, identical=False, prediction=p, a=a)
+    assert make_allocator(name, n=2, identical=True, prediction=p, a=a).identical_only
+    for general in ("ef1-lowest", "follower:lpt", "follower:cut-and-choose"):
+        assert not make_allocator(general, n=2, identical=False, prediction=p).identical_only
