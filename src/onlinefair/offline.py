@@ -107,13 +107,18 @@ def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile
 #
 # The oracles compute on Python ints.  An *observer* is one distinct int
 # weight vector; a *view* maps each agent of one valuation profile to its
-# observer.  A bundle is tracked by its (sum, min) weight under each observer,
-# ``min`` None while the bundle is empty.  An envy ratio compares two sums
-# under one observer, so the scale cancels: a factor is an int pair (num,
-# den), factors compare by cross-multiplication, and ``Fraction`` appears only
-# in the value an oracle returns.  The game-tree oracle first compiles the
-# opponent's reachable states to int tables (``_compile_opponent``), so its
-# search never calls the opponent.
+# observer, and a *seat* is one distinct (agent, observer) pair of the views.
+# A bundle is tracked by its sum and min weight under each observer, and
+# ``tops[o]`` is the largest ``sum - min`` under observer o over the nonempty
+# bundles (0 if none).  The brute force keeps the sums and mins in lists that
+# it updates and undoes in place; the game tree, whose memo needs hashable
+# states, keeps each bundle's (sum, min) pairs in tuples, ``min`` None while
+# the bundle is empty.  An envy ratio compares two sums under one observer,
+# so the scale cancels: a factor is an int pair (num, den), factors compare
+# by cross-multiplication, and ``Fraction`` appears only in the value an
+# oracle returns.  The game-tree oracle first compiles the opponent's
+# reachable states to int tables (``_compile_opponent``), so its search
+# never calls the opponent.
 
 def _bundle_update(bstates, agent: int, values: tuple[int, ...]):
     """Add a good with per-observer weights to one bundle's (sum, min) stats."""
@@ -134,42 +139,40 @@ def _empty_bundles(n: int, observers: int):
     return (((0, None),) * observers,) * n
 
 
-def _tops(bstates) -> list[int]:
-    """Per observer, the largest ``sum - min`` over the nonempty bundles (0 if none)."""
-    tops = []
-    for o in range(len(bstates[0])):
-        top = 0
-        for obs in bstates:
-            s, m = obs[o]
-            if m is not None and s - m > top:
-                top = s - m
-        tops.append(top)
-    return tops
+def _sums_tops(bstates) -> tuple[list[list[int]], list[int]]:
+    """Each bundle's sum per observer, and per observer the largest
+    ``sum - min`` over the nonempty bundles (0 if none), in one pass."""
+    sums = []
+    tops = [0] * len(bstates[0])
+    for obs in bstates:
+        row = []
+        for o, (s, m) in enumerate(obs):
+            row.append(s)
+            if m is not None and s - m > tops[o]:
+                tops[o] = s - m
+        sums.append(row)
+    return sums, tops
 
 
-def _envy_factor(bstates, views) -> tuple[int, int]:
-    """Smallest envy-up-to-any-good ratio over every agent of every view, as
-    an int pair (num, den).
+def _envy_factor(sums, tops, seats) -> tuple[int, int]:
+    """Smallest envy-up-to-any-good ratio over the ``seats``, as an int pair
+    (num, den); ``sums[i][o]`` is agent i's bundle sum under observer o.
 
     Agent i with observer o compares its own sum against ``sum - min`` of the
     other bundles under o (EFX₀: the least-valued good goes even when it is
     worth zero to o), so only the largest such drop per observer matters.
     Its own drop never exceeds its own sum, so when i holds the largest drop
-    it envies nobody and the ratio, at least 1, changes nothing.
+    it envies nobody and the ratio, at least 1, changes nothing.  An empty
+    bundle has sum 0, so it scores 0 against any positive drop with no test
+    of its own.
     """
-    tops = _tops(bstates)
-    for view in views:
-        for i, o in enumerate(view):
-            if bstates[i][o][1] is None and tops[o]:
-                return 0, 1  # an empty bundle envies any positive remainder
     fn = fd = 1
-    for view in views:
-        for i, o in enumerate(view):
-            top = tops[o]
-            if top:
-                s = bstates[i][o][0]
-                if s * fd < fn * top:
-                    fn, fd = s, top
+    for i, o in seats:
+        top = tops[o]
+        if top:
+            s = sums[i][o]
+            if s * fd < fn * top:
+                fn, fd = s, top
     return fn, fd
 
 
@@ -178,16 +181,29 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     envy factor across ``profiles``, with that factor.
 
     Depth-first in lexicographic order; bundle labels are interchangeable
-    (restricted-growth labelling) when every profile values all agents alike.
-    Stops at the first exact assignment, since no factor exceeds 1.
+    (restricted-growth labelling: good t goes to one of the ``used`` bundles
+    opened so far or opens the next) when every profile values all agents
+    alike.  Stops at the first exact assignment, since no factor exceeds 1.
+    The search holds every bundle's sum and min under each observer in
+    lists: placing a good adds its weights to one bundle's sums in place and
+    gives that bundle a new list of mins, and backtracking subtracts the
+    weights and puts the saved mins back.  A bundle's
+    ``sum - min`` never falls as goods are added, so each node's ``tops`` is
+    its parent's with the one grown bundle's drop max'd in.
 
-    Once the best factor found is positive, a partial assignment is skipped
-    when some agent i, with observer o, could not beat it: when (own sum of i
-    + weight under o of the goods left) / (largest ``sum - min`` under o so
-    far) is at most the best.  Sound because ``sum - min`` of a bundle never
-    falls as goods are added and i's own sum grows by at most the goods left;
-    the witness stays the lexicographically first maximiser, because the best
-    changes only on a strict improvement.
+    Two cuts skip a node whose leaves cannot strictly beat the best factor
+    found, so the witness stays the lexicographically first maximiser:
+
+    * once the best is positive, when some agent i, with observer o, could
+      not beat it: when (own sum of i + weight under o of the goods left) /
+      ``tops[o]`` is at most the best, since i's own sum grows by at most the
+      goods left and ``tops[o]`` never falls;
+    * under restricted-growth labelling, once some leaf is scored (the best
+      is at least 0), when more bundles are unopened than goods are left and
+      some top is positive.  Some bundle then ends empty, and an empty
+      bundle scores 0 against the positive top of its own observer: every
+      view seats all its agents at one observer, and each observer is some
+      view's.  Tops never fall, so every leaf below scores 0.
     """
     observers: dict[tuple[int, ...], int] = {}  # distinct weight vectors
     views = tuple(tuple(observers.setdefault(v.weights, len(observers)) for v in p.vectors)
@@ -196,37 +212,57 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     goods = list(zip(*observers))  # per good, its weight to each observer
     symmetric = all(len(set(view)) == 1 for view in views)
     t_total = len(goods)
-    # each distinct (agent, observer) pair of every view
     seats = tuple(dict.fromkeys((i, o) for view in views for i, o in enumerate(view)))
     rest = [(0,) * len(observers)]  # rest[t][o]: the weight of goods t.. under o
     for values in reversed(goods):
         rest.append(tuple(r + w for r, w in zip(rest[-1], values)))
     rest.reverse()
+    sums = [[0] * len(observers) for _ in range(n)]
+    # an empty bundle's min is above every weight, so its first good replaces it
+    mins = [[r + 1 for r in rest[0]] for _ in range(n)]
     best = (-1, 1)
     best_assign: list[int] = []
     assign = [0] * t_total
 
-    def rec(t: int, used: int, bstates) -> bool:
+    def rec(t: int, used: int, tops: list[int]) -> bool:
         nonlocal best, best_assign
         if t == t_total:
-            fn, fd = _envy_factor(bstates, views)
+            fn, fd = _envy_factor(sums, tops, seats)
             if fn * best[1] > best[0] * fd:
                 best, best_assign = (fn, fd), assign[:]
             return best[0] == best[1]
         bn, bd = best
+        if symmetric and bn >= 0 and n - used > t_total - t and any(tops):
+            return False
         if bn > 0:
-            tops, left = _tops(bstates), rest[t]
+            left = rest[t]
             for i, o in seats:
                 top = tops[o]
-                if top and (bstates[i][o][0] + left[o]) * bd <= bn * top:
+                if top and (sums[i][o] + left[o]) * bd <= bn * top:
                     return False
+        values = goods[t]
         for b in range(min(used + 1, n) if symmetric else n):
             assign[t] = b
-            if rec(t + 1, max(used, b + 1), _bundle_update(bstates, b, goods[t])):
+            bsums, saved = sums[b], mins[b]
+            bmins = mins[b] = []
+            child = tops[:]
+            for o, w in enumerate(values):
+                s = bsums[o] = bsums[o] + w
+                m = saved[o]
+                if w < m:
+                    m = w
+                bmins.append(m)
+                if s - m > child[o]:
+                    child[o] = s - m
+            found = rec(t + 1, max(used, b + 1), child)
+            mins[b] = saved
+            for o, w in enumerate(values):
+                bsums[o] -= w
+            if found:
                 return True
         return False
 
-    rec(0, 0, _empty_bundles(n, len(observers)))
+    rec(0, 0, [0] * len(observers))
     return Fraction(*best), best_assign
 
 
@@ -329,7 +365,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         return _best_assignment(family)[0]
 
     rows, successors, view = _compile_opponent(adversary, node_budget)
-    views = (view,)
+    seats = tuple(enumerate(view))
     sink = [not any(row) and all(nxt == k for nxt in successors[k])
             for k, row in enumerate(rows)]
     settled = horizon - n  # where a sink's zero goods start to matter
@@ -345,7 +381,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         if t < settled and sink[k]:
             t = settled
         if t == horizon:
-            return _envy_factor(bstates, views)
+            return _envy_factor(*_sums_tops(bstates), seats)
         key = (k, bstates, t)
         value = memo.get(key)
         if value is None:

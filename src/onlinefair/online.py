@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Optional
 
@@ -258,7 +259,7 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
     heavier one decide the form.
     """
     a = rat(a)
-    check_domain(BoundId.MAIN_SUFFICIENT, a)
+    cutoff = _cutoff(a)
     w = p.weights
     wz = max(w)
     wy = max((x for x in w if x < wz), default=None)
@@ -270,7 +271,7 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
     bundles = lpt(p, 2).bundles
     low = 0 if p.weight(bundles[0]) <= p.weight(bundles[1]) else 1
     light, heavy = bundles[low], bundles[1 - low]
-    if a == 1 or p.value(light) >= passthrough_cutoff(a):
+    if a == 1 or p.weight(light) * cutoff.denominator >= cutoff.numerator * p.den:
         return FormTag(FormKind.PASSTHROUGH, z, y, heavy, frozenset(), low)
     if len(heavy) == 1:
         return FormTag(FormKind.SINGLETON_HIGH, z, y, heavy, frozenset(), low)
@@ -296,6 +297,16 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
                      "not a reachable balanced split")
 
 
+# main's cutoff and slacks are computed once per target factor a: a run of
+# the acceptance suites builds main 1,400 times over seven factors
+@lru_cache
+def _cutoff(a: Fraction) -> Fraction:
+    """The passthrough cutoff at factor ``a``, after the domain check."""
+    check_domain(BoundId.MAIN_SUFFICIENT, a)
+    return passthrough_cutoff(a)
+
+
+@lru_cache
 def _half_margin(a: Fraction) -> Fraction:
     return eval_bound(BoundId.MAIN_SUFFICIENT, a) / 2
 
@@ -307,7 +318,7 @@ _ADMISSION = {
     FormKind.FORM1: ("z", _half_margin, False),
     FormKind.FORM2OR4: ("y", _half_margin, True),
     FormKind.FORM3_EARLY_Y: ("z", _half_margin, False),
-    FormKind.FORM3_LATE_Y: ("z", late_y_margin, True),
+    FormKind.FORM3_LATE_Y: ("z", lru_cache(late_y_margin), True),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinefair import offline
 from onlinefair.adversaries import AdversarySpec, build_adversary
 from onlinefair.core import (
     Allocation,
@@ -215,6 +216,32 @@ FAMILIES = [family for _, family in FAMILY_CASES]
 FAMILY_IDS = [name for name, _ in FAMILY_CASES]
 
 
+def _zero_heavy_vector(rng: random.Random, horizon: int) -> ValuationVector:
+    """Weights from 0-5 with zeros and ties common, at least one positive."""
+    weights = [rng.choice((0, 0, 1, 1, 2, 3, 5)) for _ in range(horizon)]
+    weights[rng.randrange(horizon)] += 1
+    return normalized_vector(weights)
+
+
+def _symmetric_family(seed: int) -> tuple[ValuationProfile, ...]:
+    """Two or three identical profiles over the same goods, each with its own
+    vector: every agent of a profile is alike, so the search relabels bundles
+    and may cut on empty ones, but several observers can keep the best
+    factor below 1."""
+    rng = random.Random(seed)
+    n = 3 + seed % 2
+    horizon = rng.randint(n - 1, 5)
+    return tuple(ValuationProfile.identical_from(_zero_heavy_vector(rng, horizon), n)
+                 for _ in range(2 + seed % 3 // 2))
+
+
+# (agents, goods, seed): identical profiles on 4 and 5 agents, T < n included,
+# so more bundles than goods are often left to open and the empty-bundle cut fires
+WIDE_CASES = ([(4, horizon, seed) for horizon in range(1, 7) for seed in range(2)]
+              + [(5, horizon, seed) for horizon in range(1, 6) for seed in range(2)]
+              + [(5, 6, 0)])
+
+
 class TestBruteForce:
     def test_single_good(self):
         profile = ValuationProfile.identical_from(vec("1"), 2)
@@ -276,6 +303,59 @@ class TestBruteForce:
     def test_families_reach_below_one(self):
         values = [_best_assignment(family)[0] for family in FAMILIES]
         assert sum(0 < v < 1 for v in values) >= len(values) // 3
+
+    @pytest.mark.parametrize("n,horizon,seed", WIDE_CASES,
+                             ids=[f"n{n}-T{t}-seed{s}" for n, t, s in WIDE_CASES])
+    def test_many_agents_match_direct_enumeration(self, n, horizon, seed):
+        rng = random.Random(1000 * n + 10 * horizon + seed)
+        profile = ValuationProfile.identical_from(_zero_heavy_vector(rng, horizon), n)
+        assert _best_assignment((profile,)) == _direct_best((profile,))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_symmetric_families_match_direct_enumeration(self, seed):
+        # seed 24's best is 0: a leaf that scores 0 must not be cut before the
+        # first leaf is scored, or a later 0 becomes the witness
+        family = _symmetric_family(seed)
+        assert _best_assignment(family) == _direct_best(family)
+
+    def test_scored_leaves_pinned(self, monkeypatch):
+        # the leaves the search scores on suite 1's oracle cross-checks and on
+        # the twelve brute-force profiles of the `oracle` benchmark; a lost cut
+        # scores more (25,829 and 2,612 before the empty-bundle cut)
+        rng = random.Random(101)  # suite 1's draws; it checks T <= 8 by brute force
+        suite = []
+        for _ in range(1000):
+            n, horizon = rng.randint(2, 5), rng.randint(1, 12)
+            profile = gen_random_instance(n, horizon, identical=True,
+                                          seed=rng.randrange(2 ** 30))
+            if horizon <= 8:
+                suite.append(profile)
+        bench = [gen_random_instance(n, horizon, identical, seed)
+                 for n, horizon, identical in ((3, 10, False), (3, 11, False),
+                                               (3, 14, True), (4, 11, True))
+                 for seed in range(3)]
+        scored = 0
+        score = offline._envy_factor
+
+        def counting(*args):
+            nonlocal scored
+            scored += 1
+            return score(*args)
+
+        monkeypatch.setattr(offline, "_envy_factor", counting)
+        counts = []
+        for group in (suite, bench):
+            scored = 0
+            assert all(brute_force_best_factor(p)[0] == 1 for p in group)
+            counts.append(scored)
+        assert (len(suite), counts) == (678, [14469, 2531])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_exact_with_bundles_left_empty(self, n):
+        # n - 1 equal goods: every good alone is exact with one bundle empty,
+        # and that leaf comes after leaves whose empty bundle scores 0
+        profile = ValuationProfile.identical_from(normalized_vector([1] * (n - 1)), n)
+        assert _best_assignment((profile,)) == (1, list(range(n - 1)))
 
 
 class _CrossedPair:

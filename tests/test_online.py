@@ -356,6 +356,14 @@ class TestClassifyForm:
         assert tag.kind is FormKind.PASSTHROUGH
         assert passthrough_cutoff(F(7, 10)) == F(421, 1161)
 
+    def test_passthrough_cutoff_is_inclusive(self):
+        # a single heavy good and a light bundle of three: exactly at the
+        # cutoff 421/1161 passes through, one part in 2,322 below does not
+        at = vec("740/1161", "200/1161", "121/1161", "100/1161")
+        below = vec("1481/2322", "400/2322", "242/2322", "199/2322")
+        assert classify_form(at, F(7, 10)).kind is FormKind.PASSTHROUGH
+        assert classify_form(below, F(7, 10)).kind is FormKind.SINGLETON_HIGH
+
     def test_three_goods_horizon(self):
         p = vec("7/10", "1/5", "1/10")
         tag = classify_form(p, F(7, 10))
