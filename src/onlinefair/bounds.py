@@ -147,7 +147,8 @@ def invert_bound(bound: BoundId, d: Fraction,
     """Largest factor ``a`` in the domain whose bound value is at least ``d``.
 
     Closed form for the follower bound; elsewhere bisection to 2^-64 after a
-    sampled monotonicity assertion, reporting the final bracket midpoint.
+    sampled monotonicity assertion, reporting the final bracket's lower end,
+    whose bound value is at least ``d``.
     """
     d = rat(d)
     if d < 0:
@@ -175,7 +176,7 @@ def invert_bound(bound: BoundId, d: Fraction,
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo
 
 
 def sweep_curves(bounds: Sequence[BoundId], grid: Iterable[Fraction],

@@ -130,12 +130,12 @@ def cmp_sqrt3(x: Fraction) -> int:
     return (t > 0) - (t < 0)
 
 
-def bracket_threshold(cmp, width: Fraction = Fraction(1, 2 ** 64)) -> tuple[Fraction, Fraction]:
+def bracket_threshold(cmp, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bracket (lo, hi) around an irrational threshold in (0, 1).
 
     ``cmp`` is an exact comparator returning <0 below the threshold and >0
     above it (never 0 for rational input).  Plain bisection from the unit
-    interval; 64 halvings reach width 2^-64.
+    interval, halving until the bracket is at most ``width`` wide.
     """
     lo, hi = ZERO, ONE
     if not (cmp(lo) < 0 < cmp(hi)):
@@ -518,11 +518,3 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
         efx_factor=ONE if efx_num == efx_den else Fraction(efx_num, efx_den),
         ef1_factor=ONE if ef1_num == ef1_den else Fraction(ef1_num, ef1_den),
     )
-
-
-def efx_factor(alloc: Allocation, profile: ValuationProfile) -> Fraction:
-    return fairness_report(alloc, profile).efx_factor
-
-
-def ef1_factor(alloc: Allocation, profile: ValuationProfile) -> Fraction:
-    return fairness_report(alloc, profile).ef1_factor

@@ -23,8 +23,7 @@ from .core import (
     bracket_threshold,
     cmp_golden,
     decimal_str,
-    ef1_factor,
-    efx_factor,
+    fairness_report,
 )
 from .harness import (
     PERTURB_MODES,
@@ -104,7 +103,7 @@ def _lpt_exactness() -> tuple[str, list[str]]:
         t_total = rng.randint(1, 12)
         profile = gen_random_instance(n, t_total, identical=True, seed=rng.randrange(2 ** 30))
         alloc = lpt(profile.vector(0), n)
-        if efx_factor(alloc, profile) != 1:
+        if fairness_report(alloc, profile).efx_factor != 1:
             failures.append(f"trial {trial}: factor below 1 for n={n}, T={t_total}")
             continue
         if t_total <= 8:
@@ -150,7 +149,7 @@ def _ef1_baseline() -> tuple[str, list[str]]:
         allocator = LowestValueBundle(n)
         for t, weights in enumerate(allocator.columns(profile)):
             allocator.step(weights)
-            if ef1_factor(allocator.allocation(), profile) != 1:
+            if fairness_report(allocator.allocation(), profile).ef1_factor != 1:
                 failures.append(f"trial {trial}: prefix t={t} not exactly EF1")
                 break
     return "500 streams exactly EF1 at every prefix", failures
@@ -237,7 +236,7 @@ def _three_goods() -> tuple[str, list[str]]:
         allocator = ThreeGoodsAllocator(t_total)
         for weights in allocator.columns(truths):
             allocator.step(weights)
-        if efx_factor(allocator.allocation(), truths) != 1:
+        if fairness_report(allocator.allocation(), truths).efx_factor != 1:
             failures.append(f"trial {trial}: promised horizon kept but factor below 1")
     for trial in range(200):
         a = Fraction(rng.randint(0, 100), 100)
@@ -255,7 +254,7 @@ def _three_goods() -> tuple[str, list[str]]:
         allocator = ThreeGoodsAllocator(t_pred)
         for weights in allocator.columns(truths):
             allocator.step(weights)
-        f = efx_factor(allocator.allocation(), truths)
+        f = fairness_report(allocator.allocation(), truths).efx_factor
         if f < a:
             failures.append(f"trial {trial}: factor {f} < a={a} with trailing {trailing}")
     return "500 exact short-horizon runs; 200 bounded-trailing runs", failures

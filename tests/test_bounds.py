@@ -98,6 +98,18 @@ class TestInvertBound:
         back = invert_bound(bound, d)
         assert abs(back - a) <= 2 * PRECISION
 
+    @pytest.mark.parametrize("bound", [b for b in BoundId
+                                       if b is not BoundId.FOLLOWER_SUFFICIENT])
+    def test_bisection_meets_the_demand(self, bound):
+        """The factor returned has bound value at least d, for d the bound's
+        own value at each in-domain point of a rational grid."""
+        params = BoundParams(n=3)
+        for k in range(41):
+            a = F(k, 40)
+            if in_domain(bound, a, params):
+                d = eval_bound(bound, a, params)
+                assert eval_bound(bound, invert_bound(bound, d, params), params) >= d, a
+
     def test_small_variant_saturates_at_one(self):
         params = BoundParams(n=3)
         # any demand at or below the value at a=1 is met by the supremum

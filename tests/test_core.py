@@ -18,8 +18,6 @@ from onlinefair.core import (
     cmp_golden_int,
     cmp_sqrt3,
     decimal_str,
-    ef1_factor,
-    efx_factor,
     fairness_report,
     rat,
     rat_str,
@@ -351,8 +349,8 @@ class TestFairnessMetrics:
         profile = ValuationProfile.identical_from(vec("3/10", "1/2", "1/5"), 2)
         alloc = Allocation.of([{0}, {1, 2}], num_goods=3)
         # agent 0 compares 3/10 with {1} = 1/2 (EFX) and with {2} = 1/5 (EF1)
-        assert efx_factor(alloc, profile) == F(3, 5)
-        assert ef1_factor(alloc, profile) == 1
+        report = fairness_report(alloc, profile)
+        assert (report.efx_factor, report.ef1_factor) == (F(3, 5), 1)
 
     @settings(max_examples=150)
     @given(profile_with_allocation(max_agents=5, max_goods=12))
@@ -386,7 +384,7 @@ class TestFairnessMetrics:
     def test_prefix_allocations_allowed(self):
         profile = ValuationProfile.identical_from(vec("1/2", "3/10", "1/5"), 2)
         prefix = Allocation.of([{0}, {1}], num_goods=2)
-        assert efx_factor(prefix, profile) == 1
+        assert fairness_report(prefix, profile).efx_factor == 1
         beyond = Allocation.of([{0, 1, 2, 3}, set()], num_goods=4)
         with pytest.raises(PartitionError):
-            ef1_factor(beyond, profile)
+            fairness_report(beyond, profile)

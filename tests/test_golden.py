@@ -3,11 +3,10 @@ seeded gen -> perturb -> run pipelines, runs on large coprime denominators,
 seeded random walks and minimax values of every adaptive construction, and
 main's decisions on every form of the predicted split."""
 
+import errno
 import hashlib
 import json
-import os
-import subprocess
-import sys
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from onlinefair.online import (
 from onlinefair.verify import MINIMAX_PLAN
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
 
 
 def _cli_out(capsys, *argv) -> str:
@@ -87,19 +85,27 @@ def test_minimax_plan_values(spec, capsys):
     assert out == json.dumps(want, indent=2) + "\n"
 
 
-def _sweep_figures(*argv, timeout=60):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, str(SCRIPTS / "sweep_figures.py"), *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+def _readme_sweeps(outdir) -> list[list[str]]:
+    """The ``onlinefair bounds --sweep`` calls of README's Experiments block,
+    with their ``out/`` directory moved to ``outdir``."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Experiments\n", 1)[1].split("```")[1]
+    calls = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:3] == ["onlinefair", "bounds", "--sweep"]:
+            calls.append([str(outdir / arg[len("out/"):]) if arg.startswith("out/") else arg
+                          for arg in argv[1:]])
+    return calls
 
 
-def test_sweep_figures_default_csvs(tmp_path):
-    proc = _sweep_figures("--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("identical_two_agents.csv", "general_two_agents.csv")}
+def test_readme_figure_csvs(tmp_path, capsys):
+    calls = _readme_sweeps(tmp_path)
+    assert len(calls) == 2
+    for argv in calls:
+        assert cli_main(argv) == 0
+    assert capsys.readouterr().out == ""
+    digests = {path.name: _sha256(path) for path in tmp_path.iterdir()}
     assert digests == {
         "identical_two_agents.csv":
             "a5b8385edbdf14298e64da6f518c8a194d05d1c6521369b092d6713fe3bdcd7d",
@@ -108,34 +114,23 @@ def test_sweep_figures_default_csvs(tmp_path):
     }
 
 
-def test_sweep_figures_rewrites_existing_csvs_in_place(tmp_path):
-    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    rerun.mkdir()
-    names = ("identical_two_agents.csv", "general_two_agents.csv")
-    for name in names:
-        (rerun / name).write_text("#" * 100_000)
-    for outdir in (fresh, rerun):
-        proc = _sweep_figures("--outdir", str(outdir))
-        assert proc.returncode == 0, proc.stderr
-    assert [(rerun / n).read_bytes() for n in names] == [(fresh / n).read_bytes() for n in names]
+SWEEP = ("bounds", "--sweep", "--ids", "follower-sufficient,nonid-2-lb")
 
 
 @pytest.mark.parametrize("step", ["0", "-1/10"])
-def test_sweep_figures_rejects_nonpositive_step(tmp_path, step):
-    proc = _sweep_figures("--outdir", str(tmp_path), f"--step={step}", timeout=30)
-    assert proc.returncode == 2
-    assert "grid step must be positive" in proc.stderr
+def test_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
+    out = tmp_path / "general_two_agents.csv"
+    assert cli_main([*SWEEP, "--grid", f"0:1:{step}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "onlinefair: grid step must be positive\n"
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("outdir,reason", [("afile", "File exists"),
-                                           ("afile/sub", "Not a directory")])
-def test_sweep_figures_rejects_an_outdir_through_a_file(tmp_path, outdir, reason):
+def test_sweep_out_through_a_file(tmp_path, capsys):
     (tmp_path / "afile").write_text("kept")
-    proc = _sweep_figures("--outdir", str(tmp_path / outdir), timeout=30)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].endswith(f"error: --outdir {tmp_path / outdir}: {reason}")
+    out = tmp_path / "afile" / "sub"
+    assert cli_main([*SWEEP, "--grid", "0:1:1/100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"onlinefair: [Errno {errno.ENOTDIR}] Not a directory: {str(out)!r}\n"
     assert (tmp_path / "afile").read_text() == "kept"
 
 

@@ -14,7 +14,6 @@ from onlinefair.core import (
     Allocation,
     ValuationProfile,
     ValuationVector,
-    efx_factor,
     fairness_report,
     rat,
 )
@@ -60,7 +59,7 @@ class TestLpt:
         alloc = lpt(vec("1/2", "1/4", "1/4"), 2)
         assert alloc.as_lists() == [[0], [1, 2]]
         profile = ValuationProfile.identical_from(vec("1/2", "1/4", "1/4"), 2)
-        assert efx_factor(alloc, profile) == 1
+        assert fairness_report(alloc, profile).efx_factor == 1
 
     def test_single_valuable_good(self):
         alloc = lpt(vec("1", "0", "0"), 2)
@@ -77,7 +76,7 @@ class TestLpt:
     @given(identical_profiles(max_goods=8))
     def test_exact_on_identical(self, profile):
         alloc = lpt(profile.vector(0), profile.agents)
-        assert efx_factor(alloc, profile) == 1
+        assert fairness_report(alloc, profile).efx_factor == 1
 
     @settings(max_examples=30)
     @given(identical_profiles(max_agents=3, max_goods=7))
@@ -105,8 +104,8 @@ class TestCutAndChoose:
         p1 = data.draw(vectors(min_goods=horizon, max_goods=horizon))
         p2 = data.draw(vectors(min_goods=horizon, max_goods=horizon))
         alloc = cut_and_choose(p1, p2)
-        assert efx_factor(alloc, ValuationProfile.identical_from(p1, 2)) == 1
-        assert efx_factor(alloc, ValuationProfile((p1, p2))) == 1
+        assert fairness_report(alloc, ValuationProfile.identical_from(p1, 2)).efx_factor == 1
+        assert fairness_report(alloc, ValuationProfile((p1, p2))).efx_factor == 1
 
 
 class TestEnvyGraph:

@@ -15,8 +15,7 @@ from onlinefair.core import (
     ValuationProfile,
     ValuationVector,
     cmp_golden,
-    ef1_factor,
-    efx_factor,
+    fairness_report,
     rat,
 )
 from onlinefair.harness import gen_random_instance, make_instance, perturb, run_instance
@@ -176,13 +175,13 @@ class TestGreedyGoldenThreshold:
         g = GreedyGoldenThreshold()
         assert run_identical(g, ["1/2", "1/2"]) == [0, 1]
         profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
-        assert efx_factor(g.allocation(), profile) == 1
+        assert fairness_report(g.allocation(), profile).efx_factor == 1
 
     def test_trace_overflow_twice(self):
         g = GreedyGoldenThreshold()
         assert run_identical(g, ["2/5", "3/10", "3/10"]) == [0, 1, 1]
         profile = ValuationProfile.identical_from(vec("2/5", "3/10", "3/10"), 2)
-        assert efx_factor(g.allocation(), profile) == 1
+        assert fairness_report(g.allocation(), profile).efx_factor == 1
 
     @settings(max_examples=120)
     @given(vectors(max_goods=10))
@@ -190,7 +189,7 @@ class TestGreedyGoldenThreshold:
         g = GreedyGoldenThreshold()
         run_identical(g, v.values)
         profile = ValuationProfile.identical_from(v, 2)
-        f = efx_factor(g.allocation(), profile)
+        f = fairness_report(g.allocation(), profile).efx_factor
         assert cmp_golden(f) >= 0  # exactly (2f+1)^2 >= 5
 
 
@@ -214,7 +213,7 @@ class TestLowestValueBundle:
             agent = a.step(weights)
             bundles[agent].add(t)
             prefix = Allocation.of([set(b) for b in bundles], num_goods=t + 1)
-            assert ef1_factor(prefix, profile) == 1
+            assert fairness_report(prefix, profile).ef1_factor == 1
 
 
 class TestPredictionFollower:
@@ -309,13 +308,13 @@ class TestThreeGoods:
         a = ThreeGoodsAllocator(3)
         assert run_identical(a, ["1/5", "1/2", "3/10"]) == [0, 1, 0]
         profile = ValuationProfile.identical_from(vec("1/5", "1/2", "3/10"), 2)
-        assert efx_factor(a.allocation(), profile) == 1
+        assert fairness_report(a.allocation(), profile).efx_factor == 1
 
     def test_residual_dominates(self):
         a = ThreeGoodsAllocator(3)
         assert run_identical(a, ["2/5", "1/10", "1/2"]) == [0, 0, 1]
         profile = ValuationProfile.identical_from(vec("2/5", "1/10", "1/2"), 2)
-        assert efx_factor(a.allocation(), profile) == 1
+        assert fairness_report(a.allocation(), profile).efx_factor == 1
 
     def test_rejects_long_promises(self):
         with pytest.raises(ValueError):
@@ -329,7 +328,7 @@ class TestThreeGoods:
         a = ThreeGoodsAllocator(horizon)
         run_identical(a, v.values)
         profile = ValuationProfile.identical_from(v, 2)
-        assert efx_factor(a.allocation(), profile) == 1
+        assert fairness_report(a.allocation(), profile).efx_factor == 1
 
     @settings(max_examples=120)
     @given(st.data())
@@ -346,7 +345,7 @@ class TestThreeGoods:
         a = ThreeGoodsAllocator(t_pred)
         run_identical(a, values)
         profile = ValuationProfile.identical_from(ValuationVector(values), 2)
-        assert efx_factor(a.allocation(), profile) >= target
+        assert fairness_report(a.allocation(), profile).efx_factor >= target
 
 
 class TestClassifyForm:
