@@ -305,7 +305,8 @@ class Instance:
     """Predictions plus realized truths, with a declared per-agent accuracy.
 
     The declared accuracy must be a valid lower bound on the realized accuracy
-    1 - TV(p_i, v_i); this is validated post hoc on construction.  The
+    1 - TV(p_i, v_i); this is validated post hoc on construction, by
+    cross-multiplying each accuracy's int pair against the distance's.  The
     distances it computes are kept as a plain attribute, outside the dataclass
     fields: ``realized_error``, with ``realized_error[i] == TV(p_i, v_i)``.
     """
@@ -324,13 +325,14 @@ class Instance:
             raise ValueError("need one declared accuracy per agent")
         errors = []
         for i, acc in enumerate(self.declared_accuracy):
-            if not (0 <= acc <= 1):
+            an, ad = acc.numerator, acc.denominator
+            if not 0 <= an <= ad:
                 raise ValueError(f"accuracy of agent {i} outside [0, 1]")
             error = tv_distance(self.predictions.vector(i), self.truths.vector(i))
-            realized = 1 - error
-            if realized < acc:
+            en, ed = error.numerator, error.denominator
+            if (ed - en) * ad < an * ed:  # realized accuracy 1 - error below acc
                 raise ValueError(
-                    f"agent {i}: declared accuracy {acc} exceeds realized {realized}")
+                    f"agent {i}: declared accuracy {acc} exceeds realized {1 - error}")
             errors.append(error)
         object.__setattr__(self, "realized_error", tuple(errors))
 
@@ -418,12 +420,12 @@ def make_instance(predictions: ValuationProfile, truths: ValuationProfile) -> In
     """An instance declaring each agent's realized accuracy 1 - TV(p_i, v_i).
 
     It is checked at accuracy zero, which every instance meets, and then
-    declares the accuracies that check computed, so each distance is computed
-    once.
+    declares one minus each distance that check computed, built from the
+    distance's int pair, so each distance is computed once.
     """
     instance = Instance(predictions, truths, (ZERO,) * predictions.agents)
-    object.__setattr__(instance, "declared_accuracy",
-                       tuple([1 - e for e in instance.realized_error]))
+    object.__setattr__(instance, "declared_accuracy", tuple([
+        Fraction(e.denominator - e.numerator, e.denominator) for e in instance.realized_error]))
     return instance
 
 

@@ -183,27 +183,39 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     Depth-first in lexicographic order; bundle labels are interchangeable
     (restricted-growth labelling: good t goes to one of the ``used`` bundles
     opened so far or opens the next) when every profile values all agents
-    alike.  Stops at the first exact assignment, since no factor exceeds 1.
-    The search holds every bundle's sum and min under each observer in
+    alike.  The search holds every bundle's sum and min under each observer in
     lists: placing a good adds its weights to one bundle's sums in place and
     gives that bundle a new list of mins, and backtracking subtracts the
     weights and puts the saved mins back.  A bundle's
     ``sum - min`` never falls as goods are added, so each node's ``tops`` is
     its parent's with the one grown bundle's drop max'd in.
 
-    Two cuts skip a node whose leaves cannot strictly beat the best factor
-    found, so the witness stays the lexicographically first maximiser:
+    Two passes run the same search.  The *exact pass* looks for a leaf that
+    scores 1 and stops at the first; no factor exceeds 1, and its cuts drop
+    only subtrees with no such leaf, so that leaf is the lexicographically
+    first maximiser.  Only if it finds none does the *maximisation* run, from
+    a best of -1, keeping each leaf that strictly beats the best.  Exact EFX
+    allocations exist for identical additive valuations and for three
+    additive agents (Chaudhury, Garg, Mehlhorn 2020), so on a single profile
+    the maximisation is rarely reached; a family of profiles, as the
+    truth-oblivious opponents give, can stay below 1 and reach it.
 
-    * once the best is positive, when some agent i, with observer o, could
-      not beat it: when (own sum of i + weight under o of the goods left) /
-      ``tops[o]`` is at most the best, since i's own sum grows by at most the
-      goods left and ``tops[o]`` never falls;
-    * under restricted-growth labelling, once some leaf is scored (the best
-      is at least 0), when more bundles are unopened than goods are left and
-      some top is positive.  Some bundle then ends empty, and an empty
-      bundle scores 0 against the positive top of its own observer: every
-      view seats all its agents at one observer, and each observer is some
-      view's.  Tops never fall, so every leaf below scores 0.
+    Two cuts skip a node with no leaf that reaches 1 (exact pass) or strictly
+    beats the best found (maximisation, once the best is positive), so the
+    witness stays the lexicographically first maximiser:
+
+    * when some agent i, with observer o, cannot: when (own sum of i + weight
+      under o of the goods left) / ``tops[o]`` is below 1, or at most the
+      best, since i's own sum grows by at most the goods left and ``tops[o]``
+      never falls;
+    * under restricted-growth labelling, once the best is at least 0 (from
+      the root in the exact pass, after the first scored leaf in the
+      maximisation), when more bundles are unopened than goods are left and
+      some top is positive; when exactly as many are, only the child that
+      opens a bundle is tried.  A bundle that ends empty scores 0 against the
+      positive top of its own observer: every view seats all its agents at
+      one observer, and each observer is some view's.  Tops never fall, so
+      every leaf below with an empty bundle scores 0.
     """
     observers: dict[tuple[int, ...], int] = {}  # distinct weight vectors
     views = tuple(tuple(observers.setdefault(v.weights, len(observers)) for v in p.vectors)
@@ -220,28 +232,31 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     sums = [[0] * len(observers) for _ in range(n)]
     # an empty bundle's min is above every weight, so its first good replaces it
     mins = [[r + 1 for r in rest[0]] for _ in range(n)]
-    best = (-1, 1)
     best_assign: list[int] = []
     assign = [0] * t_total
 
     def rec(t: int, used: int, tops: list[int]) -> bool:
         nonlocal best, best_assign
+        bn, bd = best
+        first = 0
+        if symmetric and bn >= 0 and n - used >= t_total - t and any(tops):
+            if n - used > t_total - t:
+                return False
+            first = used  # each good left must open a bundle
         if t == t_total:
             fn, fd = _envy_factor(sums, tops, seats)
-            if fn * best[1] > best[0] * fd:
+            if fn * bd >= bn * fd + beat:
                 best, best_assign = (fn, fd), assign[:]
-            return best[0] == best[1]
-        bn, bd = best
-        if symmetric and bn >= 0 and n - used > t_total - t and any(tops):
+                return fn == fd
             return False
         if bn > 0:
             left = rest[t]
             for i, o in seats:
                 top = tops[o]
-                if top and (sums[i][o] + left[o]) * bd <= bn * top:
+                if top and (sums[i][o] + left[o]) * bd < bn * top + beat:
                     return False
         values = goods[t]
-        for b in range(min(used + 1, n) if symmetric else n):
+        for b in range(first, min(used + 1, n) if symmetric else n):
             assign[t] = b
             bsums, saved = sums[b], mins[b]
             bmins = mins[b] = []
@@ -262,7 +277,10 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
                 return True
         return False
 
-    rec(0, 0, [0] * len(observers))
+    best, beat = (1, 1), 0  # the exact pass: a leaf must reach 1
+    if not rec(0, 0, [0] * len(observers)):
+        best, beat = (-1, 1), 1  # the maximisation: a leaf must beat the best
+        rec(0, 0, [0] * len(observers))
     return Fraction(*best), best_assign
 
 

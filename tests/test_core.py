@@ -168,6 +168,24 @@ class TestTypes:
         with pytest.raises(ValueError, match="declared accuracy 4/5 exceeds realized 3/4"):
             Instance(p, v, (F(4, 5), F(4, 5)))
 
+    @pytest.mark.parametrize("acc", [F(-1, 2), F(5, 4), "-1/1000", 2])
+    def test_instance_accuracy_outside_unit_interval(self, acc):
+        p = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
+        with pytest.raises(ValueError, match="accuracy of agent 0 outside \\[0, 1\\]"):
+            Instance(p, p, (acc, 1))
+
+    def test_instance_accuracy_compared_exactly(self):
+        # realized accuracy 1 - 1/(n(n - 1)) against accuracies one part in
+        # 10^12 either side of it
+        n = 10 ** 6
+        p = ValuationProfile.identical_from(vec(f"1/{n}", f"{n - 1}/{n}"), 2)
+        v = ValuationProfile.identical_from(vec(f"1/{n - 1}", f"{n - 2}/{n - 1}"), 2)
+        realized = 1 - F(1, n * (n - 1))
+        assert Instance(p, v, (realized, realized - F(1, 10 ** 12))).realized_error == \
+            (1 - realized,) * 2
+        with pytest.raises(ValueError, match=f"agent 1: declared accuracy .* exceeds realized {realized}"):
+            Instance(p, v, (realized, realized + F(1, 10 ** 12)))
+
     def test_instance_json_round_trip(self):
         p = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
         v = ValuationProfile.identical_from(vec("1/4", "3/4"), 2)

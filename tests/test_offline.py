@@ -1,5 +1,6 @@
 """Offline procedures and the verification oracles."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -320,7 +321,8 @@ class TestBruteForce:
     def test_scored_leaves_pinned(self, monkeypatch):
         # the leaves the search scores on suite 1's oracle cross-checks and on
         # the twelve brute-force profiles of the `oracle` benchmark; a lost cut
-        # scores more (25,829 and 2,612 before the empty-bundle cut)
+        # scores more (25,829 and 2,612 before the empty-bundle cut, 14,469 and
+        # 2,531 before the exact pass), and every witness stays the same
         rng = random.Random(101)  # suite 1's draws; it checks T <= 8 by brute force
         suite = []
         for _ in range(1000):
@@ -342,12 +344,17 @@ class TestBruteForce:
             return score(*args)
 
         monkeypatch.setattr(offline, "_envy_factor", counting)
-        counts = []
+        counts, witnesses = [], []
         for group in (suite, bench):
             scored = 0
-            assert all(brute_force_best_factor(p)[0] == 1 for p in group)
+            for profile in group:
+                factor, witness = brute_force_best_factor(profile)
+                assert factor == 1
+                witnesses.append(witness.as_lists())
             counts.append(scored)
-        assert (len(suite), counts) == (678, [14469, 2531])
+        assert (len(suite), counts) == (678, [3056, 463])
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+            "ec27b00c90bd5ef7744a412e8b27a7013e526fce3cb1d0abdeedb8a4a945d132"
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_exact_with_bundles_left_empty(self, n):
@@ -355,6 +362,26 @@ class TestBruteForce:
         # and that leaf comes after leaves whose empty bundle scores 0
         profile = ValuationProfile.identical_from(normalized_vector([1] * (n - 1)), n)
         assert _best_assignment((profile,)) == (1, list(range(n - 1)))
+
+    @pytest.mark.parametrize("weights,witness", [
+        ([[1, 0, 1, 0, 2]] * 2, [0, 0, 0, 0, 1]),
+        ([[3, 0, 0, 1, 2], [0, 1, 3, 3, 1], [1, 0, 2, 1, 2]], [0, 0, 1, 1, 2]),
+    ], ids=["identical-n2", "general-n3"])
+    def test_exact_cut_keeps_leaves_that_reach_the_top(self, weights, witness):
+        # on the first exact leaf one agent's own value ends equal to a top
+        # it was compared with higher up, every good left that it values in
+        # its bundle: a cut at own + left <= top skips that leaf and returns
+        # a later one
+        profile = ValuationProfile(tuple(normalized_vector(w) for w in weights))
+        assert _best_assignment((profile,)) == _direct_best((profile,)) == (1, witness)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_general_three_agents_match_direct_enumeration(self, seed):
+        # each agent its own vector, with zero goods and ties common
+        rng = random.Random(seed)
+        horizon = rng.randint(2, 6)
+        profile = ValuationProfile(tuple(_zero_heavy_vector(rng, horizon) for _ in range(3)))
+        assert _best_assignment((profile,)) == _direct_best((profile,))
 
 
 class _CrossedPair:
