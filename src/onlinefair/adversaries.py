@@ -23,9 +23,9 @@ from .core import (
     ValuationProfile,
     ValuationVector,
     ZERO,
-    bracket_threshold,
     cmp_golden,
     cmp_sqrt3,
+    golden_floor,
     rat,
 )
 
@@ -195,13 +195,10 @@ class GoldenStreamAdversary(Adversary):
         _require(0 < a <= 1 and cmp_golden(a) > 0, "need a in (phi-1, 1]: a^2+a-1 > 0")
         lam = spec.param("lam")
         if lam is None:
-            width = Fraction(1, 2 ** 20)
-            _, upper = bracket_threshold(cmp_golden, width=width)
-            while upper >= a:  # tighten the enclosure until it drops below a
-                width /= 2 ** 40
-                _require(width > Fraction(1, 2 ** 300),
-                         "a is too close to phi-1 to pick a default lam; pass one")
-                _, upper = bracket_threshold(cmp_golden, width=width)
+            # within 2^-20 of phi-1, half a's distance to any rational above phi-1 is
+            # below 2^-21, which puts a default lam's stream past 10^6 goods
+            upper = Fraction(golden_floor(20) + 1, 1 << 20)
+            _require(upper < a, "a is within 2^-20 of phi-1, no practical default lam; pass one")
             lam = (a - upper) / 2
         _require(lam > 0, "need lam > 0 (zero lam degenerates the stream)")
         _require(lam < a and cmp_golden(a - lam) > 0,

@@ -16,10 +16,11 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     ONE,
     ZERO,
-    bracket_threshold,
     cmp_golden,
     cmp_sqrt3,
+    golden_floor,
     rat,
+    sqrt3_floor,
 )
 
 
@@ -57,21 +58,25 @@ class BoundParams:
             raise ValueError("base factor must lie in [0, 1]")
 
 
+PRECISION = Fraction(1, 2 ** 64)
+
+
 @dataclass(frozen=True)
 class _Domain:
     """``end < a <= 1`` with ``n >= agents``: ``above`` decides ``a > end``
-    exactly, and ``inner(width)`` is a rational at most ``width`` above ``end``."""
+    exactly, and ``lo`` is the rational at most ``PRECISION`` above ``end``
+    where ``invert_bound`` starts."""
 
     text: str
     above: Callable[[Fraction], bool]
-    inner: Callable[[Fraction], Fraction]
+    lo: Fraction
     agents: int = 2
 
 
-_UNIT = _Domain("", lambda a: True, lambda width: ZERO)
+_UNIT = _Domain("", lambda a: True, ZERO)
 _GOLDEN = _Domain("need a in (phi-1, 1]: a^2 + a - 1 > 0", lambda a: cmp_golden(a) > 0,
-                  lambda width: bracket_threshold(cmp_golden, width=width)[1])
-_MANY_AGENTS = _Domain("need a in (0, 1]", lambda a: a > 0, lambda width: width, agents=3)
+                  Fraction(golden_floor(64) + 1, 1 << 64))
+_MANY_AGENTS = _Domain("need a in (0, 1]", lambda a: a > 0, PRECISION, agents=3)
 
 # each bound's domain and its value at (a, n, a_tilde); the follower and
 # three-goods bounds hold on all of [0, 1]
@@ -79,7 +84,7 @@ _BOUNDS: dict[BoundId, tuple[_Domain, Callable[[Fraction, int, Fraction], Fracti
     BoundId.FOLLOWER_SUFFICIENT: (_UNIT, lambda a, n, at: (at - a) / ((2 * n - 2 + at) * (1 + a))),
     BoundId.FOLLOWER_NECESSARY: (_UNIT, lambda a, n, at: (1 - a) / ((2 * n - 1) * (1 + a))),
     BoundId.NONID_2_LB: (_Domain("need a in (1/2, 1]", lambda a: a > Fraction(1, 2),
-                                 lambda width: Fraction(1, 2) + width),
+                                 Fraction(1, 2) + PRECISION),
                          lambda a, n, at: (1 - a) / min(6 * a, Fraction(4))),
     # 2a(2+a) crosses 4 exactly at sqrt(3)-1
     BoundId.ID_2_LB: (_GOLDEN, lambda a, n, at:
@@ -93,7 +98,7 @@ _BOUNDS: dict[BoundId, tuple[_Domain, Callable[[Fraction, int, Fraction], Fracti
     BoundId.TWO_VALUE_SUFFICIENT: (_GOLDEN, lambda a, n, at: Fraction(2, 5) * (1 - a) / (1 + a)),
     BoundId.TWO_VALUE_2_LB: (_Domain("need a in (sqrt(3)-1, 1]: a^2 + 2a - 2 > 0",
                                      lambda a: cmp_sqrt3(a) > 0,
-                                     lambda width: bracket_threshold(cmp_sqrt3, width=width)[1]),
+                                     Fraction(sqrt3_floor(64) + 1, 1 << 64)),
                              lambda a, n, at: (1 - a) / 2),
     BoundId.TWO_VALUE_N_LB: (_MANY_AGENTS,
                              lambda a, n, at: 2 * (1 - a * a) / (4 + (2 * n - 3) * a)),
@@ -139,9 +144,6 @@ def eval_bound(bound: BoundId, a: Fraction,
     return _BOUNDS[bound][1](a, params.n, params.a_tilde)
 
 
-PRECISION = Fraction(1, 2 ** 64)
-
-
 def invert_bound(bound: BoundId, d: Fraction,
                  params: BoundParams = BoundParams()) -> Fraction:
     """Largest factor ``a`` in the domain whose bound value is at least ``d``.
@@ -160,7 +162,7 @@ def invert_bound(bound: BoundId, d: Fraction,
         if a < 0:
             raise ValueError(f"d={d} exceeds the bound's range (max {at / k})")
         return a
-    lo, hi = _BOUNDS[bound][0].inner(PRECISION), ONE
+    lo, hi = _BOUNDS[bound][0].lo, ONE
     # sampled monotonicity check before trusting bisection
     samples = [lo + (hi - lo) * Fraction(i, 8) for i in range(9)]
     values = [eval_bound(bound, s, params) for s in samples]

@@ -12,9 +12,10 @@ distinct value string once, straight to an int pair, and the writer encodes
 each distinct weight once.  The online allocators step on ints too, over a
 denominator of their own: a run fixes it before the first good at the lcm of
 the true vectors' denominators, and a duel grows it as values are revealed
-(see ``online``).  Irrational thresholds (the golden-ratio and sqrt(3)
-cut-offs) are decided through squared integer comparisons, after exact linear
-tests against an integer bracket for the golden ratio, never approximated.
+(see ``online``).  The two irrational thresholds, phi-1 and sqrt(3)-1, are
+never approximated: an order test against either is a squared integer
+comparison (for phi-1 after linear tests against its 2^-65 bracket), and
+each threshold's bracket at 2^-k is one integer square root.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads; all operations are pure functions.
@@ -89,11 +90,20 @@ def decimal_str(x: Fraction, places: int = 3) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact comparisons against irrational thresholds
+# Irrational thresholds: integer brackets and exact comparisons
 # ---------------------------------------------------------------------------
 
-# 2^65 (sqrt(5)-1)/2 = sqrt(5) 2^64 - 2^64 lies strictly between these two ints
-_GOLDEN_LO = isqrt(5 << 128) - (1 << 64)
+def golden_floor(k: int) -> int:
+    """floor(2^k (phi-1)): (lo, lo+1) / 2^k brackets phi-1 = (sqrt(5)-1)/2."""
+    return (isqrt(5 << 2 * k) - (1 << k)) >> 1
+
+
+def sqrt3_floor(k: int) -> int:
+    """floor(2^k (sqrt(3)-1)): (lo, lo+1) / 2^k brackets sqrt(3)-1."""
+    return isqrt(3 << 2 * k) - (1 << k)
+
+
+_GOLDEN_LO = golden_floor(65)
 _GOLDEN_HI = _GOLDEN_LO + 1
 
 
@@ -125,28 +135,9 @@ def cmp_golden(x: Fraction) -> int:
 
 
 def cmp_sqrt3(x: Fraction) -> int:
-    """Exact order of ``x`` relative to sqrt(3)-1, via sign((x+1)^2 - 3)."""
+    """Exact order of ``x`` relative to sqrt(3)-1 for x > -1: the sign of (x+1)^2 - 3."""
     t = (x + 1) ** 2 - 3
     return (t > 0) - (t < 0)
-
-
-def bracket_threshold(cmp, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bracket (lo, hi) around an irrational threshold in (0, 1).
-
-    ``cmp`` is an exact comparator returning <0 below the threshold and >0
-    above it (never 0 for rational input).  Plain bisection from the unit
-    interval, halving until the bracket is at most ``width`` wide.
-    """
-    lo, hi = ZERO, ONE
-    if not (cmp(lo) < 0 < cmp(hi)):
-        raise ValueError("initial bracket does not straddle the threshold")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if cmp(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from .core import (
     ValuationProfile,
     ValuationVector,
     ZERO,
-    bracket_threshold,
     cmp_golden,
     decimal_str,
     fairness_report,
+    golden_floor,
 )
 from .harness import (
     PERTURB_MODES,
@@ -267,8 +267,8 @@ def _three_goods() -> tuple[str, list[str]]:
 @_suite("example-numbers", 7)
 def _example_numbers() -> tuple[str, list[str]]:
     failures = []
-    lo, hi = bracket_threshold(cmp_golden, width=Fraction(1, 2 ** 120))
-    a_star = (lo + hi) / 2 + Fraction(1, 10)  # golden threshold plus one tenth
+    # the golden threshold plus one tenth, phi-1 read as its 2^-120 bracket's midpoint
+    a_star = Fraction(2 * golden_floor(120) + 1, 1 << 121) + Fraction(1, 10)
     checks = [
         ("follower accuracy", decimal_str(1 - eval_bound(
             BoundId.FOLLOWER_SUFFICIENT, a_star, BoundParams(n=2, a_tilde=ONE))), "0.945"),

@@ -14,7 +14,8 @@ from onlinefair.adversaries import (
     build_adversary,
 )
 from onlinefair.bounds import BoundId, BoundParams, eval_bound, in_domain
-from onlinefair.core import ZERO, cmp_golden, tv_distance
+from onlinefair.cli import main as cli_main
+from onlinefair.core import ZERO, cmp_golden, golden_floor, tv_distance
 from onlinefair.harness import random_walk_duel, run_duel
 from onlinefair.offline import _compile_opponent, minimax_online_factor
 from onlinefair.verify import DUEL_PLAN, verify_claims
@@ -172,6 +173,18 @@ class TestHorizons:
         with pytest.raises(ParameterError, match="impractical"):
             build_adversary(AdversarySpec("no-pred-2-identical", F(2, 3),
                                           params={"lam": F(1, 1100000)}))
+
+    def test_default_lam_refuses_a_inside_the_golden_bracket(self, capsys):
+        # phi-1 < a <= the 2^-20 bracket's upper end: half a's distance to any
+        # rational above phi-1 is below 2^-21, past the 10^6-good horizon
+        for a in (F(golden_floor(25) + 2, 2 ** 25), F(golden_floor(20) + 1, 2 ** 20)):
+            assert cmp_golden(a) > 0
+            with pytest.raises(ParameterError, match=r"a is within 2\^-20 of phi-1"):
+                build_adversary(AdversarySpec("no-pred-2-identical", a))
+            argv = ["oracle", "minimax", "--adversary", "no-pred-2-identical", "--a", str(a)]
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "a is within 2^-20 of phi-1" in err
 
     def test_fixed_horizons(self):
         assert build_adversary(BASE_SPECS["no-pred-3-identical"]).horizon == 4
@@ -374,8 +387,9 @@ class TestEmittedTruthConsistency:
     def test_realized_truth_matches_claimed_interval(self, cid):
         spec = BASE_SPECS[cid]
         adv = build_adversary(spec)
-        if adv.prediction is None:
-            pytest.skip("no prediction emitted")
+        if cid.startswith("no-pred"):
+            assert adv.prediction is None and adv.claimed_error is None
+            return
         transcript = random_walk_duel(spec, seed=99)
         lo, hi = adv.claimed_error
         for i in range(adv.n):

@@ -14,13 +14,17 @@ from onlinefair.core import (
     PartitionError,
     ValuationProfile,
     ValuationVector,
+    _GOLDEN_HI,
+    _GOLDEN_LO,
     cmp_golden,
     cmp_golden_int,
     cmp_sqrt3,
     decimal_str,
     fairness_report,
+    golden_floor,
     rat,
     rat_str,
+    sqrt3_floor,
     tv_distance,
 )
 
@@ -85,6 +89,13 @@ class TestGoldenComparisons:
             t = (2 * a + b) ** 2 - 5 * b * b
             assert cmp_golden_int(a, b) == cmp_golden_int(3 * a, 3 * b) == (t > 0) - (t < 0)
             a, b = b, a + b
+
+    def test_integer_brackets_straddle_their_thresholds(self):
+        for k in range(1, 301):
+            for floor, cmp in ((golden_floor, cmp_golden), (sqrt3_floor, cmp_sqrt3)):
+                lo = floor(k)
+                assert (cmp(F(lo, 2 ** k)), cmp(F(lo + 1, 2 ** k))) == (-1, 1), (floor, k)
+        assert (_GOLDEN_LO, _GOLDEN_HI) == (golden_floor(65), golden_floor(65) + 1)
 
     def test_cmp_sqrt3_examples(self):
         assert cmp_sqrt3(F(7, 10)) < 0

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, build_adversary
-from onlinefair.bounds import BoundId, eval_bound, late_y_margin
+from onlinefair.bounds import BoundId, BoundParams, eval_bound, invert_bound, late_y_margin
 from onlinefair.cli import main as cli_main
 from onlinefair.core import (
     Allocation,
@@ -448,3 +448,30 @@ def test_main_decision_golden():
     assert {case[0] for case in MAIN_FORMS} == set(FormKind)
     runs = "\n".join(_main_runs(*case) for case in MAIN_FORMS)
     assert hashlib.sha256(runs.encode()).hexdigest() == MAIN_DECISION_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Rational brackets around the irrational thresholds
+# ---------------------------------------------------------------------------
+
+# sha256 of every invert_bound output (or error) on 12 bounds x n in {2, 3, 5}
+# x d in {0, 1/100, ..., 7/25}, then the default-lam golden stream's eps and
+# horizon at six factors; each domain's inner end and the stream's lam are
+# read from a bracket around phi-1 or sqrt(3)-1
+THRESHOLD_DIGEST = "322f373d36a19f9957d9d38c3bdf83d8c6873a6ae6ee029c18fa1d966de862bf"
+
+
+def test_threshold_brackets_golden():
+    lines = []
+    for bound in BoundId:
+        for n in (2, 3, 5):
+            for d in (F(k, 100) for k in range(29)):
+                try:
+                    got = str(invert_bound(bound, d, BoundParams(n=n)))
+                except ValueError as exc:
+                    got = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{bound.value} {n} {d} {got}")
+    for a in (F(31, 50), F(13, 20), F(7, 10), F(4, 5), F(19, 20), F(1)):
+        adv = build_adversary(AdversarySpec("no-pred-2-identical", a))
+        lines.append(f"{a} {adv.eps} {adv.horizon}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THRESHOLD_DIGEST
