@@ -141,6 +141,20 @@ class Adversary:
         """Whether the opening reveals another row, given each agent's count."""
         return sum(counts) < len(self.opening)
 
+    def counts(self, state: tuple) -> tuple[int, ...]:
+        """Each agent's count of opening goods; all zero in the queue."""
+        return state[1] if state[0] == "open" else (0,) * self.n
+
+    def relabel(self, state: tuple, order) -> tuple:
+        """The state with agent ``order[j]`` renamed j.
+
+        An identical construction commutes with this, and is fixed by any
+        renaming that keeps its counts: ``_tail`` and ``_opening_goes_on``
+        read the counts only through ``min``, ``max``, ``sum`` and ``count``,
+        and its queue rows are broadcast.  The game-tree oracle relies on it.
+        """
+        return ("open", tuple(state[1][i] for i in order)) if state[0] == "open" else state
+
     def _bcast(self, v: Fraction) -> tuple[Fraction, ...]:
         return (v,) * self.n
 

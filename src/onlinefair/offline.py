@@ -110,15 +110,16 @@ def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile
 # observer, and a *seat* is one distinct (agent, observer) pair of the views.
 # A bundle is tracked by its sum and min weight under each observer, and
 # ``tops[o]`` is the largest ``sum - min`` under observer o over the nonempty
-# bundles (0 if none).  The brute force keeps the sums and mins in lists that
-# it updates and undoes in place; the game tree, whose memo needs hashable
-# states, keeps each bundle's (sum, min) pairs in tuples, ``min`` None while
-# the bundle is empty.  An envy ratio compares two sums under one observer,
-# so the scale cancels: a factor is an int pair (num, den), factors compare
-# by cross-multiplication, and ``Fraction`` appears only in the value an
-# oracle returns.  The game-tree oracle first compiles the opponent's
-# reachable states to int tables (``_compile_opponent``), so its search
-# never calls the opponent.
+# bundles (0 if none).  In both oracles an empty bundle's min is an int above
+# every weight, so its first good replaces it and its ``sum - min`` is
+# negative.  The brute force keeps the sums and mins in lists that it updates
+# and undoes in place; the game tree, whose memo needs hashable states that it
+# can sort, keeps each bundle's (sum, min) pairs in tuples.  An envy ratio
+# compares two sums under one observer, so the scale cancels: a factor is an
+# int pair (num, den), factors compare by cross-multiplication, and
+# ``Fraction`` appears only in the value an oracle returns.  The game-tree
+# oracle first compiles the opponent's reachable states to int tables
+# (``_compile_opponent``), so its search never calls the opponent.
 
 def _bundle_update(bstates, agent: int, values: tuple[int, ...]):
     """Add a good with per-observer weights to one bundle's (sum, min) stats."""
@@ -130,25 +131,22 @@ def _bundle_update(bstates, agent: int, values: tuple[int, ...]):
         new_obs = []
         for o, (s, m) in enumerate(obs):
             w = values[o]
-            new_obs.append((s + w, w if m is None or w < m else m))
+            new_obs.append((s + w, w if w < m else m))
         updated.append(tuple(new_obs))
     return tuple(updated)
 
 
-def _empty_bundles(n: int, observers: int):
-    return (((0, None),) * observers,) * n
-
-
 def _sums_tops(bstates) -> tuple[list[list[int]], list[int]]:
     """Each bundle's sum per observer, and per observer the largest
-    ``sum - min`` over the nonempty bundles (0 if none), in one pass."""
+    ``sum - min`` over the nonempty bundles (0 if none), in one pass; an empty
+    bundle's ``sum - min`` is negative."""
     sums = []
     tops = [0] * len(bstates[0])
     for obs in bstates:
         row = []
         for o, (s, m) in enumerate(obs):
             row.append(s)
-            if m is not None and s - m > tops[o]:
+            if s - m > tops[o]:
                 tops[o] = s - m
         sums.append(row)
     return sums, tops
@@ -312,45 +310,73 @@ def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
 # ---------------------------------------------------------------------------
 
 def _compile_opponent(adversary, node_budget: int):
-    """Compile the opponent's reachable states into int tables.
+    """Compile the opponent's reachable canonical states into int tables.
+
+    An identical construction with a ``relabel`` hook commutes with renaming
+    the agents, so only its *canonical* states are numbered: each successor
+    is relabelled so that its ``counts`` do not increase from agent to agent.
+    Agents of a state with equal counts form a *run*.  Any other opponent is
+    compiled as it stands, each agent its own run.
 
     States are numbered breadth-first with one visited set, in the order they
     expand.  Each state first reached before the horizon is revealed once and
     advanced once per decision.  Returns, per expanded state, its revealed
     row as one int weight per observer over the common denominator of every
-    revealed value and its successor id per decision, plus each agent's
+    revealed value, per decision its successor id and ``sort_keys``, and per
+    agent whether it continues the run of the agent before; plus each agent's
     observer: agents whose value columns agree on every reachable state share
     one.  Each numbered state costs the search at least one node, so counting
     them against ``node_budget`` refuses only what the search would refuse.
     """
     n = adversary.n
-    ids = {adversary.start(): 0}
+    agents = list(range(n))
+    symmetric = getattr(adversary, "identical", False) and hasattr(adversary, "relabel")
+
+    def counts_of(state):
+        return adversary.counts(state) if symmetric else agents[::-1]  # all distinct
+
+    def sort_keys(counts):
+        """How the search orders a child's bundles, given the child's counts
+        before relabelling: None keeps the order, () sorts the bundles, and
+        counts sort them by (count, stats), all non-increasing."""
+        if list(counts) == sorted(set(counts), reverse=True):
+            return None
+        return () if len(set(counts)) == 1 else tuple(counts)
+
+    ids = {adversary.start(): 0}  # every count zero: canonical
     frontier = list(ids)
     revealed: list[tuple[Fraction, ...]] = []
-    successors: list[tuple[int, ...]] = []
+    successors: list[list[tuple[int, Optional[tuple[int, ...]]]]] = []
+    runs: list[tuple[bool, ...]] = []
     for _ in range(adversary.horizon):
         reached = []
         for state in frontier:  # ids are handed out in the order states expand
             revealed.append(adversary.reveal(state))
+            counts = counts_of(state)
+            runs.append(tuple(d > 0 and counts[d] == counts[d - 1] for d in agents))
             row = []
-            for d in range(n):
+            for d in agents:
                 nxt = adversary.advance(state, d)
-                k = ids.get(nxt)
-                if k is None:
-                    k = ids[nxt] = len(ids)
+                keys = counts_of(nxt)
+                order = sorted(agents, key=keys.__getitem__, reverse=True)
+                if order != agents:  # relabel to the canonical state
+                    nxt = adversary.relabel(nxt, order)
+                size = len(ids)
+                k = ids.setdefault(nxt, size)  # one hash of the state
+                if k == size:
                     if k >= node_budget:
                         raise BudgetExceededError(
                             f"minimax search exceeded {node_budget} nodes")
                     reached.append(nxt)
-                row.append(k)
-            successors.append(tuple(row))
+                row.append((k, sort_keys(keys)))
+            successors.append(row)
         frontier = reached
     den = math.lcm(*(v.denominator for row in revealed for v in row))
     columns = (tuple(v.numerator * (den // v.denominator) for v in col)
                for col in zip(*revealed))
     observers: dict[tuple[int, ...], int] = {}  # distinct value columns
     view = tuple(observers.setdefault(col, len(observers)) for col in columns)
-    return list(zip(*observers)), successors, view
+    return list(zip(*observers)), successors, runs, view
 
 
 def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
@@ -365,13 +391,20 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     that enumeration is refused up front when its n^horizon leaves exceed
     ``node_budget``.
 
+    The search visits canonical states only (see ``_compile_opponent``) and
+    sorts each child's bundles with its state by (count before relabelling,
+    stats), both non-increasing.  A node tries one decision per run of equal
+    (count, stats), since the others reach mirror images.  An identical
+    construction values every agent alike, so relabelling keeps every factor.
+
     A *sink* is a state that reveals zeros and advances to itself, as a
     construction does once its queue runs out.  The search moves a sink
     reached more than n rounds before the horizon to n rounds before: a zero
     good changes only its bundle's min (to 0), so n zero goods reach every
     final (sum, min) statistic that more of them reach.  ``node_budget``
-    counts the nodes this search visits.  The search keeps its own stack, so
-    the interpreter's recursion limit does not bound the horizon.
+    counts the nodes this search visits, one per canonical child.  The search
+    keeps its own stack, so the interpreter's recursion limit does not bound
+    the horizon.
     """
     n = adversary.n
     horizon = adversary.horizon
@@ -382,9 +415,9 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
                 f"{n}^{horizon} assignments exceed the node budget {node_budget}")
         return _best_assignment(family)[0]
 
-    rows, successors, view = _compile_opponent(adversary, node_budget)
+    rows, successors, runs, view = _compile_opponent(adversary, node_budget)
     seats = tuple(enumerate(view))
-    sink = [not any(row) and all(nxt == k for nxt in successors[k])
+    sink = [not any(row) and all(nxt == k for nxt, _ in successors[k])
             for k, row in enumerate(rows)]
     settled = horizon - n  # where a sink's zero goods start to matter
     memo: dict = {}
@@ -407,17 +440,27 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         return value
 
     stack: list = []  # per node being expanded: [key, next decision, best so far]
-    value = visit(0, _empty_bundles(n, max(view) + 1), 0)
+    above = max(map(max, rows)) + 1  # an empty bundle's min: above every weight
+    value = visit(0, (((0, above),) * (max(view) + 1),) * n, 0)
     while stack:
         frame = stack[-1]
         (k, bstates, t), d, best = frame
-        if value is not None:  # decision d - 1 scored
+        if value is not None:  # the last decision tried scored
             if value[0] * best[1] > best[0] * value[1]:
                 frame[2] = best = value
+        run = runs[k]
+        while d < n and run[d] and bstates[d] == bstates[d - 1]:
+            d += 1  # the same (count, stats) as the agent before: a mirror image
         if d == n:
             memo[frame[0]] = value = best
             stack.pop()
             continue
         frame[1] = d + 1
-        value = visit(successors[k][d], _bundle_update(bstates, d, rows[k]), t + 1)
+        nxt, keys = successors[k][d]
+        child = _bundle_update(bstates, d, rows[k])
+        if keys == ():
+            child = tuple(sorted(child, reverse=True))
+        elif keys:
+            child = tuple(b for _, b in sorted(zip(keys, child), reverse=True))
+        value = visit(nxt, child, t + 1)
     return Fraction(*value)

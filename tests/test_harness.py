@@ -816,6 +816,14 @@ class TestCliErrors:
         assert proc.stderr == ""
         assert json.loads(proc.stdout) == {"factor": "3778/6111", "below_target": True}
 
+    def test_minimax_six_identical_agents_under_the_default_budget(self):
+        # one agent is tried per class of equal (count, bundle stats); trying
+        # every agent label runs past the 10^6-node budget here
+        proc = _run_module("onlinefair.cli", "oracle", "minimax", "--adversary",
+                           "pred-n-identical", "--a", "1/2", "--n", "6")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"factor": "5/22", "below_target": True}
+
     def test_minimax_over_its_node_budget(self):
         # 5^9 assignment sequences against the follower-tight family: over 10^6
         self._fails("oracle", "minimax", "--adversary", "follower-tight", "--a", "7/10",

@@ -4,13 +4,14 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefair import offline
-from onlinefair.adversaries import AdversarySpec, build_adversary
+from onlinefair.adversaries import Adversary, AdversarySpec, build_adversary
 from onlinefair.core import (
     Allocation,
     ValuationProfile,
@@ -28,6 +29,7 @@ from onlinefair.harness import (
 from onlinefair.offline import (
     BudgetExceededError,
     _best_assignment,
+    _compile_opponent,
     brute_force_best_factor,
     cut_and_choose,
     eliminate_envy_cycles,
@@ -409,7 +411,29 @@ class _CrossedPair:
         return agent if state is None else "zeros"
 
 
+class _StaggeredOpening(Adversary):
+    """An identical opponent whose opening goods differ in value, so agents
+    with equal counts hold different bundles mid-opening.  Its tail is one
+    large good per agent that took no opening good, plus one."""
+
+    def __init__(self, n: int, opening: tuple):
+        super().__init__(SimpleNamespace(n=n), len(opening) + n, opening)
+
+    def _tail(self, counts):
+        return (F(1),) * (counts.count(0) + 1)
+
+
 class TestMinimaxOracle:
+    @pytest.mark.parametrize("n,opening,value", [
+        (3, (F(2, 9), F(1, 9), F(1, 3)), F(2, 3)),
+        (3, (F(2, 9), F(8, 9), F(1, 9), F(5, 9)), F(9, 10)),
+        (4, (F(2, 9), F(4, 9), F(1, 9)), F(7, 9)),
+    ])
+    def test_relabelled_search_matches_reference_mid_opening(self, n, opening, value):
+        # agents with equal counts but different bundles are each searched
+        adv = _StaggeredOpening(n, opening)
+        assert minimax_online_factor(adv) == reference_minimax(adv) == value
+
     def test_non_adaptive_equals_brute_force(self):
         # fixed-truth opponent: the oracle must match exhaustive search
         spec = AdversarySpec("follower-tight", F(7, 10), n=2,
@@ -460,6 +484,35 @@ class TestMinimaxOracle:
         value = minimax_online_factor(adv)
         assert value == reference_minimax(adv) == (F(2, 3) if pad else F(1))
 
+    @pytest.mark.parametrize("construction,n,value", [
+        ("pred-n-identical", 5, F(2, 9)),
+        ("pred-n-identical", 6, F(5, 22)),
+        ("two-value-n", 8, F(8, 19)),
+    ])
+    def test_many_identical_agents_under_the_default_budget(self, construction, n, value):
+        # one agent is tried per class of equal (count, bundle stats); the search
+        # over every agent label agrees given 10^8 nodes, and at n = 6 it runs
+        # past the default 10^6
+        adv = build_adversary(AdversarySpec(construction, F(1, 2), n=n))
+        assert minimax_online_factor(adv) == value
+
+    def test_forwarding_proxy_is_searched_as_its_opponent(self):
+        # a proxy that forwards attribute lookups, as a tracer wraps an
+        # opponent, exposes the relabelling hook and compiles the same tables
+        class Forwarding:
+            def __init__(self, adversary):
+                self._adversary = adversary
+
+            def __getattr__(self, name):
+                return getattr(self._adversary, name)
+
+        adv = build_adversary(AdversarySpec("no-pred-2-identical", F(7, 10),
+                                            params={"lam": F(1, 50)}))
+        tables = _compile_opponent(Forwarding(adv), 10 ** 6)
+        assert tables == _compile_opponent(adv, 10 ** 6)
+        assert len(tables[1]) == 98  # canonical states only
+        assert minimax_online_factor(Forwarding(adv)) == F(12, 19)
+
     def test_budget_enforced(self):
         spec = AdversarySpec("pred-2-identical", F(7, 10))
         with pytest.raises(BudgetExceededError):
@@ -473,11 +526,13 @@ class TestMinimaxOracle:
 
 
 # (id, construction, agent counts, params): every construction, follower-tight
-# with and without explicit targets (adaptive vs truth-oblivious path)
+# with and without explicit targets (adaptive vs truth-oblivious path); n = 5
+# where the reference search takes about a second per value (pred-n-identical
+# takes 12 s there, so its n = 5 and 6 values are pinned in TestMinimaxOracle)
 REFERENCE_GRID = (
     ("golden-stream", "no-pred-2-identical", (2,), {}),
     ("golden-stream-lam", "no-pred-2-identical", (2,), {"lam": F(1, 20)}),
-    ("triple-split", "no-pred-3-identical", (3, 4), {}),
+    ("triple-split", "no-pred-3-identical", (3, 4, 5), {}),
     ("asymmetric-stream", "no-pred-2-general", (2,), {}),
     ("follower-tight-oblivious", "follower-tight", (2, 3), {}),
     ("follower-tight-targets", "follower-tight", (2, 3), {"lo": 1, "hi": 0}),
@@ -486,7 +541,7 @@ REFERENCE_GRID = (
     ("identical-predicted", "pred-2-identical", (2,), {}),
     ("many-agents-predicted", "pred-n-identical", (3, 4), {}),
     ("two-value-pair", "two-value-2", (2,), {}),
-    ("two-value-many", "two-value-n", (3, 4), {}),
+    ("two-value-many", "two-value-n", (3, 4, 5), {}),
 )
 REFERENCE_AS = (F(1, 10), F(3, 10), F(1, 2), F(7, 10), F(3, 4), F(4, 5), F(9, 10), F(1))
 
