@@ -297,9 +297,11 @@ class Instance:
 
     The declared accuracy must be a valid lower bound on the realized accuracy
     1 - TV(p_i, v_i); this is validated post hoc on construction, by
-    cross-multiplying each accuracy's int pair against the distance's.  The
-    distances it computes are kept as a plain attribute, outside the dataclass
-    fields: ``realized_error``, with ``realized_error[i] == TV(p_i, v_i)``.
+    cross-multiplying each accuracy's int pair against the distance's, which
+    is computed once per distinct pair of vector objects, so agents sharing
+    both vectors share one distance.  The distances are kept as a plain
+    attribute, outside the dataclass fields: ``realized_error``, with
+    ``realized_error[i] == TV(p_i, v_i)``.
     """
 
     predictions: ValuationProfile
@@ -315,11 +317,15 @@ class Instance:
         if len(self.declared_accuracy) != n:
             raise ValueError("need one declared accuracy per agent")
         errors = []
+        distances: dict[tuple[int, int], Fraction] = {}
         for i, acc in enumerate(self.declared_accuracy):
             an, ad = acc.numerator, acc.denominator
             if not 0 <= an <= ad:
                 raise ValueError(f"accuracy of agent {i} outside [0, 1]")
-            error = tv_distance(self.predictions.vector(i), self.truths.vector(i))
+            p, v = self.predictions.vector(i), self.truths.vector(i)
+            error = distances.get((id(p), id(v)))
+            if error is None:
+                error = distances[id(p), id(v)] = tv_distance(p, v)
             en, ed = error.numerator, error.denominator
             if (ed - en) * ad < an * ed:  # realized accuracy 1 - error below acc
                 raise ValueError(
@@ -351,7 +357,9 @@ class Instance:
 
         Each distinct value string is parsed once per call, by ``ratio``; a row of
         strings takes its weights over its lcm from one map of its strings, with
-        no Fraction per good, and any other row is read entry by entry.
+        no Fraction per good, and any other row is read entry by entry.  In a
+        profile flagged identical, a later row equal to an all-string first row
+        shares the first row's vector.
         """
         if not isinstance(d, dict):
             raise ValueError(f"an instance is a JSON object, got a {type(d).__name__}")
@@ -380,9 +388,12 @@ class Instance:
 
         pairs: dict[str, tuple[int, int]] = {}
 
-        def vector(row) -> ValuationVector:
+        def strings(row) -> bool:
             # types first: 1, True and 1.0 hash alike, and a list does not hash
-            if not isinstance(row, list) or set(map(type, row)) != {str}:
+            return isinstance(row, list) and set(map(type, row)) == {str}
+
+        def vector(row) -> ValuationVector:
+            if not strings(row):
                 return ValuationVector(values(row))
             distinct = dict.fromkeys(row)  # first occurrences, in row order
             for s in distinct:
@@ -395,7 +406,12 @@ class Instance:
         identical = "identical" in d and field("identical", bool, "a bool")
 
         def profile(key: str) -> ValuationProfile:
-            vecs = tuple(map(vector, field(key, list, "a list")))
+            rows = field(key, list, "a list")
+            # a string equals only a string, so a row equal to an all-string
+            # first row is that row; rows are compared one at a time
+            first = rows[0] if identical and rows and strings(rows[0]) else None
+            shared = first and vector(first)
+            vecs = tuple([shared if shared and row == first else vector(row) for row in rows])
             if len(vecs) != n:
                 raise ValueError(f"expected {n} agent rows, got {len(vecs)}")
             return ValuationProfile(vecs, identical=identical)
@@ -412,7 +428,8 @@ def make_instance(predictions: ValuationProfile, truths: ValuationProfile) -> In
 
     It is checked at accuracy zero, which every instance meets, and then
     declares one minus each distance that check computed, built from the
-    distance's int pair, so each distance is computed once.
+    distance's int pair, so each distance is computed once per distinct
+    prediction/truth pair: once in all on an identical profile's shared vectors.
     """
     instance = Instance(predictions, truths, (ZERO,) * predictions.agents)
     object.__setattr__(instance, "declared_accuracy", tuple([
@@ -478,8 +495,9 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
     """Compute both envy factors; prefix allocations (fewer goods) are allowed.
 
     Each bundle is reduced to its (sum, min, max) weight under each agent's
-    vector, once per distinct vector object, so an identical profile reduces
-    its bundles once.  Removing a minimum (maximum) good leaves ``sum - min``
+    vector, once per distinct vector object, so an identical profile, built by
+    ``identical_from`` or loaded with its rows written alike, reduces its
+    bundles once.  Removing a minimum (maximum) good leaves ``sum - min``
     (``sum - max``), and the common denominator cancels in ``own / (sum - min)``,
     so both minima are kept as int pairs, compared by cross-multiplication, and
     a Fraction is built only for the two factors.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinefair import core
 from onlinefair.core import (
     Allocation,
     Instance,
@@ -22,6 +23,7 @@ from onlinefair.core import (
     decimal_str,
     fairness_report,
     golden_floor,
+    make_instance,
     rat,
     rat_str,
     sqrt3_floor,
@@ -242,6 +244,36 @@ class TestInstanceWire:
     def test_identical_rows_equal_as_json_values_check_every_entry(self, rows, message):
         with pytest.raises(ValueError, match=message):
             Instance.from_json_dict(wire(rows))
+
+    def test_identical_rows_share_one_vector(self):
+        inst = Instance.from_json_dict(wire([["1/4", "3/4"] for _ in range(3)], n=3))
+        for profile in (inst.predictions, inst.truths):
+            assert profile.vectors[0] is profile.vectors[1] is profile.vectors[2]
+        written_apart = Instance.from_json_dict(wire([["1/2", "1/2"], ["2/4", "1/2"]]))
+        assert written_apart.truths.vectors[0] is not written_apart.truths.vectors[1]
+
+    def test_identical_instance_computes_one_distance(self, monkeypatch):
+        distances = []
+        tv = core.tv_distance
+
+        def counted(a, b):
+            distances.append(tv(a, b))
+            return distances[-1]
+
+        monkeypatch.setattr(core, "tv_distance", counted)
+        d = wire([["1/4", "3/4"]] * 3, n=3, accuracy=["3/4"] * 3)
+        d["predictions"] = [["1/2", "1/2"]] * 3
+        loaded = Instance.from_json_dict(d)
+        assert distances == [F(1, 4)] and loaded.realized_error == (F(1, 4),) * 3
+        distances.clear()
+        made = make_instance(ValuationProfile.identical_from(vec("1/2", "1/2"), 3),
+                             ValuationProfile.identical_from(vec("1/4", "3/4"), 3))
+        assert distances == [F(1, 4)] and made.declared_accuracy == (F(3, 4),) * 3
+
+    def test_later_row_that_is_not_all_strings_is_parsed_alone(self):
+        with pytest.raises(ValueError, match="^expected a list of p/q strings: "
+                                             "expected an exact rational, got float$"):
+            Instance.from_json_dict(wire([["1/2", "1/2"], ["1/2", 0.5]]))
 
     def test_general_rows_get_one_vector_each(self):
         inst = Instance.from_json_dict(wire([["1/4", "1/4", "1/2"]] * 3, n=3,
