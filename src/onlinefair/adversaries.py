@@ -1,13 +1,15 @@
 """Adaptive opponents realizing the known impossibility constructions.
 
 Each opponent is a branching program: a pure state machine mapping the
-allocator's decision history to the next revealed per-agent values.  On every
-root-to-leaf path each agent's revealed values sum exactly to one, and the
-realized distance between the emitted prediction (when there is one) and the
-realized truth stays inside the interval the construction promises.  States
-are hashable tuples so the game-tree oracle can memoize over them.  Most
-constructions are data: a fixed opening, then a tail that depends only on how
-many opening goods each agent took.
+allocator's decision history to the next revealed per-agent values.  It
+reveals int weights over ``den``, a denominator the construction fixes from
+its parameters when it is built.  On every root-to-leaf path each agent's
+revealed weights sum exactly to ``den``, and the realized distance between the
+emitted prediction (when there is one) and the realized truth stays inside
+the interval the construction promises.  States are hashable tuples of ints
+so the game-tree oracle can memoize over them.  Most constructions are data:
+a fixed opening, then a tail that depends only on how many opening goods each
+agent took.
 """
 
 from __future__ import annotations
@@ -74,16 +76,19 @@ class Adversary:
     of opening goods each agent took; they form a fixed queue followed by
     zero-valued padding up to ``horizon``.  Opening states are
     ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
-    is a tuple of per-agent value tuples.  A row given as one value is the same
-    for every agent.  The opening lasts while ``_opening_goes_on(counts)``
-    holds, by default until every row is placed; the golden stream also ends
-    it once both agents hold a good.  Only the asymmetric stream defines its
-    own ``start``, ``reveal`` and ``advance``, deferring to these for queue
-    states: its state carries the mass revealed to each agent, which counts
-    cannot hold.
+    is a tuple of rows.  A row is one int weight per agent, or one int that is
+    every agent's weight; ``reveal`` always returns one int per agent.  The
+    opening lasts while ``_opening_goes_on(counts)`` holds, by default until
+    every row is placed; the golden stream also ends it once both agents hold
+    a good.  Only the asymmetric stream defines its own ``start``, ``reveal``
+    and ``advance``, deferring to these for queue states: its state carries
+    the mass revealed to each agent, which counts cannot hold.
 
-    ``predicted`` is the emitted prediction: one vector shared by every agent
-    when the construction is identical, one row per agent otherwise.
+    The construction passes ``den`` and its opening as exact rationals;
+    ``_weight`` turns each into an int over ``den`` once, when it is built,
+    and refuses a value off the 1/den lattice.  ``predicted`` is the emitted
+    prediction: one vector shared by every agent when the construction is
+    identical, one row per agent otherwise.
     """
 
     construction: str = "abstract"
@@ -92,12 +97,19 @@ class Adversary:
     identical = True  # whether every agent sees the same values
     bound: Optional[BoundId] = None  # the lower bound the construction realizes
 
-    def __init__(self, spec: AdversarySpec, horizon: int, opening: tuple = (),
+    def __init__(self, spec: AdversarySpec, horizon: int, den: int, opening: tuple = (),
                  predicted: Optional[tuple] = None,
                  claimed_error: Optional[tuple[Fraction, Fraction]] = None):
         self.n = spec.n
         self.horizon = horizon
-        self.opening = self._rows(opening)
+        self.den = den
+        w, rows, last = self._weight, [], None
+        for row in opening:  # a row repeated as one object is weighed once, and shared
+            if row is not last:
+                last, weights = row, self._bcast(*self._rows(
+                    tuple(map(w, row)) if isinstance(row, tuple) else w(row)))
+            rows.append(weights)
+        self.opening = tuple(rows)
         self.prediction: Optional[ValuationProfile] = None
         if predicted is not None and self.identical:
             self.prediction = ValuationProfile.identical_from(ValuationVector(predicted), self.n)
@@ -105,6 +117,13 @@ class Adversary:
             self.prediction = ValuationProfile(tuple(ValuationVector(row) for row in predicted))
         self.claimed_error = claimed_error
         self.oblivious_family: Optional[tuple[ValuationProfile, ...]] = None
+
+    def _weight(self, value: Fraction) -> int:
+        """A value fixed at build, as an int weight over ``den``."""
+        w, rest = divmod(value.numerator * self.den, value.denominator)
+        if rest:
+            raise ParameterError(f"construction value {value} is not a multiple of 1/{self.den}")
+        return w
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         """The rows after the opening, given each agent's count of opening goods."""
@@ -122,11 +141,11 @@ class Adversary:
             return ("open", (0,) * self.n)
         return self._queue(*self._tail((0,) * self.n))
 
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
+    def reveal(self, state: tuple) -> tuple[int, ...]:
         if state[0] == "open":
             return self.opening[sum(state[1])]
         remaining = state[1]
-        return remaining[0] if remaining else self._bcast(ZERO)
+        return self._bcast(remaining[0] if remaining else 0)
 
     def advance(self, state: tuple, agent: int) -> tuple:
         if state[0] == "open":
@@ -155,20 +174,19 @@ class Adversary:
         """
         return ("open", tuple(state[1][i] for i in order)) if state[0] == "open" else state
 
-    def _bcast(self, v: Fraction) -> tuple[Fraction, ...]:
-        return (v,) * self.n
+    def _bcast(self, row) -> tuple[int, ...]:
+        return (row,) * self.n if type(row) is int else row
 
-    def _rows(self, value_rows) -> tuple:
-        rows = []
-        for row in value_rows:
-            row = self._bcast(row) if isinstance(row, Fraction) else tuple(row)
-            if any(v < 0 for v in row):
-                raise ParameterError(f"construction produced a negative value {row}")
-            rows.append(row)
-        return tuple(rows)
+    @staticmethod
+    def _rows(*rows) -> tuple:
+        """The rows, refused unless each is a nonnegative int or a tuple of them."""
+        for row in rows:
+            if not all(type(v) is int and v >= 0 for v in (row if type(row) is tuple else (row,))):
+                raise ParameterError(f"construction produced {row}, not nonnegative int weights")
+        return rows
 
-    def _queue(self, *value_rows) -> tuple:
-        return ("q", self._rows(value_rows))
+    def _queue(self, *rows) -> tuple:
+        return ("q", self._rows(*rows))
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -225,15 +243,17 @@ class GoldenStreamAdversary(Adversary):
         m = -((2 * q - math.isqrt(5 * q * q) - 1) // p)
         if m > 10 ** 6:
             raise ParameterError("lam so small the promised horizon is impractical")
-        super().__init__(spec, horizon=m + 3, opening=((eps, eps),) * m)
+        # over 2q both eps and the mass left are even, so the mass left halves exactly
+        super().__init__(spec, m + 3, 2 * q, opening=(eps,) * m)
+        self.eps_w = self._weight(eps)
 
     def _opening_goes_on(self, counts: tuple[int, ...]) -> bool:
         # stream while one agent holds every good and its total is at most 2*phi - 3
         return min(counts) == 0 and super()._opening_goes_on(counts)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        rest = 1 - sum(counts) * self.eps
-        return (rest,) if min(counts) else (rest / 2, rest / 2)
+        rest = self.den - sum(counts) * self.eps_w
+        return (rest,) if min(counts) else (rest >> 1, rest >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +267,14 @@ class TripleSplitAdversary(Adversary):
         a, n = spec.a, spec.n
         _require(0 < a <= 1, "need a in (0, 1]")
         _require(n >= 3, "need n >= 3 agents")
-        self.eps = a / (3 * (n - 1))
-        super().__init__(spec, horizon=n + 1, opening=(self.eps, self.eps))
+        self.eps = eps = a / (3 * (n - 1))
+        super().__init__(spec, n + 1, eps.denominator * (n - 1), opening=(eps, eps))
+        # keyed by whether one agent took both opening goods
+        self.tails = {True: (self._weight(1 - 2 * eps),),
+                      False: (self._weight((1 - 2 * eps) / (n - 1)),) * (n - 1)}
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        left = 1 if max(counts) == 2 else self.n - 1
-        return ((1 - 2 * self.eps) / left,) * left
+        return self.tails[max(counts) == 2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +285,8 @@ class AsymmetricStreamAdversary(Adversary):
     """Feeds goods worthless to one agent until the other finally shares.
 
     A state ``("stream", fed, mass, first)`` names the agent shown ``eps`` and
-    the mass revealed to each agent so far; the closing good is worth each
-    agent's unrevealed mass.  Counts alone cannot say which agent was fed.
+    the weight revealed to each agent so far; the closing good is worth each
+    agent's unrevealed weight.  Counts alone cannot say which agent was fed.
     """
 
     construction = "no-pred-2-general"
@@ -274,29 +296,30 @@ class AsymmetricStreamAdversary(Adversary):
     def __init__(self, spec: AdversarySpec):
         a = spec.a
         _require(0 < a <= 1, "need a in (0, 1]")
-        self.eps = a / 4
-        horizon = int(1 / self.eps) + 2  # floor(4/a) + 2
-        super().__init__(spec, horizon)
+        self.eps = eps = a / 4
+        horizon = int(1 / eps) + 2  # floor(4/a) + 2
+        super().__init__(spec, horizon, eps.denominator)
+        self.eps_w = self._weight(eps)
 
     def start(self) -> tuple:
-        return ("stream", 0, (ZERO, ZERO), True)
+        return ("stream", 0, (0, 0), True)
 
-    def reveal(self, state: tuple) -> tuple[Fraction, ...]:
+    def reveal(self, state: tuple) -> tuple[int, ...]:
         if state[0] == "stream":
-            return tuple(self.eps if i == state[1] else ZERO for i in range(2))
+            return tuple(self.eps_w if i == state[1] else 0 for i in range(2))
         return super().reveal(state)
 
     def advance(self, state: tuple, agent: int) -> tuple:
         if state[0] != "stream":
             return super().advance(state, agent)
         _, fed, mass, first = state
-        mass = tuple(m + self.eps * (i == fed) for i, m in enumerate(mass))
+        mass = tuple(m + self.eps_w * (i == fed) for i, m in enumerate(mass))
         if first:
             fed = 1 - agent  # from now on feed the agent that did not take the first good
         # stream until the fed agent takes a good or one more would overrun its unit budget
-        if (first or agent != fed) and mass[fed] + self.eps <= 1:
+        if (first or agent != fed) and mass[fed] + self.eps_w <= self.den:
             return ("stream", fed, mass, False)
-        return self._queue(tuple(1 - m for m in mass))
+        return self._queue(tuple(self.den - m for m in mass))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +354,10 @@ class FollowerTightAdversary(Adversary):
         lo, hi = _index(spec, "lo", 0), _index(spec, "hi", 1)
         _require(0 <= lo < t_total and 0 <= hi < t_total and lo != hi,
                  "need distinct perturbation targets lo, hi inside the horizon")
-        super().__init__(spec, t_total, predicted=(u,) * t_total, claimed_error=(d, d))
+        super().__init__(spec, t_total, math.lcm(t_total, d.denominator), predicted=(u,) * t_total,
+                         claimed_error=(d, d))
         self.truth = self._truth(lo, hi)
+        self.tail = tuple(map(self._weight, self.truth.vector(0).values))
         if explicit:
             self.oblivious_family = (self.truth,)
         else:
@@ -348,7 +373,7 @@ class FollowerTightAdversary(Adversary):
         return ValuationProfile.identical_from(ValuationVector(tuple(vals)), self.n)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        return self.truth.vector(0).values
+        return self.tail
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +401,19 @@ class MirroredPairAdversary(Adversary):
             eps = lam
         self.lam, self.eps = lam, eps
         _require(Fraction(1, 2) - 2 * eps - lam >= 0, "prediction values must be nonnegative")
-        rest = (Fraction(1, 2) - 2 * eps - lam, Fraction(1, 2) - lam)
-        super().__init__(spec, 4, opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
+        half = Fraction(1, 2)
+        rest = (half - 2 * eps - lam, half - lam)
+        super().__init__(spec, 4, math.lcm(2, eps.denominator, lam.denominator),
+                         opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
                          predicted=((2 * eps, 2 * lam) + rest, (2 * lam, 2 * eps) + rest),
                          claimed_error=(eps, eps))
+        low, high, mid = map(self._weight, (half - 3 * eps - lam, half + eps - lam,
+                                            half - eps - lam))
+        self.tails = {(2, 0): ((low, mid), (high, mid)), (0, 2): ((mid, low), (mid, high)),
+                      (1, 1): ((low, low), (high, high))}  # keyed by the counts
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        lam, eps = self.lam, self.eps
-        half = Fraction(1, 2)
-        low, high, mid = half - 3 * eps - lam, half + eps - lam, half - eps - lam
-        if counts == (2, 0):
-            return ((low, mid), (high, mid))
-        if counts == (0, 2):
-            return ((mid, low), (mid, high))
-        return ((low, low), (high, high))
+        return self.tails[counts]
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +458,16 @@ class IdenticalPredictedAdversary(Adversary):
               predicted: tuple, claimed_error: tuple[Fraction, Fraction]) -> None:
         """Reveal (2lam, 2eps), then ``_tail``; ``predicted`` is the emitted vector."""
         self.lam, self.eps = lam, eps
-        _require(Fraction(1, 2) - 3 * eps - lam >= 0, "revealed values must be nonnegative")
-        Adversary.__init__(self, spec, 4, (2 * lam, 2 * eps), predicted, claimed_error)
+        half = Fraction(1, 2)
+        _require(half - 3 * eps - lam >= 0, "revealed values must be nonnegative")
+        Adversary.__init__(self, spec, 4, math.lcm(2, eps.denominator, lam.denominator),
+                           (2 * lam, 2 * eps), predicted, claimed_error)
+        # keyed by whether one agent took both opening goods
+        self.tails = {True: (self._weight(half - eps - lam),) * 2,
+                      False: tuple(map(self._weight, (half - 3 * eps - lam, half + eps - lam)))}
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        lam, eps = self.lam, self.eps
-        half = Fraction(1, 2)
-        if max(counts) == 2:
-            even = half - eps - lam
-            return (even, even)
-        return (half - 3 * eps - lam, half + eps - lam)
+        return self.tails[max(counts) == 2]
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +492,19 @@ class ManyAgentsPredictedAdversary(Adversary):
             tail = (Fraction(1, 2) - eps) / (n - 1)
             values = (eps, eps) + (w,) * (n - 2) + (tail,) + (ZERO,) * (n - 2)
             claimed_iv = (tail, tail)
-            opening = (eps, eps)
+            den, opening = eps.denominator * (n - 1) * (n - 2), (eps, eps)
         else:
-            opening = self._open_large(spec, lb, scale=1)
+            den, opening = self._open_large(spec, lb, scale=1)
             eps = self.eps
             values = opening + (self.base - eps, self.base + eps)
             claimed_iv = (eps, eps)
-        super().__init__(spec, 2 * n - 1, opening, values, claimed_iv)
+        super().__init__(spec, 2 * n - 1, den, opening, values, claimed_iv)
+        self._weigh_tails()
 
-    def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple:
-        """The large regime's 2n-3 goods of value k; the spec's eps, above ``lb``,
-        is ``scale`` times the half spread ``self.eps`` of the two last goods."""
+    def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple[int, tuple]:
+        """The large regime's denominator and 2n-3 goods of value k; the spec's
+        eps, above ``lb``, is ``scale`` times the half spread ``self.eps`` of
+        the two last goods."""
         a, n = spec.a, spec.n
         big_k = 4 + (2 * n - 3) * a
         k_hi = a / big_k
@@ -491,15 +517,20 @@ class ManyAgentsPredictedAdversary(Adversary):
         self.branch, self.eps = "large", eps / scale
         self.base = (1 - (2 * n - 3) * k) / 2
         _require(self.base - 2 * self.eps >= 0, "revealed values must be nonnegative")
-        return (k,) * (2 * n - 3)
+        return math.lcm(2 * k.denominator, self.eps.denominator), (k,) * (2 * n - 3)
+
+    def _weigh_tails(self) -> None:
+        """Each regime's two tails as weights, keyed by what ``_tail`` reads."""
+        w, n, eps = self._weight, self.n, self.eps
+        if self.branch == "small":  # whether one agent took both small goods
+            self.tails = {True: (w((1 - 2 * eps) / (n - 2)),) * (n - 2),
+                          False: (w((1 - 2 * eps) / (n - 1)),) * (n - 1)}
+        else:  # whether exactly one agent got none of the small goods
+            base, spread = self.base, 2 * eps
+            self.tails = {True: (w(base),) * 2, False: (w(base - spread), w(base + spread))}
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
-        if self.branch == "small":
-            left = self.n - 2 if max(counts) == 2 else self.n - 1
-            return ((1 - 2 * self.eps) / left,) * left
-        if counts.count(0) == 1:  # exactly one agent got none of the small goods
-            return (self.base, self.base)
-        return (self.base - 2 * self.eps, self.base + 2 * self.eps)
+        return self.tails[max(counts) == 2 if self.branch == "small" else counts.count(0) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +568,10 @@ class TwoValueManyAdversary(ManyAgentsPredictedAdversary):
     params = ("k", "eps")
 
     def __init__(self, spec: AdversarySpec):
-        opening = self._open_large(spec, self._bound(spec), scale=2)
-        Adversary.__init__(self, spec, 2 * spec.n - 1, opening,
+        den, opening = self._open_large(spec, self._bound(spec), scale=2)
+        Adversary.__init__(self, spec, 2 * spec.n - 1, den, opening,
                            opening + (self.base, self.base), (ZERO, 2 * self.eps))
+        self._weigh_tails()
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,10 @@ from .core import (
     Instance,
     ValuationProfile,
     ValuationVector,
-    ZERO,
     fairness_report,
     make_instance,  # re-exported beside the runners that take its instances
     rat,
     rat_str,
-    tv_distance,
 )
 from .online import OnlineAllocator, make_allocator
 
@@ -137,30 +135,36 @@ class _RandomWalker(OnlineAllocator):
 
 def _duel(adv: Adversary, allocator: OnlineAllocator,
           seed: Optional[int]) -> GameTranscript:
-    """Play one game of ``allocator`` against ``adv`` and check the
+    """Play one game of a fresh ``allocator`` against ``adv`` and check the
     construction's two promises on the path taken: each agent's revealed
-    values sum to one, and each agent's realized error lies in the claimed
-    interval."""
+    weights sum to ``adv.den``, and each agent's realized error lies in the
+    claimed interval.
+
+    The allocator steps on the revealed int weights, over the construction's
+    ``den``, fixed before the first good.  Agents whose revealed columns are
+    equal share one truth vector, so an identical construction's truths are
+    one vector and one distance to the prediction."""
+    den = allocator.den = adv.den  # no good is placed yet, so no bundle value to rescale
     state = adv.start()
     revealed = []
     for _ in range(adv.horizon):
-        values = adv.reveal(state)
-        agent = allocator.step(allocator.weigh(values))
-        revealed.append(values)
-        state = adv.advance(state, agent)
-    vectors = []
-    for i in range(adv.n):
-        vec = tuple(values[i] for values in revealed)
-        total = sum(vec, start=ZERO)
-        if total != 1:
-            raise AssertionError(
-                f"adversary broke its normalization promise for agent {i}: {total}")
-        vectors.append(ValuationVector(vec))
-    truths = ValuationProfile(tuple(vectors), identical=adv.identical)
+        weights = adv.reveal(state)
+        revealed.append(weights)
+        state = adv.advance(state, allocator.step(weights))
+    columns = list(zip(*revealed))
+    vectors: dict[tuple[int, ...], ValuationVector] = {}
+    for i, col in enumerate(columns):
+        total = sum(col)
+        if total != den:
+            raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
+                                 f"{Fraction(total, den)}")
+        if col not in vectors:
+            g = gcd(*col)  # it divides their sum, den
+            vectors[col] = ValuationVector.from_weights(den // g, tuple([w // g for w in col]))
+    truths = ValuationProfile(tuple(vectors[col] for col in columns), identical=adv.identical)
     realized = None
     if adv.prediction is not None:
-        realized = tuple(tv_distance(adv.prediction.vector(i), truths.vector(i))
-                         for i in range(adv.n))
+        realized = make_instance(adv.prediction, truths).realized_error
         lo, hi = adv.claimed_error
         for i, e in enumerate(realized):
             if not lo <= e <= hi:

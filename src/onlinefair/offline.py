@@ -8,7 +8,6 @@ certify claims at desk scale.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -321,12 +320,13 @@ def _compile_opponent(adversary, node_budget: int):
     States are numbered breadth-first with one visited set, in the order they
     expand.  Each state first reached before the horizon is revealed once and
     advanced once per decision.  Returns, per expanded state, its revealed
-    row as one int weight per observer over the common denominator of every
-    revealed value, per decision its successor id and ``sort_keys``, and per
-    agent whether it continues the run of the agent before; plus each agent's
-    observer: agents whose value columns agree on every reachable state share
-    one.  Each numbered state costs the search at least one node, so counting
-    them against ``node_budget`` refuses only what the search would refuse.
+    row as one int weight per observer, as the opponent revealed it over its
+    ``den``, per decision its successor id and ``sort_keys``, and per agent
+    whether it continues the run of the agent before; plus each agent's
+    observer: agents whose weight columns agree on every reachable state
+    share one.  Each numbered state costs the search at least one node, so
+    counting them against ``node_budget`` refuses only what the search would
+    refuse.
     """
     n = adversary.n
     agents = list(range(n))
@@ -345,7 +345,7 @@ def _compile_opponent(adversary, node_budget: int):
 
     ids = {adversary.start(): 0}  # every count zero: canonical
     frontier = list(ids)
-    revealed: list[tuple[Fraction, ...]] = []
+    revealed: list[tuple[int, ...]] = []
     successors: list[list[tuple[int, Optional[tuple[int, ...]]]]] = []
     runs: list[tuple[bool, ...]] = []
     for _ in range(adversary.horizon):
@@ -371,11 +371,8 @@ def _compile_opponent(adversary, node_budget: int):
                 row.append((k, sort_keys(keys)))
             successors.append(row)
         frontier = reached
-    den = math.lcm(*(v.denominator for row in revealed for v in row))
-    columns = (tuple(v.numerator * (den // v.denominator) for v in col)
-               for col in zip(*revealed))
-    observers: dict[tuple[int, ...], int] = {}  # distinct value columns
-    view = tuple(observers.setdefault(col, len(observers)) for col in columns)
+    observers: dict[tuple[int, ...], int] = {}  # distinct weight columns
+    view = tuple(observers.setdefault(col, len(observers)) for col in zip(*revealed))
     return list(zip(*observers)), successors, runs, view
 
 
@@ -399,12 +396,15 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
 
     A *sink* is a state that reveals zeros and advances to itself, as a
     construction does once its queue runs out.  The search moves a sink
-    reached more than n rounds before the horizon to n rounds before: a zero
-    good changes only its bundle's min (to 0), so n zero goods reach every
-    final (sum, min) statistic that more of them reach.  ``node_budget``
-    counts the nodes this search visits, one per canonical child.  The search
-    keeps its own stack, so the interpreter's recursion limit does not bound
-    the horizon.
+    reached before the last round to the last round, so it is settled in one
+    step: its value is the best leaf score over the bundles j of one zero
+    good placed in j.  A zero good changes only its bundle's min, to 0, and
+    no sum, and the factor does not increase as any bundle's ``sum - min``
+    grows; so putting every zero good left into one bundle is never worse
+    than spreading them out, and after the first, the others in that bundle
+    change nothing.  ``node_budget`` counts the nodes this search visits, one
+    per canonical child.  The search keeps its own stack, so the
+    interpreter's recursion limit does not bound the horizon.
     """
     n = adversary.n
     horizon = adversary.horizon
@@ -419,7 +419,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     seats = tuple(enumerate(view))
     sink = [not any(row) and all(nxt == k for nxt, _ in successors[k])
             for k, row in enumerate(rows)]
-    settled = horizon - n  # where a sink's zero goods start to matter
+    settled = horizon - 1  # where a sink's zero goods are placed: all in one bundle
     memo: dict = {}
     nodes = 0
 

@@ -16,11 +16,12 @@ Every allocator steps on Python ints: ``OnlineAllocator.step`` takes the next
 good's values as ints over the allocator's denominator ``den`` and keeps each
 agent's bundle value as an int over it, so no decision builds a ``Fraction``.
 The allocator's ``choices``, the agent that got each good, are the one record
-of a run.  A run that knows its true values up front (``run_instance``) steps
-on ``columns``, which fixes ``den`` once, before the first good; a duel, whose
-values are revealed adaptively, turns each good's exact rationals into ints
-with ``weigh``, which grows ``den`` when a value's denominator does not divide
-it.  The decisions are invariant under rescaling.
+of a run.  ``den`` is fixed once, before the first good: a run that knows its
+true values up front (``run_instance``) steps on ``columns``, and a duel sets
+it to the construction's own ``den`` and steps on the int weights the
+construction reveals.  ``weigh`` turns one good's exact rationals into ints,
+growing ``den`` when a value's denominator does not divide it; no run path
+calls it.  The decisions are invariant under rescaling.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class OnlineAllocator:
     """Single-run stateful allocator; goods arrive one at a time, in order.
 
     ``choices[t]`` is the agent that got good t; ``allocation()`` builds the
-    bundles from it.  The allocator also keeps ``den``, a positive int, and
-    ``own[i]``, agent i's value of its own bundle times ``den``, an int.
+    bundles from it.  The allocator also keeps ``den``, a positive int that
+    may be set before the first good, and ``own[i]``, agent i's value of its
+    own bundle times ``den``, an int.
     ``step(weights)`` takes the next good's values times ``den``, one int per
     agent, and hands them to ``_decide(t, weights)``, t being the number of
     goods placed so far, so a decision compares ints over one denominator.

@@ -235,7 +235,8 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
     """Fraction backward induction over the opponent's branching program.
 
     Memoizes on (opponent state, bundle stats, t) and calls ``reveal`` and
-    ``advance`` at every expanded node.  A truth-oblivious family is scored
+    ``advance`` at every expanded node, reading each revealed int weight over
+    ``adversary.den`` as a ``Fraction``.  A truth-oblivious family is scored
     as the max over every assignment sequence of the min over the family.
     """
     n, horizon = adversary.n, adversary.horizon
@@ -263,7 +264,7 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
             return _stats_envy_factor(bstates)
         key = (astate, bstates, t)
         if key not in memo:
-            values = adversary.reveal(astate)
+            values = [Fraction(w, adversary.den) for w in adversary.reveal(astate)]
             best = Fraction(-1)
             for d in range(n):
                 grown = tuple(
@@ -289,22 +290,26 @@ def reference_golden_length(eps: Fraction) -> int:
 class ReferenceGoldenStream(GoldenStreamAdversary):
     """The golden stream on its own ``start``, ``reveal`` and ``advance``.
 
-    It streams ``(eps, eps)`` while one agent holds every good and that agent's
-    total is at most sqrt(5) - 2, decided by squaring at every step, and takes
-    its horizon from ``reference_golden_length``.  It shares only the tail and
+    It streams ``(eps, eps)``, as weights over the library stream's ``den``,
+    while one agent holds every good and that agent's total is at most
+    sqrt(5) - 2, decided by squaring at every step, and takes its horizon
+    from ``reference_golden_length``.  It shares only ``den``, the tail and
     the queue states with the library's golden stream.
     """
 
     def __init__(self, spec):
         super().__init__(spec)
         self.horizon = reference_golden_length(self.eps) + 3
+        step = self.eps * self.den
+        assert step.denominator == 1, "den must hold eps exactly"
+        self.step = step.numerator
 
     def start(self):
         return ("open", (0, 0))
 
     def reveal(self, state):
         if state[0] == "open":
-            return (self.eps, self.eps)
+            return (self.step, self.step)
         return super().reveal(state)
 
     def advance(self, state, agent):

@@ -4,11 +4,13 @@ import itertools
 import random
 import re
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from onlinefair.adversaries import (
     _BUILDERS,
+    Adversary,
     AdversarySpec,
     IdenticalPredictedAdversary,
     ParameterError,
@@ -38,7 +40,8 @@ BASE_SPECS = {
 
 
 def walk_every_path(adv):
-    """Check that every decision path reveals each agent a total of exactly one.
+    """Check that every decision path reveals each agent a total weight of
+    exactly ``adv.den``, that is a total value of one.
 
     Memoized on (state, round, per-agent revealed totals): what is left of a
     path depends only on the state and the round, so each key is walked once.
@@ -50,14 +53,14 @@ def walk_every_path(adv):
             return
         seen.add((state, t, totals))
         if t == adv.horizon:
-            assert totals == (1,) * adv.n
+            assert totals == (adv.den,) * adv.n
             return
         values = adv.reveal(state)
         grown = tuple(total + v for total, v in zip(totals, values))
         for d in range(adv.n):
             walk(adv.advance(state, d), t + 1, grown)
 
-    walk(adv.start(), 0, (ZERO,) * adv.n)
+    walk(adv.start(), 0, (0,) * adv.n)
 
 
 class TestParameterDomains:
@@ -243,7 +246,7 @@ class _LeakyPair(IdenticalPredictedAdversary):
 
     def _tail(self, counts):
         first, *rest = super()._tail(counts)
-        return (first / 2, *rest)
+        return (first // 2, *rest)
 
 
 class _OverclaimingPair(IdenticalPredictedAdversary):
@@ -350,6 +353,51 @@ class TestRelabelling:
             assert [tuple(k for k, _ in row) for row in table] == successors
 
 
+class TestWeights:
+    """Each construction reveals int weights over a ``den`` fixed when it is
+    built, so the oracle compiles and searches without a ``Fraction``."""
+
+    def test_value_off_the_denominator_is_refused(self):
+        with pytest.raises(ParameterError, match=re.escape(
+                "construction value 1/9 is not a multiple of 1/6")):
+            Adversary(SimpleNamespace(n=2), 2, 6, opening=(F(1, 3), F(1, 9)))
+
+    @pytest.mark.parametrize("row", [F(1), 1.0, True, -1, (2, -1), (2, F(1))], ids=repr)
+    def test_rows_hold_nonnegative_ints_only(self, row):
+        assert Adversary._rows(3, (1, 2), 0) == (3, (1, 2), 0)
+        with pytest.raises(ParameterError, match="not nonnegative int weights"):
+            Adversary._rows(3, (1, 2), row)
+
+    @pytest.mark.parametrize("spec,value", [
+        (AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 100)}), F(38, 61)),
+        (AdversarySpec("no-pred-2-general", F(1, 10)), F(1, 38)),
+        (AdversarySpec("pred-n-identical", F(1, 2), n=5), F(2, 9)),
+    ], ids=["golden-stream", "asymmetric-stream", "pred-n-identical-5"])
+    def test_oracle_builds_and_hashes_no_fraction(self, monkeypatch, spec, value):
+        adv = build_adversary(spec)
+        counts = {"built": 0, "hashed": 0}
+        new, hash_ = F.__new__, F.__hash__
+
+        def counting_new(cls, *args, **kwargs):
+            counts["built"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_hash(self):
+            counts["hashed"] += 1
+            return hash_(self)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        monkeypatch.setattr(F, "__hash__", counting_hash)
+        _compile_opponent(adv, 10 ** 6)
+        compiled = dict(counts)
+        got = minimax_online_factor(adv)
+        searched = dict(counts)
+        monkeypatch.undo()
+        assert compiled == {"built": 0, "hashed": 0}
+        assert searched == {"built": 1, "hashed": 0}  # the value returned
+        assert got == value
+
+
 class TestStreamStateGraphs:
     """The two streams' compiled state counts, which set the oracle's cost.
 
@@ -387,7 +435,7 @@ class TestStreamStateGraphs:
             state = adv.start()
             for agent in path:
                 state = adv.advance(state, agent)
-            return adv.reveal(state)
+            return tuple(F(w, adv.den) for w in adv.reveal(state))
 
         assert closing_row([0, 1]) == (F(7, 8), F(7, 8))
         assert closing_row([1, 0]) == (F(3, 4), F(1))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from onlinefair import cli, core, harness
-from onlinefair.adversaries import AdversarySpec
+from onlinefair.adversaries import AdversarySpec, build_adversary
 from onlinefair.core import (Allocation, Instance, ValuationProfile, ValuationVector,
                              fairness_report, rat, tv_distance)
 from onlinefair.harness import (
@@ -153,6 +153,30 @@ class TestTranscripts:
         a = run_duel("main", spec, a=F(7, 10))
         b = run_duel("main", spec, a=F(7, 10))
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("spec,vectors,distances", [
+        (AdversarySpec("pred-n-identical", F(1, 2), n=4), 1, 1),
+        (AdversarySpec("no-pred-2-general", F(1, 2)), 2, 0),
+    ], ids=["identical", "general"])
+    def test_duel_builds_one_truth_vector_per_distinct_column(self, monkeypatch, spec,
+                                                              vectors, distances):
+        # the truths are built from the revealed int weights, one vector per
+        # distinct column, and each distinct prediction/truth pair is measured once
+        adv = build_adversary(spec)
+        allocator = make_allocator("ef1-lowest", n=adv.n, identical=adv.identical)
+        built, measured = [], []
+        post_init, tv = ValuationVector.__post_init__, core.tv_distance
+
+        def counting_post_init(self, den, weights):
+            built.append(weights)
+            post_init(self, den, weights)
+
+        monkeypatch.setattr(ValuationVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(core, "tv_distance", lambda p, v: measured.append(1) or tv(p, v))
+        transcript = harness._duel(adv, allocator, None)
+        assert len(built) == len({id(v) for v in transcript.truths.vectors}) == vectors
+        assert len(measured) == distances
+        assert built == list(dict.fromkeys(v.weights for v in transcript.truths.vectors))
 
     def test_random_walks_deterministic_per_seed(self):
         spec = AdversarySpec("two-value-2", F(4, 5))

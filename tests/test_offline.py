@@ -390,9 +390,11 @@ class _CrossedPair:
     """Two agents, then ``pad`` zero-valued goods.  Good 0 is worth 1 to agent
     0 and 2 to agent 1; good 1 is worth 3 to whoever took good 0 and nothing
     to the other.  Giving good 1 to the other agent is exact until a zero good
-    arrives; then one bundle's whole value counts against its envier."""
+    arrives; then one bundle's whole value counts against its envier.  It
+    reveals the values themselves as weights, over a ``den`` of 1."""
 
     n = 2
+    den = 1
 
     def __init__(self, pad: int):
         self.horizon = 2 + pad
@@ -402,25 +404,55 @@ class _CrossedPair:
 
     def reveal(self, state):
         if state is None:
-            return F(1), F(2)
+            return 1, 2
         if state == "zeros":
-            return F(0), F(0)
-        return tuple(F(3) * (i == state) for i in range(2))
+            return 0, 0
+        return tuple(3 * (i == state) for i in range(2))
 
     def advance(self, state, agent):
         return agent if state is None else "zeros"
 
 
+class _EmptyHanded:
+    """Three agents, then ``pad`` zero-valued goods, over a ``den`` of 1.
+    Goods 0 and 1 are worth 4 to everyone.  Good 2 is worth 1 to an agent
+    holding no good, and to every other agent 16 if that agent is agent 0,
+    else 8.  With one good each, a zero good costs least in good 2's bundle
+    when agent 1 or 2 holds it (1/2); every line that puts it in bundle 0,
+    or a zero good in every bundle, scores 1/4."""
+
+    n = 3
+    den = 1
+
+    def __init__(self, pad: int):
+        self.horizon = 3 + pad
+
+    def start(self):
+        return ()  # the agent that took each good so far
+
+    def reveal(self, state):
+        if len(state) < 2:
+            return 4, 4, 4
+        if len(state) == 3:
+            return 0, 0, 0
+        empty = min({0, 1, 2} - set(state))
+        return tuple(1 if i == empty else 16 if empty == 0 else 8 for i in range(3))
+
+    def advance(self, state, agent):
+        return state + (agent,) if len(state) < 3 else state
+
+
 class _StaggeredOpening(Adversary):
     """An identical opponent whose opening goods differ in value, so agents
     with equal counts hold different bundles mid-opening.  Its tail is one
-    large good per agent that took no opening good, plus one."""
+    good of value 1 per agent that took no opening good, plus one; every
+    value is a multiple of 1/9."""
 
     def __init__(self, n: int, opening: tuple):
-        super().__init__(SimpleNamespace(n=n), len(opening) + n, opening)
+        super().__init__(SimpleNamespace(n=n), len(opening) + n, 9, opening)
 
     def _tail(self, counts):
-        return (F(1),) * (counts.count(0) + 1)
+        return (self.den,) * (counts.count(0) + 1)
 
 
 class TestMinimaxOracle:
@@ -463,18 +495,21 @@ class TestMinimaxOracle:
         assert value == F(12, 19) < F(7, 10)  # the greedy threshold plays optimally
 
     @pytest.mark.parametrize("construction,a,params,budget,value", [
-        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 100)}, 5_000, F(38, 61)),
-        ("no-pred-2-general", F(1, 10), {}, 2_000, F(1, 38)),
-        ("no-pred-2-identical", F(31, 50), {}, 10 ** 6, F(12379602, 20024599)),
-        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 4000)}, 10 ** 6, F(3778, 6111)),
+        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 100)}, 577, F(38, 61)),
+        ("no-pred-2-general", F(1, 10), {}, 491, F(1, 38)),
+        ("no-pred-2-identical", F(31, 50), {}, 5_773, F(12379602, 20024599)),
+        ("no-pred-2-identical", F(7, 10), {"lam": F(1, 4000)}, 22_675, F(3778, 6111)),
     ], ids=["golden-stream-98-goods", "asymmetric-stream-42-goods", "golden-stream-964-goods",
             "golden-stream-3781-goods"])
     def test_zero_padding_searched_once(self, construction, a, params, budget, value):
-        # each sink state's zero-valued tail is settled once, not once per
-        # remaining round, so the search grows linearly with the stream; it
-        # keeps its own stack, so a horizon past the recursion limit is searched
+        # each sink state's zero-valued tail is settled in its last round, so
+        # the search grows linearly with the stream; each budget is the fewest
+        # nodes the search needs; it keeps its own stack, so a horizon past
+        # the recursion limit is searched
         adv = build_adversary(AdversarySpec(construction, a, params=params))
         assert minimax_online_factor(adv, node_budget=budget) == value
+        with pytest.raises(BudgetExceededError):
+            minimax_online_factor(adv, node_budget=budget - 1)
 
     @pytest.mark.parametrize("pad", range(6))
     def test_zero_padding_scored_exactly(self, pad):
@@ -483,6 +518,22 @@ class TestMinimaxOracle:
         adv = _CrossedPair(pad)
         value = minimax_online_factor(adv)
         assert value == reference_minimax(adv) == (F(2, 3) if pad else F(1))
+
+    @pytest.mark.parametrize("pad", range(5))
+    def test_zero_tail_goes_to_the_bundle_it_costs_least(self, pad):
+        # a sink's zero goods all go to the one bundle where they cost least,
+        # here never bundle 0, and none to the other bundles
+        adv = _EmptyHanded(pad)
+        value = minimax_online_factor(adv)
+        assert value == reference_minimax(adv) == (F(1, 2) if pad else F(1))
+
+    @pytest.mark.parametrize("n,value", [(9, F(4, 17)), (10, F(9, 38))])
+    def test_many_agents_zero_tail_settled_in_one_round(self, n, value):
+        # n - 2 or n - 1 zero goods end every path; settling them in one round
+        # keeps the search under 10^4 nodes (178,089 at n = 9 when each
+        # placement of them was expanded)
+        adv = build_adversary(AdversarySpec("pred-n-identical", F(1, 2), n=n))
+        assert minimax_online_factor(adv, node_budget=10 ** 4) == value
 
     @pytest.mark.parametrize("construction,n,value", [
         ("pred-n-identical", 5, F(2, 9)),
