@@ -211,6 +211,8 @@ def parse_grid(text: str) -> list[Fraction]:
     start, stop, step = (rat(p) for p in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if start > stop:
+        raise ValueError("grid start must not exceed its stop")
     out = []
     a = start
     while a <= stop:

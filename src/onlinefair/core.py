@@ -10,12 +10,13 @@ factors keep their minima as int pairs, compared by cross-multiplication, and
 a report holds just the two factors.  The instance loader parses each
 distinct value string once, straight to an int pair, and the writer encodes
 each distinct weight once.  The online allocators step on ints too, over a
-denominator of their own: a run fixes it before the first good at the lcm of
-the true vectors' denominators, and a duel grows it as values are revealed
-(see ``online``).  The two irrational thresholds, phi-1 and sqrt(3)-1, are
-never approximated: an order test against either is a squared integer
-comparison (for phi-1 after linear tests against its 2^-65 bracket), and
-each threshold's bracket at 2^-k is one integer square root.
+denominator of their own, fixed before the first good: a run takes the lcm
+of the true vectors' denominators, and a duel the construction's ``den``,
+which the construction fixes when it is built (see ``online``).  The two
+irrational thresholds, phi-1 and sqrt(3)-1, are never approximated: an order
+test against either is a squared integer comparison (for phi-1 after linear
+tests against its 2^-65 bracket), and each threshold's bracket at 2^-k is one
+integer square root.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads; all operations are pure functions.

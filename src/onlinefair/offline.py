@@ -197,9 +197,9 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
     the maximisation is rarely reached; a family of profiles, as the
     truth-oblivious opponents give, can stay below 1 and reach it.
 
-    Two cuts skip a node with no leaf that reaches 1 (exact pass) or strictly
-    beats the best found (maximisation, once the best is positive), so the
-    witness stays the lexicographically first maximiser:
+    Three cuts skip a node with no leaf that reaches 1 (exact pass) or
+    strictly beats the best found (maximisation, once the best is positive),
+    so the witness stays the lexicographically first maximiser:
 
     * when some agent i, with observer o, cannot: when (own sum of i + weight
       under o of the goods left) / ``tops[o]`` is below 1, or at most the
@@ -212,7 +212,13 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
       opens a bundle is tried.  A bundle that ends empty scores 0 against the
       positive top of its own observer: every view seats all its agents at
       one observer, and each observer is some view's.  Tops never fall, so
-      every leaf below with an empty bundle scores 0.
+      every leaf below with an empty bundle scores 0;
+    * in the exact pass, when a good raises some ``tops[o]`` above ``cap[o]``,
+      the total weight under o floor-divided by the number k_o of agents
+      seated at o: an exact leaf needs each of those k_o agents' own sum under
+      o to reach ``tops[o]``, their k_o bundles are distinct and hold at most
+      the total together, and tops never fall.  With k_o = 1 the cap is the
+      total, as it is for every observer in the maximisation: no top exceeds it.
     """
     observers: dict[tuple[int, ...], int] = {}  # distinct weight vectors
     views = tuple(tuple(observers.setdefault(v.weights, len(observers)) for v in p.vectors)
@@ -258,6 +264,7 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
             bsums, saved = sums[b], mins[b]
             bmins = mins[b] = []
             child = tops[:]
+            over = False
             for o, w in enumerate(values):
                 s = bsums[o] = bsums[o] + w
                 m = saved[o]
@@ -266,7 +273,8 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
                 bmins.append(m)
                 if s - m > child[o]:
                     child[o] = s - m
-            found = rec(t + 1, max(used, b + 1), child)
+                    over = over or s - m > cap[o]
+            found = not over and rec(t + 1, max(used, b + 1), child)
             mins[b] = saved
             for o, w in enumerate(values):
                 bsums[o] -= w
@@ -274,8 +282,13 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
                 return True
         return False
 
+    seated = [0] * len(observers)  # k_o: the distinct agents seated at o
+    for _, o in seats:
+        seated[o] += 1
+    cap = [r // k for r, k in zip(rest[0], seated)]
     best, beat = (1, 1), 0  # the exact pass: a leaf must reach 1
     if not rec(0, 0, [0] * len(observers)):
+        cap = rest[0]  # no drop exceeds its observer's total
         best, beat = (-1, 1), 1  # the maximisation: a leaf must beat the best
         rec(0, 0, [0] * len(observers))
     return Fraction(*best), best_assign

@@ -148,5 +148,8 @@ class TestSweep:
     def test_parse_grid(self):
         assert parse_grid("0.62:0.68:0.03") == [F(62, 100), F(65, 100), F(68, 100)]
         assert parse_grid("1/2:1:1/4") == [F(1, 2), F(3, 4), F(1)]
+        assert parse_grid("1/2:1/2:1") == [F(1, 2)]
         with pytest.raises(ValueError):
             parse_grid("0:1:0")
+        with pytest.raises(ValueError, match="start must not exceed its stop"):
+            parse_grid("1:0:1/10")

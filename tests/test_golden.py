@@ -125,6 +125,14 @@ def test_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_rejects_start_above_stop(tmp_path, capsys):
+    out = tmp_path / "main.csv"
+    argv = ["bounds", "--sweep", "--ids", "main-sufficient", "--grid", "1:0:1/10"]
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "onlinefair: grid start must not exceed its stop\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_out_through_a_file(tmp_path, capsys):
     (tmp_path / "afile").write_text("kept")
     out = tmp_path / "afile" / "sub"

@@ -324,7 +324,8 @@ class TestBruteForce:
         # the leaves the search scores on suite 1's oracle cross-checks and on
         # the twelve brute-force profiles of the `oracle` benchmark; a lost cut
         # scores more (25,829 and 2,612 before the empty-bundle cut, 14,469 and
-        # 2,531 before the exact pass), and every witness stays the same
+        # 2,531 before the exact pass, 3,056 and 463 before the mass cap), and
+        # every witness stays the same
         rng = random.Random(101)  # suite 1's draws; it checks T <= 8 by brute force
         suite = []
         for _ in range(1000):
@@ -354,9 +355,21 @@ class TestBruteForce:
                 assert factor == 1
                 witnesses.append(witness.as_lists())
             counts.append(scored)
-        assert (len(suite), counts) == (678, [3056, 463])
+        assert (len(suite), counts) == (678, [1512, 300])
         assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
             "ec27b00c90bd5ef7744a412e8b27a7013e526fce3cb1d0abdeedb8a4a945d132"
+
+    def test_wide_identical_witnesses_pinned(self):
+        # factor and witness on deeper identical profiles than suite 1 draws,
+        # pinned before the exact pass capped each top at 1/n of the mass
+        found = []
+        for n, horizon in ((3, 14), (4, 11), (5, 10)):
+            for seed in range(10):
+                factor, witness = brute_force_best_factor(
+                    gen_random_instance(n, horizon, True, seed))
+                found.append((str(factor), witness.as_lists()))
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == \
+            "5da4ad7f09687daf4ea2ab157502b9fefac4bcdd062d9654651c122d1b5ad146"
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_exact_with_bundles_left_empty(self, n):
@@ -368,12 +381,15 @@ class TestBruteForce:
     @pytest.mark.parametrize("weights,witness", [
         ([[1, 0, 1, 0, 2]] * 2, [0, 0, 0, 0, 1]),
         ([[3, 0, 0, 1, 2], [0, 1, 3, 3, 1], [1, 0, 2, 1, 2]], [0, 0, 1, 1, 2]),
-    ], ids=["identical-n2", "general-n3"])
+        ([[0, 1, 1], [0, 1, 1], [0, 0, 1]], [0, 0, 1]),
+    ], ids=["identical-n2", "general-n3", "two-equal-rows-n3"])
     def test_exact_cut_keeps_leaves_that_reach_the_top(self, weights, witness):
         # on the first exact leaf one agent's own value ends equal to a top
         # it was compared with higher up, every good left that it values in
         # its bundle: a cut at own + left <= top skips that leaf and returns
-        # a later one
+        # a later one.  In the two-equal-rows case that top is exactly 2 // 2,
+        # the share of the two agents seated at the shared vector, so a mass
+        # cap one lower skips the leaf too
         profile = ValuationProfile(tuple(normalized_vector(w) for w in weights))
         assert _best_assignment((profile,)) == _direct_best((profile,)) == (1, witness)
 
@@ -384,6 +400,23 @@ class TestBruteForce:
         horizon = rng.randint(2, 6)
         profile = ValuationProfile(tuple(_zero_heavy_vector(rng, horizon) for _ in range(3)))
         assert _best_assignment((profile,)) == _direct_best((profile,))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_two_equal_rows_match_direct_enumeration(self, seed):
+        # agents 0 and 1 share a vector and agent 2 has its own, so bundles
+        # are not interchangeable but two agents sit at one observer; zero
+        # goods and ties are common.  Odd seeds add a second such profile
+        # over the same goods, which can keep the best below 1.
+        rng = random.Random(seed)
+        horizon = rng.randint(2, 6)
+        family = []
+        for _ in range(1 + seed % 2):
+            pair = _zero_heavy_vector(rng, horizon)
+            other = _zero_heavy_vector(rng, horizon)
+            while other.weights == pair.weights:
+                other = _zero_heavy_vector(rng, horizon)
+            family.append(ValuationProfile((pair, pair, other)))
+        assert _best_assignment(tuple(family)) == _direct_best(tuple(family))
 
 
 class _CrossedPair:
