@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .bounds import BoundId, BoundParams, eval_bound
 from .core import (
@@ -96,6 +96,8 @@ class Adversary:
     agents: Optional[int] = None  # the agent count, where the construction fixes it
     identical = True  # whether every agent sees the same values
     bound: Optional[BoundId] = None  # the lower bound the construction realizes
+    # a truth-oblivious construction's family of truths, built on call
+    oblivious_family: Optional[Callable[[], tuple[ValuationProfile, ...]]] = None
 
     def __init__(self, spec: AdversarySpec, horizon: int, den: int, opening: tuple = (),
                  predicted: Optional[tuple] = None,
@@ -116,7 +118,6 @@ class Adversary:
         elif predicted is not None:
             self.prediction = ValuationProfile(tuple(ValuationVector(row) for row in predicted))
         self.claimed_error = claimed_error
-        self.oblivious_family: Optional[tuple[ValuationProfile, ...]] = None
 
     def _weight(self, value: Fraction) -> int:
         """A value fixed at build, as an int weight over ``den``."""
@@ -350,7 +351,7 @@ class FollowerTightAdversary(Adversary):
         _require(d > lower, "need D > follower-necessary(a, n)")
         _require(d <= u, "need D <= 1/(2n-1) so the deflated good stays nonnegative")
         self.d = d
-        explicit = spec.param("lo") is not None or spec.param("hi") is not None
+        self.explicit = spec.param("lo") is not None or spec.param("hi") is not None
         lo, hi = _index(spec, "lo", 0), _index(spec, "hi", 1)
         _require(0 <= lo < t_total and 0 <= hi < t_total and lo != hi,
                  "need distinct perturbation targets lo, hi inside the horizon")
@@ -358,12 +359,15 @@ class FollowerTightAdversary(Adversary):
                          claimed_error=(d, d))
         self.truth = self._truth(lo, hi)
         self.tail = tuple(map(self._weight, self.truth.vector(0).values))
-        if explicit:
-            self.oblivious_family = (self.truth,)
-        else:
-            self.oblivious_family = tuple(
-                self._truth(i, j)
-                for i in range(t_total) for j in range(t_total) if i != j)
+
+    def oblivious_family(self) -> tuple[ValuationProfile, ...]:
+        """The built truth when ``lo`` or ``hi`` is given, else one truth per
+        pair of distinct targets: (2n-1)(2n-2) profiles, so only the oracle
+        builds them, once its budget admits the search."""
+        if self.explicit:
+            return (self.truth,)
+        h = self.horizon
+        return tuple(self._truth(i, j) for i in range(h) for j in range(h) if i != j)
 
     def _truth(self, lo: int, hi: int) -> ValuationProfile:
         u = Fraction(1, self.horizon)

@@ -144,7 +144,7 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
     ``den``, fixed before the first good.  Agents whose revealed columns are
     equal share one truth vector, so an identical construction's truths are
     one vector and one distance to the prediction."""
-    den = allocator.den = adv.den  # no good is placed yet, so no bundle value to rescale
+    den = allocator.den = adv.den
     state = adv.start()
     revealed = []
     for _ in range(adv.horizon):

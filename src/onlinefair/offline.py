@@ -398,8 +398,8 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
     graph compiled once to int tables.  Opponents that instead fix a family
     of complete value assignments up front (the truth-oblivious benchmark)
     are scored as max over assignment sequences of the min over the family;
-    that enumeration is refused up front when its n^horizon leaves exceed
-    ``node_budget``.
+    that enumeration is refused when its n^horizon leaves exceed
+    ``node_budget``, before ``oblivious_family()`` builds the family.
 
     The search visits canonical states only (see ``_compile_opponent``) and
     sorts each child's bundles with its state by (count before relabelling,
@@ -426,7 +426,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         if n ** horizon > node_budget:
             raise BudgetExceededError(
                 f"{n}^{horizon} assignments exceed the node budget {node_budget}")
-        return _best_assignment(family)[0]
+        return _best_assignment(family())[0]
 
     rows, successors, runs, view = _compile_opponent(adversary, node_budget)
     seats = tuple(enumerate(view))

@@ -19,9 +19,7 @@ The allocator's ``choices``, the agent that got each good, are the one record
 of a run.  ``den`` is fixed once, before the first good: a run that knows its
 true values up front (``run_instance``) steps on ``columns``, and a duel sets
 it to the construction's own ``den`` and steps on the int weights the
-construction reveals.  ``weigh`` turns one good's exact rationals into ints,
-growing ``den`` when a value's denominator does not divide it; no run path
-calls it.  The decisions are invariant under rescaling.
+construction reveals.  The decisions are invariant under rescaling.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .bounds import BoundId, check_domain, eval_bound, late_y_margin, passthrough_cutoff
-from .core import (Allocation, RationalLike, ValuationProfile, ValuationVector,
-                   cmp_golden_int, rat)
+from .core import Allocation, ValuationProfile, ValuationVector, cmp_golden_int, rat
 from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 
 
@@ -43,17 +40,14 @@ class OnlineAllocator:
     """Single-run stateful allocator; goods arrive one at a time, in order.
 
     ``choices[t]`` is the agent that got good t; ``allocation()`` builds the
-    bundles from it.  The allocator also keeps ``den``, a positive int that
-    may be set before the first good, and ``own[i]``, agent i's value of its
-    own bundle times ``den``, an int.
+    bundles from it.  The allocator also keeps ``den``, a positive int set
+    before the first good, and ``own[i]``, agent i's value of its own bundle
+    times ``den``, an int.
     ``step(weights)`` takes the next good's values times ``den``, one int per
     agent, and hands them to ``_decide(t, weights)``, t being the number of
     goods placed so far, so a decision compares ints over one denominator.
-    ``columns(truths)`` gives those ints for values known up front, and
-    ``weigh(values)`` for one good's values, given as Fractions, ints or
-    ``"p/q"`` strings; each first grows ``den`` to a multiple that every value's
-    denominator divides, and ``_rescale`` re-expresses ``own`` over it.  A
-    rejected step or ``weigh`` changes nothing.
+    ``columns(truths)`` gives those ints for values known up front.  A
+    rejected step changes nothing.
     """
 
     name = "abstract"
@@ -68,38 +62,16 @@ class OnlineAllocator:
         self.den = 1
         self.own = [0] * n
 
-    def _rescale(self, den: int) -> None:
-        """Express every bundle value over ``den``, a multiple of ``self.den``."""
-        if den != self.den:
-            scale = den // self.den
-            self.own = [w * scale for w in self.own]
-            self.den = den
-
     def columns(self, truths: ValuationProfile) -> Iterator[tuple[int, ...]]:
         """Per good, its value to each agent as ints over ``den``.
 
-        Fixes ``den`` once, before the goods, at the lcm L of ``den`` and the
+        Call it before the first good: it sets ``den`` to the lcm L of the
         truths' denominators.  A vector whose ``den`` is L is read as it is;
         any other is scaled to L once.
         """
-        den = lcm(self.den, *{v.den for v in truths.vectors})
-        self._rescale(den)
+        den = self.den = lcm(*{v.den for v in truths.vectors})
         return zip(*[v.weights if v.den == den else tuple([w * (den // v.den) for w in v.weights])
                      for v in truths.vectors])
-
-    def weigh(self, values: Iterable[RationalLike]) -> tuple[int, ...]:
-        """One good's exact values, one per agent, as ints over ``den``."""
-        ratios = [rat(v).as_integer_ratio() for v in values]
-        if len(ratios) != self.n:
-            raise ValueError("need one revealed value per agent")
-        den = self.den
-        for num, d in ratios:
-            if num < 0:
-                raise ValueError("revealed values must be nonnegative")
-            if den % d:
-                den = lcm(den, d)
-        self._rescale(den)
-        return tuple([num * (den // d) for num, d in ratios])
 
     def step(self, weights: tuple[int, ...]) -> int:
         if len(weights) != self.n:

@@ -1,6 +1,7 @@
 """Shared strategies and independent oracles for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -249,7 +250,7 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
             alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
                                    for i in range(n)], num_goods=horizon)
             best = max(best, min(direct_envy(alloc, truth, "best")
-                                 for truth in family))
+                                 for truth in family()))
         return best
 
     memo: dict = {}
@@ -321,9 +322,21 @@ class ReferenceGoldenStream(GoldenStreamAdversary):
         return self._queue(*self._tail(counts))
 
 
+def stepped(allocator, stream):
+    """Step a fresh ``allocator`` through ``stream``, one tuple of exact values
+    (Fractions, ints or ``"p/q"`` strings) per good, and yield the agent each
+    good goes to.  Before the first good, ``den`` is set to the lcm of every
+    denominator in the whole stream, and each good steps on its values as ints
+    over it, as a run steps on ``columns``."""
+    stream = [tuple(map(Fraction, values)) for values in stream]
+    den = allocator.den = math.lcm(*(v.denominator for values in stream for v in values))
+    for values in stream:
+        yield allocator.step(tuple([v.numerator * (den // v.denominator) for v in values]))
+
+
 class ReferenceFractionRules:
     """The online decision rules on Fraction bundle values, as they stood
-    before stepping moved to integer weights over a running denominator.
+    before stepping moved to integer weights over one denominator.
 
     ``allocator`` is a freshly built library allocator.  It is read only for
     its setup (agent count, promised horizon, ``main``'s form, sides and

@@ -75,7 +75,8 @@ class TestGoldenComparisons:
 
     @given(st.integers(0, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10 ** 6))
     def test_int_form_reads_any_scaling(self, num, den, k):
-        # weights over an unreduced running denominator, as the allocators step
+        # weights over an unreduced denominator, as the allocators step on the
+        # lcm of a run's denominators
         assert cmp_golden_int(k * num, k * den) == cmp_golden(F(num, den))
 
     @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))

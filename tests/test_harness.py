@@ -31,7 +31,7 @@ from onlinefair.cli import main as cli_main
 from onlinefair.online import ALLOCATOR_NAMES, OnlineAllocator, make_allocator
 from onlinefair.verify import suite_names
 
-from conftest import reference_transcript_dict
+from conftest import reference_transcript_dict, stepped
 
 
 class TestGenerators:
@@ -303,36 +303,6 @@ def test_step_values_are_the_truths_columns(case, monkeypatch):
     assert not calls
 
 
-def stepped_on_values(allocator: OnlineAllocator, truths: ValuationProfile) -> tuple[int, ...]:
-    """The choices from stepping on the truths' Fraction columns through ``weigh``,
-    so the allocator's ``den`` runs up with the denominators revealed so far."""
-    columns = zip(*(v.values for v in truths.vectors))
-    return tuple([allocator.step(allocator.weigh(values)) for values in columns])
-
-
-@pytest.mark.parametrize("case", WRITER_CASES)
-def test_writer_case_choices_match_stepping_on_values(case, monkeypatch):
-    # a twin of each allocator a case builds, stepped on a running denominator
-    built = []
-    make = harness.make_allocator
-
-    def recording(name, **kwargs):
-        built.append((name, kwargs))
-        return make(name, **kwargs)
-
-    monkeypatch.setattr(harness, "make_allocator", recording)
-    for transcript in WRITER_CASES[case]():
-        if transcript.allocator == "random-walk":
-            twin = harness._RandomWalker(transcript.truths.agents, transcript.seed)
-        elif not transcript.choices:  # the transcript no runner returns
-            continue
-        else:
-            name, kwargs = built.pop(0)
-            twin = make(name, **kwargs)
-        assert stepped_on_values(twin, transcript.truths) == transcript.choices
-    assert not built
-
-
 def _prime_vector(rng: random.Random, horizon: int, prime: int) -> ValuationVector:
     """Values k/prime, about a third of them zero; the last good takes the rest."""
     head = [0 if rng.random() < 1 / 3 else rng.randint(1, prime // horizon)
@@ -411,7 +381,8 @@ def test_run_choices_match_stepping_on_values():
         transcript = run_instance(name, instance, a=a)
         twin = make_allocator(name, n=instance.agents, identical=instance.truths.identical,
                               prediction=instance.predictions, a=a)
-        assert stepped_on_values(twin, instance.truths) == transcript.choices, name
+        stream = zip(*(v.values for v in instance.truths.vectors))
+        assert tuple(stepped(twin, stream)) == transcript.choices, name
 
 
 class TestCli:
@@ -663,6 +634,7 @@ class TestCliErrors:
         assert proc.stdout == ""
         line, = proc.stderr.splitlines()
         assert line.startswith("onlinefair: ") and message in line
+        return line
 
     def _instance(self, tmp_path, content) -> str:
         path = tmp_path / "inst.json"
@@ -820,6 +792,18 @@ class TestCliErrors:
         assert cli_main(["gen", "--n", "3", "--T", "4", "--identical", "--out", str(inst)]) == 0
         self._fails("run", "--instance", str(inst), "--allocator", *allocator,
                     message=f"{allocator[0]} handles exactly 2 agents, not n=3")
+
+    @pytest.mark.parametrize("allocator,gen,message", [
+        ("follower:cut-and-choose", ("--n", "3", "--identical"),
+         "cut-and-choose is a two-agent procedure"),
+        ("follower:lpt", ("--n", "2"), "the largest-value-first base needs identical predictions"),
+    ], ids=["cut-and-choose-on-three-agents", "lpt-on-general-predictions"])
+    def test_follower_base_outside_its_scope(self, tmp_path, allocator, gen, message):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", *gen, "--T", "4", "--out", str(inst)]) == 0
+        line = self._fails("run", "--instance", str(inst), "--allocator", allocator,
+                           message=message)
+        assert line == f"onlinefair: {message}"
 
     def test_target_factor_the_allocator_does_not_read_on_run(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefair import offline
-from onlinefair.adversaries import Adversary, AdversarySpec, build_adversary
+from onlinefair.adversaries import (Adversary, AdversarySpec, FollowerTightAdversary,
+                                    build_adversary)
 from onlinefair.core import (
     Allocation,
     ValuationProfile,
@@ -205,10 +206,10 @@ def _seeded_family(seed: int) -> tuple[ValuationProfile, ...]:
 
 FAMILY_CASES = (
     [(f"follower-tight-n{n}-a{a}", build_adversary(
-        AdversarySpec("follower-tight", F(a), n=n)).oblivious_family)
+        AdversarySpec("follower-tight", F(a), n=n)).oblivious_family())
      for n in (2, 3) for a in ("1/2", "7/10", "9/10")]
     + [(f"follower-tight-n{n}-zero-good", build_adversary(AdversarySpec(
-        "follower-tight", F(7, 10), n=n, params={"D": F(1, 2 * n - 1)})).oblivious_family)
+        "follower-tight", F(7, 10), n=n, params={"D": F(1, 2 * n - 1)})).oblivious_family())
        for n in (2, 3)]
     + [(f"seeded-{seed}", _seeded_family(seed)) for seed in range(40)]
     # at good 1 of the first maximiser 0,1,0 no bundle has a positive drop
@@ -607,6 +608,41 @@ class TestMinimaxOracle:
         spec = AdversarySpec("follower-tight", F(7, 10), n=3)
         with pytest.raises(BudgetExceededError):
             minimax_online_factor(build_adversary(spec), node_budget=3)
+
+
+class TestFollowerTightFamilyOnDemand:
+    """The truth-oblivious family of (2n-1)(2n-2) profiles is built only when
+    the oracle reads it, after its budget check."""
+
+    @pytest.fixture
+    def truths_built(self, monkeypatch):
+        calls = []
+        truth = FollowerTightAdversary._truth
+
+        def counted(self, lo, hi):
+            calls.append((lo, hi))
+            return truth(self, lo, hi)
+
+        monkeypatch.setattr(FollowerTightAdversary, "_truth", counted)
+        return calls
+
+    def test_a_duel_builds_at_most_one_truth(self, truths_built):
+        transcript = run_duel("ef1-lowest", AdversarySpec("follower-tight", F(7, 10), n=200))
+        assert transcript.truths.horizon == 399
+        assert len(truths_built) <= 1
+
+    def test_an_over_budget_family_is_refused_before_it_is_built(self, truths_built):
+        adv = build_adversary(AdversarySpec("follower-tight", F(7, 10), n=60))
+        with pytest.raises(BudgetExceededError,
+                           match=r"^60\^119 assignments exceed the node budget 1000000$"):
+            minimax_online_factor(adv)
+        assert len(truths_built) <= 1
+
+    def test_the_oracle_builds_the_family_once(self, truths_built):
+        adv = build_adversary(AdversarySpec("follower-tight", F(7, 10)))
+        assert minimax_online_factor(adv) == F(7, 27)
+        # the duel's truth, then one per ordered pair of the three targets
+        assert truths_built == [(0, 1)] + [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
 # (id, construction, agent counts, params): every construction, follower-tight
