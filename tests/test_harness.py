@@ -303,6 +303,31 @@ def test_step_values_are_the_truths_columns(case, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_writer_case_choices_match_stepping_on_values(case, monkeypatch):
+    # a twin of each allocator a case builds, stepped on the truths' Fraction
+    # columns over the lcm of their reduced denominators, not through columns
+    built = []
+    make = harness.make_allocator
+
+    def recording(name, **kwargs):
+        built.append((name, kwargs))
+        return make(name, **kwargs)
+
+    monkeypatch.setattr(harness, "make_allocator", recording)
+    for transcript in WRITER_CASES[case]():
+        if transcript.allocator == "random-walk":
+            twin = harness._RandomWalker(transcript.truths.agents, transcript.seed)
+        elif not transcript.choices:  # the transcript no runner returns
+            continue
+        else:
+            name, kwargs = built.pop(0)
+            twin = make(name, **kwargs)
+        stream = zip(*(v.values for v in transcript.truths.vectors))
+        assert tuple(stepped(twin, stream)) == transcript.choices
+    assert not built
+
+
 def _prime_vector(rng: random.Random, horizon: int, prime: int) -> ValuationVector:
     """Values k/prime, about a third of them zero; the last good takes the rest."""
     head = [0 if rng.random() < 1 / 3 else rng.randint(1, prime // horizon)

@@ -273,6 +273,19 @@ class TestSteppingAgainstFractionRules:
         halves = [(F(1, 2),) * 2] * 2 + [(F(0),) * 2]
         assert agrees(partial(ThreeGoodsAllocator, 2), halves) == [0, 1, 0]
 
+    def test_denominators_stop_dividing_mid_stream(self):
+        # each good brings a denominator the ones before do not divide; den is
+        # their lcm from the first good on and stays there
+        stream = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (F(1, 6), F(1, 3)),
+                  (F(1, PRIMES[6]), F(1, 5)), (F(1, 12), F(1, 10))]
+        for make in (GreedyGoldenThreshold, partial(LowestValueBundle, 2),
+                     partial(ThreeGoodsAllocator, 3)):
+            allocator, dens = make(), []
+            for _ in stepped(allocator, stream):
+                dens.append(allocator.den)
+            assert dens == [60 * PRIMES[6]] * 5
+            agrees(make, stream)
+
     def test_main_admits_a_good_at_threshold_equality(self):
         make = partial(FormThresholdAllocator, THRESHOLD_PREDICTIONS[1], F(4, 5))
         allocator = make()

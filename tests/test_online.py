@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from onlinefair.online import (
     passthrough_cutoff,
 )
 
-from conftest import identical_profiles, stepped, vectors
+from conftest import identical_profiles, mixed_vectors, profiles, stepped, vectors
 
 
 def vec(*values):
@@ -73,6 +74,46 @@ class TestStepContract:
             assert state(alloc) == before
             assert list(ours) == list(theirs)
             assert state(alloc) == state(twin)
+
+    @settings(max_examples=150)
+    @given(st.one_of(identical_profiles(max_agents=2, kind=mixed_vectors),
+                     profiles(max_agents=2, max_goods=8, kind=mixed_vectors)))
+    def test_columns_are_the_truths_over_their_lcm(self, profile):
+        stream = list(zip(*(v.values for v in profile.vectors)))
+        den = lcm(*(v.den for v in profile.vectors))
+        for alloc, twin in zip(contract_allocators(), contract_allocators()):
+            weights = list(alloc.columns(profile))
+            assert alloc.den == den
+            assert [tuple(F(w, den) for w in column) for column in weights] == stream
+            for column in weights:
+                alloc.step(column)
+            list(stepped(twin, stream))
+            assert state(alloc) == state(twin)
+
+    def test_columns_scale_only_the_vectors_off_the_lcm(self):
+        halves, sixths = vec("1/2", "1/2", "0"), vec("1/2", "1/3", "1/6")
+        alloc = LowestValueBundle(2)
+        assert list(alloc.columns(ValuationProfile((halves, sixths)))) == [(3, 3), (3, 2), (0, 1)]
+        assert (alloc.den, sixths.den, sixths.weights) == (6, 6, (3, 2, 1))
+
+    def test_every_value_form_gives_the_same_decisions(self):
+        # truths built from each exact form a vector takes step alike, over den 84
+        forms = {
+            "fractions": lambda: (CONTRACT_STREAM,) * 2,
+            "strings": lambda: ([f"{v.numerator}/{v.denominator}" for v in CONTRACT_STREAM],) * 2,
+            "ints where integral": lambda: (
+                [int(v) if v.denominator == 1 else v for v in CONTRACT_STREAM],) * 2,
+            "mixed": lambda: (list(map(str, CONTRACT_STREAM)), CONTRACT_STREAM),
+            "generators": lambda: ((v for v in CONTRACT_STREAM), (v for v in CONTRACT_STREAM)),
+        }
+        runs = {}
+        for form, rows in forms.items():
+            truths = ValuationProfile(tuple(ValuationVector(row) for row in rows()))
+            allocs = contract_allocators()
+            runs[form] = [[alloc.step(weights) for weights in alloc.columns(truths)]
+                          for alloc in allocs]
+            assert all(alloc.den == 84 for alloc in allocs)
+        assert all(run == runs["fractions"] for run in runs.values())
 
     def test_partition_maintained(self):
         alloc = LowestValueBundle(3)
