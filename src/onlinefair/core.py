@@ -5,9 +5,10 @@ API; there is no floating point anywhere in the metric or allocation paths.
 A value vector is integer weights over one common denominator (the lcm of the
 value denominators), its ``Fraction`` values built only when read, and the
 metrics here, the offline paths and the online allocators' setup compute on
-those Python ints, building a ``Fraction`` only for a result: the envy
-factors keep their minima as int pairs, compared by cross-multiplication, and
-a report holds just the two factors.  The instance loader parses each
+those Python ints, building a ``Fraction`` only for a result.  One scorer,
+``envy_factor``, serves the fairness report and both oracles: it keeps its
+minimum as an int pair, compared by cross-multiplication, and a report holds
+just the two factors.  The instance loader parses each
 distinct value string once, straight to an int pair, and the writer encodes
 each distinct weight once.  The online allocators step on ints too, over a
 denominator of their own, fixed before the first good: a run takes the lcm
@@ -175,8 +176,11 @@ class ValuationVector:
 
     @classmethod
     def from_weights(cls, den: int, weights: tuple[int, ...]) -> "ValuationVector":
-        """The vector ``weights / den``; ``den`` must be canonical: ``gcd(*weights) == 1``."""
+        """The vector ``weights / den``, the pair reduced by ``gcd(den, *weights)``."""
         self = cls.__new__(cls)
+        g = gcd(den, *weights)
+        if g > 1:
+            den, weights = den // g, tuple([w // g for w in weights])
         self.__post_init__(den, weights)
         return self
 
@@ -188,8 +192,8 @@ class ValuationVector:
             raise ValueError("a valuation vector needs at least one good")
         if min(weights) < 0:
             raise ValueError("good values must be nonnegative")
-        if sum(weights) != den:
-            raise NormalizationError(f"values sum to {Fraction(sum(weights), den)}, expected 1")
+        if sum(weights) != den or not den:  # den 0: every weight is 0
+            raise NormalizationError(f"values sum to {Fraction(sum(weights), den or 1)}, expected 1")
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -492,41 +496,69 @@ def _check_alloc(alloc: Allocation, profile: ValuationProfile) -> None:
         raise PartitionError("allocation mentions goods beyond the profile horizon")
 
 
+def envy_factor(sums, tops, seats) -> tuple[int, int]:
+    """Smallest envy ratio over the ``seats``, as an int pair (num, den).
+
+    An *observer* is an int weight vector, and a *seat* an (agent, observer)
+    pair: agent i seated at o values every bundle by o's weights.
+    ``sums[i][o]`` is agent i's bundle sum under o, and ``tops[o]`` the
+    largest drop under o over the nonempty bundles, 0 if none: ``sum - min``
+    for EFX₀ (the least-valued good goes even when it is worth zero to o) and
+    ``sum - max`` for EF1.  A ratio compares two sums under one
+    observer, so the scale cancels: it is an int pair, ratios compare by
+    cross-multiplication, and a ratio above 1 counts as 1.
+
+    Only the largest drop per observer matters.  An agent's own drop never
+    exceeds its own sum, so when i holds the largest drop it envies nobody and
+    its ratio, at least 1, changes nothing; otherwise its smallest ratio is
+    the one against that drop.  An empty bundle has sum 0, so it scores 0
+    against any positive drop with no test of its own.
+    """
+    fn = fd = 1
+    for i, o in seats:
+        top = tops[o]
+        if top:
+            s = sums[i][o]
+            if s * fd < fn * top:
+                fn, fd = s, top
+    return fn, fd
+
+
 def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessReport:
     """Compute both envy factors; prefix allocations (fewer goods) are allowed.
 
-    Each bundle is reduced to its (sum, min, max) weight under each agent's
-    vector, once per distinct vector object, so an identical profile, built by
-    ``identical_from`` or loaded with its rows written alike, reduces its
-    bundles once.  Removing a minimum (maximum) good leaves ``sum - min``
-    (``sum - max``), and the common denominator cancels in ``own / (sum - min)``,
-    so both minima are kept as int pairs, compared by cross-multiplication, and
-    a Fraction is built only for the two factors.
+    Each distinct vector object is one observer of ``envy_factor``, so an
+    identical profile, built by ``identical_from`` or loaded with its rows
+    written alike, reduces its bundles once: to each bundle's sum and the two
+    tops, the largest ``sum - min`` and ``sum - max`` over the nonempty
+    bundles.  Each factor is then one ``envy_factor`` call over the agents,
+    and a Fraction is built only for the two factors.
     """
     _check_alloc(alloc, profile)
-    n = profile.agents
-    efx_num = efx_den = ef1_num = ef1_den = 1
-    reduced: dict[int, list[tuple[int, int, int]]] = {}
+    observers: dict[int, int] = {}  # vector id -> its index in cols and the tops
+    seats, cols, tops_x, tops_1 = [], [], [], []
     for i, vector in enumerate(profile.vectors):
-        stats = reduced.get(id(vector))
-        if stats is None:
+        o = observers.get(id(vector))
+        if o is None:
+            o = observers[id(vector)] = len(cols)
             w = vector.weights
-            stats = reduced[id(vector)] = []
+            col = []
+            top_x = top_1 = 0
             for b in alloc.bundles:
                 ws = [w[g] for g in b]
-                stats.append((sum(ws), min(ws), max(ws)) if ws else (0, 0, 0))
-        own = stats[i][0]
-        for j in range(n):
-            if j == i:
-                continue
-            s, lo, hi = stats[j]
-            den_x = s - lo
-            if own < den_x and own * efx_den < efx_num * den_x:
-                efx_num, efx_den = own, den_x
-            den_o = s - hi
-            if own < den_o and own * ef1_den < ef1_num * den_o:
-                ef1_num, ef1_den = own, den_o
-    return FairnessReport(
-        efx_factor=ONE if efx_num == efx_den else Fraction(efx_num, efx_den),
-        ef1_factor=ONE if ef1_num == ef1_den else Fraction(ef1_num, ef1_den),
-    )
+                s = sum(ws)
+                col.append(s)
+                if ws:
+                    if (d := s - min(ws)) > top_x:
+                        top_x = d
+                    if (d := s - max(ws)) > top_1:
+                        top_1 = d
+            cols.append(col)
+            tops_x.append(top_x)
+            tops_1.append(top_1)
+        seats.append((i, o))
+    sums = list(zip(*cols))  # sums[i][o]: bundle i's sum under observer o
+    xn, xd = envy_factor(sums, tops_x, seats)
+    on, od = envy_factor(sums, tops_1, seats)
+    return FairnessReport(efx_factor=ONE if xn == xd else Fraction(xn, xd),
+                          ef1_factor=ONE if on == od else Fraction(on, od))

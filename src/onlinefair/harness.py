@@ -12,8 +12,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence
 
 from .adversaries import Adversary, AdversarySpec, build_adversary
 from .core import (
@@ -37,11 +37,6 @@ def _json_list(items: Sequence[str], indent: str) -> str:
         return "[]"
     inner = indent + "  "
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-
-
-def _json_rationals(values: Iterable[Fraction], indent: str) -> str:
-    """``_json_list`` of rationals in the ``"p/q"`` wire format."""
-    return _json_list([f'"{rat_str(v)}"' for v in values], indent)
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class GameTranscript:
         allocation = _json_list([_json_list([str(g) for g in bundle], "    ")
                                 for bundle in self.allocation.as_lists()], "  ")
         realized = ("null" if self.realized_error is None
-                    else _json_rationals(self.realized_error, "  "))
+                    else _json_list([f'"{rat_str(e)}"' for e in self.realized_error], "  "))
         return (f'{{\n  "source": {json.dumps(self.source)},\n'
                 f'  "allocator": {json.dumps(self.allocator)},\n'
                 f'  "seed": {json.dumps(self.seed)},\n'
@@ -159,8 +154,7 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
             raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
                                  f"{Fraction(total, den)}")
         if col not in vectors:
-            g = gcd(*col)  # it divides their sum, den
-            vectors[col] = ValuationVector.from_weights(den // g, tuple([w // g for w in col]))
+            vectors[col] = ValuationVector.from_weights(den, col)
     truths = ValuationProfile(tuple(vectors[col] for col in columns), identical=adv.identical)
     realized = None
     if adv.prediction is not None:
@@ -194,9 +188,8 @@ def random_walk_duel(spec: AdversarySpec, seed: int) -> GameTranscript:
 
 def gen_random_vector(horizon: int, rng: random.Random) -> ValuationVector:
     """Random weights in 1..20 over their sum, reduced by their gcd."""
-    weights = [rng.randint(1, 20) for _ in range(horizon)]
-    g = gcd(*weights) or 1  # no goods: the vector refuses it, nothing divides by 0
-    return ValuationVector.from_weights(sum(weights) // g, tuple([w // g for w in weights]))
+    weights = tuple([rng.randint(1, 20) for _ in range(horizon)])
+    return ValuationVector.from_weights(sum(weights), weights)
 
 
 def gen_random_instance(n: int, horizon: int, identical: bool, seed: int
@@ -224,7 +217,7 @@ def perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
 
     The mass moves on ints: over L = lcm(p.den, d.denominator) while it is
     removed, then over L times the sum of the drawn chunk weights, so each
-    chunk is an int; the result is reduced once by its gcd.
+    chunk is an int; ``from_weights`` reduces the result once by its gcd.
     """
     d = rat(d)
     if not 0 <= d <= 1:
@@ -272,8 +265,7 @@ def perturb_vector(p: ValuationVector, d: Fraction, rng: random.Random,
     if mode == "mixed" and appended == 0:
         while len(values) > 1 and values[-1] == 0:
             values.pop()  # realized horizon may shrink below the prediction's
-    g = gcd(den, *values)
-    return ValuationVector.from_weights(den // g, tuple([v // g for v in values]))
+    return ValuationVector.from_weights(den, tuple(values))
 
 
 def perturb(profile: ValuationProfile, d: Sequence[Fraction], seed: int,

@@ -11,7 +11,7 @@ import heapq
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, ValuationProfile, ValuationVector
+from .core import Allocation, ValuationProfile, ValuationVector, envy_factor
 
 
 class BudgetExceededError(RuntimeError):
@@ -101,24 +101,18 @@ def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile
 
 
 # ---------------------------------------------------------------------------
-# Shared oracle machinery: bundle statistics, envy scorer, enumerator
+# Oracle bundle statistics
 # ---------------------------------------------------------------------------
 #
-# The oracles compute on Python ints.  An *observer* is one distinct int
-# weight vector; a *view* maps each agent of one valuation profile to its
-# observer, and a *seat* is one distinct (agent, observer) pair of the views.
-# A bundle is tracked by its sum and min weight under each observer, and
-# ``tops[o]`` is the largest ``sum - min`` under observer o over the nonempty
-# bundles (0 if none).  In both oracles an empty bundle's min is an int above
-# every weight, so its first good replaces it and its ``sum - min`` is
-# negative.  The brute force keeps the sums and mins in lists that it updates
-# and undoes in place; the game tree, whose memo needs hashable states that it
-# can sort, keeps each bundle's (sum, min) pairs in tuples.  An envy ratio
-# compares two sums under one observer, so the scale cancels: a factor is an
-# int pair (num, den), factors compare by cross-multiplication, and
-# ``Fraction`` appears only in the value an oracle returns.  The game-tree
-# oracle first compiles the opponent's reachable states to int tables
-# (``_compile_opponent``), so its search never calls the opponent.
+# Both oracles score a leaf with ``core.envy_factor`` on ints, so ``Fraction``
+# appears only in the value an oracle returns.  Each distinct weight vector is
+# one observer; a *view* maps each agent of one profile to its observer, and
+# the seats are the distinct (agent, observer) pairs of the views.  A bundle is
+# tracked by its sum and min weight under each observer; an empty bundle's min
+# is an int above every weight, so its first good replaces it and its ``sum -
+# min`` is negative.  The brute force keeps the sums and mins in lists that it
+# updates and undoes in place; the game tree, whose memo needs hashable states
+# that it can sort, keeps each bundle's (sum, min) pairs in tuples.
 
 def _bundle_update(bstates, agent: int, values: tuple[int, ...]):
     """Add a good with per-observer weights to one bundle's (sum, min) stats."""
@@ -149,28 +143,6 @@ def _sums_tops(bstates) -> tuple[list[list[int]], list[int]]:
                 tops[o] = s - m
         sums.append(row)
     return sums, tops
-
-
-def _envy_factor(sums, tops, seats) -> tuple[int, int]:
-    """Smallest envy-up-to-any-good ratio over the ``seats``, as an int pair
-    (num, den); ``sums[i][o]`` is agent i's bundle sum under observer o.
-
-    Agent i with observer o compares its own sum against ``sum - min`` of the
-    other bundles under o (EFX₀: the least-valued good goes even when it is
-    worth zero to o), so only the largest such drop per observer matters.
-    Its own drop never exceeds its own sum, so when i holds the largest drop
-    it envies nobody and the ratio, at least 1, changes nothing.  An empty
-    bundle has sum 0, so it scores 0 against any positive drop with no test
-    of its own.
-    """
-    fn = fd = 1
-    for i, o in seats:
-        top = tops[o]
-        if top:
-            s = sums[i][o]
-            if s * fd < fn * top:
-                fn, fd = s, top
-    return fn, fd
 
 
 def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
@@ -247,7 +219,7 @@ def _best_assignment(profiles) -> tuple[Fraction, list[int]]:
                 return False
             first = used  # each good left must open a bundle
         if t == t_total:
-            fn, fd = _envy_factor(sums, tops, seats)
+            fn, fd = envy_factor(sums, tops, seats)
             if fn * bd >= bn * fd + beat:
                 best, best_assign = (fn, fd), assign[:]
                 return fn == fd
@@ -445,7 +417,7 @@ def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:
         if t < settled and sink[k]:
             t = settled
         if t == horizon:
-            return _envy_factor(*_sums_tops(bstates), seats)
+            return envy_factor(*_sums_tops(bstates), seats)
         key = (k, bstates, t)
         value = memo.get(key)
         if value is None:

@@ -63,13 +63,14 @@ def profiles(draw, min_agents=2, max_agents=4, min_goods=1, max_goods=6, kind=ve
 
 
 @st.composite
-def allocations_for(draw, profile):
-    labels = draw(st.lists(st.integers(0, profile.agents - 1),
-                           min_size=profile.horizon, max_size=profile.horizon))
+def allocations_for(draw, profile, prefix=False):
+    """An allocation of every good, or with ``prefix`` of the first k goods for a drawn k."""
+    goods = draw(st.integers(0, profile.horizon)) if prefix else profile.horizon
+    labels = draw(st.lists(st.integers(0, profile.agents - 1), min_size=goods, max_size=goods))
     bundles = [set() for _ in range(profile.agents)]
     for g, agent in enumerate(labels):
         bundles[agent].add(g)
-    return Allocation.of(bundles, num_goods=profile.horizon)
+    return Allocation.of(bundles, num_goods=goods)
 
 
 @st.composite
@@ -94,7 +95,8 @@ def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str) -> Frac
 
     ``drop="best"`` removes the good maximizing the remainder (up to any
     good); ``drop="worst"`` minimizes it (up to one good).  Independent of the
-    library's (sum, min, max) reduction in ``fairness_report``.
+    library's scorer, ``envy_factor``, which compares each agent only with the
+    largest drop under its valuation.
     """
     factor = Fraction(1)
     for i in range(profile.agents):

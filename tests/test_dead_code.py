@@ -1,4 +1,5 @@
-"""Every function, method and class the package defines is named somewhere in it."""
+"""Every function, method and class the package defines is named somewhere in it,
+and every name a module imports is named in that module."""
 
 import ast
 from pathlib import Path
@@ -29,8 +30,29 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
             and not _registered_suite(node)]
 
 
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    """``file:line name`` for each name a module binds by an import and never
+    mentions as an ``ast.Name``, ``from __future__`` aside."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in named:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
 def test_no_dead_definitions():
     assert unreferenced_definitions() == []
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
 
 
 def test_the_guard_reports_an_unreferenced_method(tmp_path):
@@ -47,3 +69,18 @@ def test_the_guard_reports_an_unreferenced_method(tmp_path):
         "    pass\n"
         "Used()\n")
     assert unreferenced_definitions(tmp_path) == ["mod.py:6 weigh"]
+
+
+def test_the_guard_reports_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from math import gcd, lcm\n"
+        "from .core import (\n"
+        "    Allocation,\n"
+        "    envy_factor,\n"
+        ")\n"
+        "def f(x: Allocation) -> int:\n"
+        "    return gcd(x, os.path.sep) + codec.loads(x)\n")
+    assert unused_imports(tmp_path) == ["mod.py:4 lcm", "mod.py:5 envy_factor"]

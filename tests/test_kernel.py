@@ -61,12 +61,16 @@ def mixed_profiles(**kwargs):
 def shared_profiles(draw, max_agents=5, max_goods=8):
     """Profiles whose agents take their vectors from a pool of one to three
     objects, so some agents share one vector object in a profile that is not
-    flagged identical."""
+    flagged identical; an agent may instead take a distinct object equal to
+    its pooled vector."""
     horizon = draw(st.integers(1, max_goods))
     pool = draw(st.lists(mixed_vectors(min_goods=horizon, max_goods=horizon),
                          min_size=1, max_size=3))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=max_agents))
-    return ValuationProfile(tuple(pool[k] for k in picks))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                          min_size=2, max_size=max_agents))
+    return ValuationProfile(tuple(
+        ValuationVector.from_weights(pool[k].den, pool[k].weights) if copy else pool[k]
+        for k, copy in picks))
 
 
 def outcome(fn, *args):
@@ -104,6 +108,18 @@ class TestWeights:
         with pytest.raises(ValueError, match=r"^good values must be nonnegative$"):
             ValuationVector((F(3, 2), F(-1, 2)))
 
+    def test_from_weights_reduces_its_pair(self):
+        f = ValuationVector.from_weights(4, (2, 2))
+        assert f == ValuationVector(["1/2", "1/2"])
+        assert (f.den, f.weights) == (2, (1, 1))
+        assert ValuationVector.from_weights(12, (0, 4, 8)).weights == (0, 1, 2)
+
+    def test_from_weights_refuses_all_zero_weights(self):
+        with pytest.raises(NormalizationError, match=r"^values sum to 0, expected 1$"):
+            ValuationVector.from_weights(0, (0, 0))
+        with pytest.raises(ValueError, match=r"^a valuation vector needs at least one good$"):
+            ValuationVector.from_weights(0, ())
+
 
 class TestAgainstReferences:
     @settings(max_examples=300)
@@ -131,9 +147,11 @@ class TestAgainstReferences:
 
     @settings(max_examples=500)
     @given(st.one_of(mixed_profiles(max_agents=5, max_goods=8),
-                     identical_profiles(kind=mixed_vectors), shared_profiles()), st.data())
+                     mixed_profiles(min_agents=6, max_agents=8, max_goods=8),
+                     identical_profiles(kind=mixed_vectors, max_agents=8),
+                     shared_profiles(max_agents=8)), st.data())
     def test_fairness_report(self, profile, data):
-        alloc = data.draw(allocations_for(profile))
+        alloc = data.draw(allocations_for(profile, prefix=True))
         report = fairness_report(alloc, profile)
         assert report.efx_factor == direct_envy(alloc, profile, "best")
         assert report.ef1_factor == direct_envy(alloc, profile, "worst")

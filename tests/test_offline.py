@@ -340,14 +340,14 @@ class TestBruteForce:
                                                (3, 14, True), (4, 11, True))
                  for seed in range(3)]
         scored = 0
-        score = offline._envy_factor
+        score = offline.envy_factor
 
         def counting(*args):
             nonlocal scored
             scored += 1
             return score(*args)
 
-        monkeypatch.setattr(offline, "_envy_factor", counting)
+        monkeypatch.setattr(offline, "envy_factor", counting)
         counts, witnesses = [], []
         for group in (suite, bench):
             scored = 0
