@@ -9,7 +9,8 @@ emitted prediction (when there is one) and the realized truth stays inside
 the interval the construction promises.  States are hashable tuples of ints
 so the game-tree oracle can memoize over them.  Most constructions are data:
 a fixed opening, then a tail that depends only on how many opening goods each
-agent took.
+agent took.  A construction hands the base both as exact rationals, and the
+base weighs them over ``den`` once, when it is built.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Adversary:
 
     A construction reveals the rows of ``opening`` one per round.  Once the
     opening ends, ``_tail(counts)`` gives the remaining goods from the number
-    of opening goods each agent took; they form a fixed queue followed by
+    of opening goods each agent took, by default the rows ``tails`` keys by
+    whether one agent took two of them; they form a fixed queue followed by
     zero-valued padding up to ``horizon``.  Opening states are
     ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
     is a tuple of rows.  A row is one int weight per agent, or one int that is
@@ -84,11 +86,11 @@ class Adversary:
     and ``advance``, deferring to these for queue states: its state carries
     the mass revealed to each agent, which counts cannot hold.
 
-    The construction passes ``den`` and its opening as exact rationals;
-    ``_weight`` turns each into an int over ``den`` once, when it is built,
-    and refuses a value off the 1/den lattice.  ``predicted`` is the emitted
-    prediction: one vector shared by every agent when the construction is
-    identical, one row per agent otherwise.
+    The construction passes ``den``, its opening and its tails as exact
+    rationals; ``_weigh`` turns each row into int weights over ``den`` once,
+    when it is built, and refuses a value off the 1/den lattice or a negative
+    one.  ``predicted`` is the emitted prediction: one vector shared by every
+    agent when the construction is identical, one row per agent otherwise.
     """
 
     construction: str = "abstract"
@@ -101,23 +103,31 @@ class Adversary:
 
     def __init__(self, spec: AdversarySpec, horizon: int, den: int, opening: tuple = (),
                  predicted: Optional[tuple] = None,
-                 claimed_error: Optional[tuple[Fraction, Fraction]] = None):
+                 claimed_error: Optional[tuple[Fraction, Fraction]] = None,
+                 tails: Mapping = {}):
         self.n = spec.n
         self.horizon = horizon
         self.den = den
-        w, rows, last = self._weight, [], None
-        for row in opening:  # a row repeated as one object is weighed once, and shared
-            if row is not last:
-                last, weights = row, self._bcast(*self._rows(
-                    tuple(map(w, row)) if isinstance(row, tuple) else w(row)))
-            rows.append(weights)
-        self.opening = tuple(rows)
+        self.opening = self._weigh(opening, self._bcast)
+        self.tails = {key: self._weigh(rows) for key, rows in tails.items()}
         self.prediction: Optional[ValuationProfile] = None
         if predicted is not None and self.identical:
             self.prediction = ValuationProfile.identical_from(ValuationVector(predicted), self.n)
         elif predicted is not None:
             self.prediction = ValuationProfile(tuple(ValuationVector(row) for row in predicted))
         self.claimed_error = claimed_error
+
+    def _weigh(self, rows: tuple, shape: Callable = lambda row: row) -> tuple:
+        """Rows of values fixed at build as int weights over ``den``, each
+        ``shape``d and checked by ``_rows``; a row repeated as one object is
+        weighed once, and shared."""
+        w, out, last = self._weight, [], None
+        for row in rows:
+            if row is not last:
+                last, weights = row, shape(tuple(map(w, row)) if isinstance(row, tuple) else w(row))
+                self._rows(weights)
+            out.append(weights)
+        return tuple(out)
 
     def _weight(self, value: Fraction) -> int:
         """A value fixed at build, as an int weight over ``den``."""
@@ -128,7 +138,7 @@ class Adversary:
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         """The rows after the opening, given each agent's count of opening goods."""
-        raise NotImplementedError
+        return self.tails[max(counts) == 2]
 
     def _bound(self, spec: AdversarySpec, bound: Optional[BoundId] = None) -> Fraction:
         """A bound (by default the realized one) at the spec's a and n."""
@@ -246,7 +256,7 @@ class GoldenStreamAdversary(Adversary):
             raise ParameterError("lam so small the promised horizon is impractical")
         # over 2q both eps and the mass left are even, so the mass left halves exactly
         super().__init__(spec, m + 3, 2 * q, opening=(eps,) * m)
-        self.eps_w = self._weight(eps)
+        self.eps_w = self.opening[0][0]
 
     def _opening_goes_on(self, counts: tuple[int, ...]) -> bool:
         # stream while one agent holds every good and its total is at most 2*phi - 3
@@ -269,13 +279,8 @@ class TripleSplitAdversary(Adversary):
         _require(0 < a <= 1, "need a in (0, 1]")
         _require(n >= 3, "need n >= 3 agents")
         self.eps = eps = a / (3 * (n - 1))
-        super().__init__(spec, n + 1, eps.denominator * (n - 1), opening=(eps, eps))
-        # keyed by whether one agent took both opening goods
-        self.tails = {True: (self._weight(1 - 2 * eps),),
-                      False: (self._weight((1 - 2 * eps) / (n - 1)),) * (n - 1)}
-
-    def _tail(self, counts: tuple[int, ...]) -> tuple:
-        return self.tails[max(counts) == 2]
+        super().__init__(spec, n + 1, eps.denominator * (n - 1), opening=(eps, eps),
+                         tails={True: (1 - 2 * eps,), False: ((1 - 2 * eps) / (n - 1),) * (n - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ class AsymmetricStreamAdversary(Adversary):
         self.eps = eps = a / 4
         horizon = int(1 / eps) + 2  # floor(4/a) + 2
         super().__init__(spec, horizon, eps.denominator)
-        self.eps_w = self._weight(eps)
+        self.eps_w = eps.numerator
 
     def start(self) -> tuple:
         return ("stream", 0, (0, 0), True)
@@ -350,34 +355,32 @@ class FollowerTightAdversary(Adversary):
         d = _default(spec, "D", (lower + u) / 2)
         _require(d > lower, "need D > follower-necessary(a, n)")
         _require(d <= u, "need D <= 1/(2n-1) so the deflated good stays nonnegative")
-        self.d = d
-        self.explicit = spec.param("lo") is not None or spec.param("hi") is not None
+        self.u, self.d = u, d
+        explicit = spec.param("lo") is not None or spec.param("hi") is not None
         lo, hi = _index(spec, "lo", 0), _index(spec, "hi", 1)
         _require(0 <= lo < t_total and 0 <= hi < t_total and lo != hi,
                  "need distinct perturbation targets lo, hi inside the horizon")
+        self.targets = ((lo, hi),) if explicit else None
+        # no opening, so no agent takes two opening goods and the tail is keyed False
         super().__init__(spec, t_total, math.lcm(t_total, d.denominator), predicted=(u,) * t_total,
-                         claimed_error=(d, d))
-        self.truth = self._truth(lo, hi)
-        self.tail = tuple(map(self._weight, self.truth.vector(0).values))
+                         claimed_error=(d, d), tails={False: self._values(lo, hi)})
 
     def oblivious_family(self) -> tuple[ValuationProfile, ...]:
-        """The built truth when ``lo`` or ``hi`` is given, else one truth per
+        """The played truth when ``lo`` or ``hi`` is given, else one truth per
         pair of distinct targets: (2n-1)(2n-2) profiles, so only the oracle
         builds them, once its budget admits the search."""
-        if self.explicit:
-            return (self.truth,)
         h = self.horizon
-        return tuple(self._truth(i, j) for i in range(h) for j in range(h) if i != j)
+        targets = self.targets or [(i, j) for i in range(h) for j in range(h) if i != j]
+        return tuple(self._truth(lo, hi) for lo, hi in targets)
+
+    def _values(self, lo: int, hi: int) -> tuple[Fraction, ...]:
+        """u = 1/(2n-1) on every good, but D less on ``lo`` and D more on ``hi``."""
+        vals = [self.u] * self.u.denominator
+        vals[lo], vals[hi] = self.u - self.d, self.u + self.d
+        return tuple(vals)
 
     def _truth(self, lo: int, hi: int) -> ValuationProfile:
-        u = Fraction(1, self.horizon)
-        vals = [u] * self.horizon
-        vals[lo] = u - self.d
-        vals[hi] = u + self.d
-        return ValuationProfile.identical_from(ValuationVector(tuple(vals)), self.n)
-
-    def _tail(self, counts: tuple[int, ...]) -> tuple:
-        return self.tail
+        return ValuationProfile.identical_from(ValuationVector(self._values(lo, hi)), self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +410,13 @@ class MirroredPairAdversary(Adversary):
         _require(Fraction(1, 2) - 2 * eps - lam >= 0, "prediction values must be nonnegative")
         half = Fraction(1, 2)
         rest = (half - 2 * eps - lam, half - lam)
+        low, high, mid = half - 3 * eps - lam, half + eps - lam, half - eps - lam
+        tails = {(2, 0): ((low, mid), (high, mid)), (0, 2): ((mid, low), (mid, high)),
+                 (1, 1): ((low, low), (high, high))}  # keyed by the counts
         super().__init__(spec, 4, math.lcm(2, eps.denominator, lam.denominator),
                          opening=((2 * eps, 2 * lam), (2 * lam, 2 * eps)),
                          predicted=((2 * eps, 2 * lam) + rest, (2 * lam, 2 * eps) + rest),
-                         claimed_error=(eps, eps))
-        low, high, mid = map(self._weight, (half - 3 * eps - lam, half + eps - lam,
-                                            half - eps - lam))
-        self.tails = {(2, 0): ((low, mid), (high, mid)), (0, 2): ((mid, low), (mid, high)),
-                      (1, 1): ((low, low), (high, high))}  # keyed by the counts
+                         claimed_error=(eps, eps), tails=tails)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         return self.tails[counts]
@@ -465,13 +467,9 @@ class IdenticalPredictedAdversary(Adversary):
         half = Fraction(1, 2)
         _require(half - 3 * eps - lam >= 0, "revealed values must be nonnegative")
         Adversary.__init__(self, spec, 4, math.lcm(2, eps.denominator, lam.denominator),
-                           (2 * lam, 2 * eps), predicted, claimed_error)
-        # keyed by whether one agent took both opening goods
-        self.tails = {True: (self._weight(half - eps - lam),) * 2,
-                      False: tuple(map(self._weight, (half - 3 * eps - lam, half + eps - lam)))}
-
-    def _tail(self, counts: tuple[int, ...]) -> tuple:
-        return self.tails[max(counts) == 2]
+                           (2 * lam, 2 * eps), predicted, claimed_error,
+                           {True: (half - eps - lam,) * 2,
+                            False: (half - 3 * eps - lam, half + eps - lam)})
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +495,20 @@ class ManyAgentsPredictedAdversary(Adversary):
             values = (eps, eps) + (w,) * (n - 2) + (tail,) + (ZERO,) * (n - 2)
             claimed_iv = (tail, tail)
             den, opening = eps.denominator * (n - 1) * (n - 2), (eps, eps)
+            # keyed by whether one agent took both small goods
+            tails = {True: ((1 - 2 * eps) / (n - 2),) * (n - 2),
+                     False: ((1 - 2 * eps) / (n - 1),) * (n - 1)}
         else:
-            den, opening = self._open_large(spec, lb, scale=1)
+            den, opening, tails = self._open_large(spec, lb, scale=1)
             eps = self.eps
             values = opening + (self.base - eps, self.base + eps)
             claimed_iv = (eps, eps)
-        super().__init__(spec, 2 * n - 1, den, opening, values, claimed_iv)
-        self._weigh_tails()
+        super().__init__(spec, 2 * n - 1, den, opening, values, claimed_iv, tails)
 
-    def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple[int, tuple]:
-        """The large regime's denominator and 2n-3 goods of value k; the spec's
-        eps, above ``lb``, is ``scale`` times the half spread ``self.eps`` of
-        the two last goods."""
+    def _open_large(self, spec: AdversarySpec, lb: Fraction, scale: int) -> tuple:
+        """The large regime's denominator, 2n-3 goods of value k, and tails keyed
+        by whether exactly one agent got none of them; the spec's eps, above
+        ``lb``, is ``scale`` times the half spread ``self.eps`` of the two last goods."""
         a, n = spec.a, spec.n
         big_k = 4 + (2 * n - 3) * a
         k_hi = a / big_k
@@ -519,19 +519,10 @@ class ManyAgentsPredictedAdversary(Adversary):
         eps = _default(spec, "eps", (eps_lo + eps_hi) / 2)
         _require(eps_lo < eps <= eps_hi, f"need eps in ({eps_lo}, {eps_hi}] at k = {k}")
         self.branch, self.eps = "large", eps / scale
-        self.base = (1 - (2 * n - 3) * k) / 2
-        _require(self.base - 2 * self.eps >= 0, "revealed values must be nonnegative")
-        return math.lcm(2 * k.denominator, self.eps.denominator), (k,) * (2 * n - 3)
-
-    def _weigh_tails(self) -> None:
-        """Each regime's two tails as weights, keyed by what ``_tail`` reads."""
-        w, n, eps = self._weight, self.n, self.eps
-        if self.branch == "small":  # whether one agent took both small goods
-            self.tails = {True: (w((1 - 2 * eps) / (n - 2)),) * (n - 2),
-                          False: (w((1 - 2 * eps) / (n - 1)),) * (n - 1)}
-        else:  # whether exactly one agent got none of the small goods
-            base, spread = self.base, 2 * eps
-            self.tails = {True: (w(base),) * 2, False: (w(base - spread), w(base + spread))}
+        base = self.base = (1 - (2 * n - 3) * k) / 2
+        _require(base - 2 * self.eps >= 0, "revealed values must be nonnegative")
+        return (math.lcm(2 * k.denominator, self.eps.denominator), (k,) * (2 * n - 3),
+                {True: (base,) * 2, False: (base - 2 * self.eps, base + 2 * self.eps)})
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
         return self.tails[max(counts) == 2 if self.branch == "small" else counts.count(0) == 1]
@@ -572,10 +563,9 @@ class TwoValueManyAdversary(ManyAgentsPredictedAdversary):
     params = ("k", "eps")
 
     def __init__(self, spec: AdversarySpec):
-        den, opening = self._open_large(spec, self._bound(spec), scale=2)
+        den, opening, tails = self._open_large(spec, self._bound(spec), scale=2)
         Adversary.__init__(self, spec, 2 * spec.n - 1, den, opening,
-                           opening + (self.base, self.base), (ZERO, 2 * self.eps))
-        self._weigh_tails()
+                           opening + (self.base, self.base), (ZERO, 2 * self.eps), tails)
 
 
 # ---------------------------------------------------------------------------

@@ -164,15 +164,8 @@ class ValuationVector:
 
     def __init__(self, values: Iterable[RationalLike]) -> None:
         vals = self.__dict__["values"] = tuple(map(rat, values))
-        # one call per value; each pair is unpacked at once, so no tuple
-        # outlives its value and the pairs start no cyclic collection
-        nums, dens = [], []
-        for v in vals:
-            p, q = v.as_integer_ratio()
-            nums.append(p)
-            dens.append(q)
-        den = lcm(*set(dens))
-        self.__post_init__(den, tuple([p * (den // q) for p, q in zip(nums, dens)]))
+        den = lcm(*{v.denominator for v in vals})
+        self.__post_init__(den, tuple([v.numerator * (den // v.denominator) for v in vals]))
 
     @classmethod
     def from_weights(cls, den: int, weights: tuple[int, ...]) -> "ValuationVector":

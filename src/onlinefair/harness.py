@@ -146,16 +146,17 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
         weights = adv.reveal(state)
         revealed.append(weights)
         state = adv.advance(state, allocator.step(weights))
-    columns = list(zip(*revealed))
     vectors: dict[tuple[int, ...], ValuationVector] = {}
-    for i, col in enumerate(columns):
-        total = sum(col)
-        if total != den:
-            raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
-                                 f"{Fraction(total, den)}")
+    per_agent = []
+    for i, col in enumerate(zip(*revealed)):  # equal columns have equal sums: check one
         if col not in vectors:
+            total = sum(col)
+            if total != den:
+                raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
+                                     f"{Fraction(total, den)}")
             vectors[col] = ValuationVector.from_weights(den, col)
-    truths = ValuationProfile(tuple(vectors[col] for col in columns), identical=adv.identical)
+        per_agent.append(vectors[col])
+    truths = ValuationProfile(tuple(per_agent), identical=adv.identical)
     realized = None
     if adv.prediction is not None:
         realized = make_instance(adv.prediction, truths).realized_error

@@ -1,6 +1,7 @@
 """Golden outputs, byte for byte: oracle JSON, the curve CSVs,
 seeded gen -> perturb -> run pipelines, runs on large coprime denominators,
-seeded random walks and minimax values of every adaptive construction, and
+seeded random walks and minimax values of every adaptive construction, the
+compiled tables or refusals of every construction over a grid of specs, and
 main's decisions on every form of the predicted split."""
 
 import errno
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, build_adversary
+from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, ParameterError, build_adversary
 from onlinefair.bounds import BoundId, BoundParams, eval_bound, invert_bound, late_y_margin
 from onlinefair.cli import main as cli_main
 from onlinefair.core import (
@@ -30,7 +31,7 @@ from onlinefair.harness import (
     random_walk_duel,
     run_instance,
 )
-from onlinefair.offline import BudgetExceededError, minimax_online_factor
+from onlinefair.offline import BudgetExceededError, _compile_opponent, minimax_online_factor
 from onlinefair.online import (
     ALLOCATOR_NAMES,
     FormKind,
@@ -376,6 +377,38 @@ def test_adversary_golden(spec, value, digest):
     except (ValueError, BudgetExceededError) as exc:
         got = type(exc).__name__
     assert got == value
+
+
+def _grid_specs():
+    """Every construction at n = 2-5 and six factors with its default
+    parameters, plus follower-tight with explicit targets and D = 1/(2n-1)."""
+    for n in range(2, 6):
+        for a in (F(1, 10), F(1, 2), F(7, 10), F(4, 5), F(9, 10), F(1)):
+            for name in CONSTRUCTIONS:
+                yield name, a, n, {}
+            yield "follower-tight", a, n, {"lo": 1, "hi": 0, "D": F(1, 2 * n - 1)}
+
+
+# sha256 over the grid: each built construction's den, horizon, opening and
+# compiled state tables (or that they exceed 2000 nodes), each refused spec's
+# message; this reaches tail rows that no seeded walk plays
+CONSTRUCTION_GRID_DIGEST = "d3d3ca3ebd856c6d0e1971850bcc78234bb16a6b92b075ad4357d5c1da0d2491"
+
+
+def test_construction_grid_golden():
+    lines = []
+    for name, a, n, params in _grid_specs():
+        try:
+            adv = build_adversary(AdversarySpec(name, a, n=n, params=params))
+        except ParameterError as exc:
+            lines.append(f"{name} {a} {n} {params} refused: {exc}")
+            continue
+        try:
+            tables = _compile_opponent(adv, 2000)
+        except BudgetExceededError:
+            tables = "over budget"
+        lines.append(f"{name} {a} {n} {params} {adv.den} {adv.horizon} {adv.opening} {tables}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CONSTRUCTION_GRID_DIGEST
 
 
 # ---------------------------------------------------------------------------

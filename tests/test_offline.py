@@ -506,7 +506,8 @@ class TestMinimaxOracle:
                              params={"lo": 0, "hi": 1, "D": F(1, 5)})
         adv = build_adversary(spec)
         value = minimax_online_factor(adv)
-        best, _ = brute_force_best_factor(adv.truth)
+        (truth,) = adv.oblivious_family()
+        best, _ = brute_force_best_factor(truth)
         assert value == best
 
     def test_adaptive_value_below_target(self):
@@ -626,23 +627,23 @@ class TestFollowerTightFamilyOnDemand:
         monkeypatch.setattr(FollowerTightAdversary, "_truth", counted)
         return calls
 
-    def test_a_duel_builds_at_most_one_truth(self, truths_built):
+    def test_a_duel_builds_no_truth(self, truths_built):
         transcript = run_duel("ef1-lowest", AdversarySpec("follower-tight", F(7, 10), n=200))
         assert transcript.truths.horizon == 399
-        assert len(truths_built) <= 1
+        assert truths_built == []
 
     def test_an_over_budget_family_is_refused_before_it_is_built(self, truths_built):
         adv = build_adversary(AdversarySpec("follower-tight", F(7, 10), n=60))
         with pytest.raises(BudgetExceededError,
                            match=r"^60\^119 assignments exceed the node budget 1000000$"):
             minimax_online_factor(adv)
-        assert len(truths_built) <= 1
+        assert truths_built == []
 
     def test_the_oracle_builds_the_family_once(self, truths_built):
         adv = build_adversary(AdversarySpec("follower-tight", F(7, 10)))
         assert minimax_online_factor(adv) == F(7, 27)
-        # the duel's truth, then one per ordered pair of the three targets
-        assert truths_built == [(0, 1)] + [(i, j) for i in range(3) for j in range(3) if i != j]
+        # one truth per ordered pair of the three targets, and no other
+        assert truths_built == [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
 # (id, construction, agent counts, params): every construction, follower-tight
