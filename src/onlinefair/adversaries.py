@@ -79,18 +79,21 @@ class Adversary:
     zero-valued padding up to ``horizon``.  Opening states are
     ``("open", counts)``; queue states are ``("q", remaining)`` where remaining
     is a tuple of rows.  A row is one int weight per agent, or one int that is
-    every agent's weight; ``reveal`` always returns one int per agent.  The
-    opening lasts while ``_opening_goes_on(counts)`` holds, by default until
-    every row is placed; the golden stream also ends it once both agents hold
-    a good.  Only the asymmetric stream defines its own ``start``, ``reveal``
-    and ``advance``, deferring to these for queue states: its state carries
-    the mass revealed to each agent, which counts cannot hold.
+    every agent's weight; ``reveal`` always returns one int per agent.  An
+    ``identical`` construction's rows are all one int, so the duel and the
+    game tree keep one weight per row.  The opening lasts while
+    ``_opening_goes_on(counts)`` holds, by default until every row is
+    placed; the golden stream also ends it once both agents hold a good.
+    Only the asymmetric stream defines its own ``start``, ``reveal`` and
+    ``advance``, deferring to these for queue states: its state carries the
+    mass revealed to each agent, which counts cannot hold.
 
     The construction passes ``den``, its opening and its tails as exact
     rationals; ``_weigh`` turns each row into int weights over ``den`` once,
-    when it is built, and refuses a value off the 1/den lattice or a negative
-    one.  ``predicted`` is the emitted prediction: one vector shared by every
-    agent when the construction is identical, one row per agent otherwise.
+    when it is built, and refuses a value off the 1/den lattice, a negative
+    one, and a per-agent row in an identical construction.  ``predicted`` is
+    the emitted prediction: one vector shared by every agent when the
+    construction is identical, one row per agent otherwise.
     """
 
     construction: str = "abstract"
@@ -119,21 +122,24 @@ class Adversary:
 
     def _weigh(self, rows: tuple, shape: Callable = lambda row: row) -> tuple:
         """Rows of values fixed at build as int weights over ``den``, each
-        ``shape``d and checked by ``_rows``; a row repeated as one object is
-        weighed once, and shared."""
+        ``shape``d; a row repeated as one object is weighed once, and shared.
+        An identical construction's rows are one value each."""
         w, out, last = self._weight, [], None
         for row in rows:
             if row is not last:
+                if isinstance(row, tuple) and self.identical:
+                    raise ParameterError(f"{self.construction} is identical: one value per row")
                 last, weights = row, shape(tuple(map(w, row)) if isinstance(row, tuple) else w(row))
-                self._rows(weights)
             out.append(weights)
         return tuple(out)
 
     def _weight(self, value: Fraction) -> int:
-        """A value fixed at build, as an int weight over ``den``."""
+        """A value fixed at build, as a nonnegative int weight over ``den``."""
         w, rest = divmod(value.numerator * self.den, value.denominator)
         if rest:
             raise ParameterError(f"construction value {value} is not a multiple of 1/{self.den}")
+        if w < 0:
+            raise ParameterError(f"construction value {value} is negative")
         return w
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
@@ -150,7 +156,7 @@ class Adversary:
     def start(self) -> tuple:
         if self.opening:
             return ("open", (0,) * self.n)
-        return self._queue(*self._tail((0,) * self.n))
+        return ("q", self._tail((0,) * self.n))
 
     def reveal(self, state: tuple) -> tuple[int, ...]:
         if state[0] == "open":
@@ -163,7 +169,7 @@ class Adversary:
             counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
             if self._opening_goes_on(counts):
                 return ("open", counts)
-            return self._queue(*self._tail(counts))
+            return ("q", self._tail(counts))
         remaining = state[1]
         return ("q", remaining[1:]) if remaining else state
 
@@ -187,17 +193,6 @@ class Adversary:
 
     def _bcast(self, row) -> tuple[int, ...]:
         return (row,) * self.n if type(row) is int else row
-
-    @staticmethod
-    def _rows(*rows) -> tuple:
-        """The rows, refused unless each is a nonnegative int or a tuple of them."""
-        for row in rows:
-            if not all(type(v) is int and v >= 0 for v in (row if type(row) is tuple else (row,))):
-                raise ParameterError(f"construction produced {row}, not nonnegative int weights")
-        return rows
-
-    def _queue(self, *rows) -> tuple:
-        return ("q", self._rows(*rows))
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -263,6 +258,7 @@ class GoldenStreamAdversary(Adversary):
         return min(counts) == 0 and super()._opening_goes_on(counts)
 
     def _tail(self, counts: tuple[int, ...]) -> tuple:
+        # rest > 0 as m*eps <= sqrt(5)-2+eps < 1, and rest is even over 2q
         rest = self.den - sum(counts) * self.eps_w
         return (rest,) if min(counts) else (rest >> 1, rest >> 1)
 
@@ -325,7 +321,9 @@ class AsymmetricStreamAdversary(Adversary):
         # stream until the fed agent takes a good or one more would overrun its unit budget
         if (first or agent != fed) and mass[fed] + self.eps_w <= self.den:
             return ("stream", fed, mass, False)
-        return self._queue(tuple(self.den - m for m in mass))
+        # den - mass[i] >= 0: the stream stops before mass[fed] + eps_w > den,
+        # and the unfed agent saw at most one eps
+        return ("q", (tuple(self.den - m for m in mass),))
 
 
 # ---------------------------------------------------------------------------

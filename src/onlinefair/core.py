@@ -472,14 +472,14 @@ class FairnessReport:
     The convention is EFX₀: the envier removes the other bundle's
     least-valued good even when that good is worth zero to it.  This is
     stronger than EFX⁺, which removes only goods the envier values above zero.
+
+    ``efx_factor <= ef1_factor`` always: per observer, ``sum - max <=
+    sum - min``, so each EF1 top is at most the EFX top, and the smallest
+    ratio ``envy_factor`` takes can only rise.
     """
 
     efx_factor: Fraction
     ef1_factor: Fraction
-
-    def __post_init__(self) -> None:
-        if self.efx_factor > self.ef1_factor:
-            raise ValueError("removing the max good cannot be harder than the min")
 
 
 def _check_alloc(alloc: Allocation, profile: ValuationProfile) -> None:

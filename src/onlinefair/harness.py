@@ -136,27 +136,26 @@ def _duel(adv: Adversary, allocator: OnlineAllocator,
     claimed interval.
 
     The allocator steps on the revealed int weights, over the construction's
-    ``den``, fixed before the first good.  Agents whose revealed columns are
-    equal share one truth vector, so an identical construction's truths are
-    one vector and one distance to the prediction."""
+    ``den``, fixed before the first good.  The duel keeps one list of weights
+    per valuation, one in an identical construction, so its truths are one
+    vector shared by every agent and one distance to the prediction."""
     den = allocator.den = adv.den
+    columns: list[list[int]] = [[] for _ in range(1 if adv.identical else adv.n)]
     state = adv.start()
-    revealed = []
     for _ in range(adv.horizon):
         weights = adv.reveal(state)
-        revealed.append(weights)
+        for col, w in zip(columns, weights):
+            col.append(w)
         state = adv.advance(state, allocator.step(weights))
-    vectors: dict[tuple[int, ...], ValuationVector] = {}
-    per_agent = []
-    for i, col in enumerate(zip(*revealed)):  # equal columns have equal sums: check one
-        if col not in vectors:
-            total = sum(col)
-            if total != den:
-                raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
-                                     f"{Fraction(total, den)}")
-            vectors[col] = ValuationVector.from_weights(den, col)
-        per_agent.append(vectors[col])
-    truths = ValuationProfile(tuple(per_agent), identical=adv.identical)
+    vectors = []
+    for i, col in enumerate(columns):
+        total = sum(col)
+        if total != den:
+            raise AssertionError(f"adversary broke its normalization promise for agent {i}: "
+                                 f"{Fraction(total, den)}")
+        vectors.append(ValuationVector.from_weights(den, tuple(col)))
+    truths = (ValuationProfile.identical_from(vectors[0], adv.n) if adv.identical
+              else ValuationProfile(tuple(vectors)))
     realized = None
     if adv.prediction is not None:
         realized = make_instance(adv.prediction, truths).realized_error

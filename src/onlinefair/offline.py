@@ -308,10 +308,11 @@ def _compile_opponent(adversary, node_budget: int):
     row as one int weight per observer, as the opponent revealed it over its
     ``den``, per decision its successor id and ``sort_keys``, and per agent
     whether it continues the run of the agent before; plus each agent's
-    observer: agents whose weight columns agree on every reachable state
-    share one.  Each numbered state costs the search at least one node, so
-    counting them against ``node_budget`` refuses only what the search would
-    refuse.
+    observer.  An identical construction broadcasts every row, so its agents
+    share observer 0 and a row keeps one weight; any other opponent seats
+    each agent at its own observer.  Each numbered state costs the search at
+    least one node, so counting them against ``node_budget`` refuses only
+    what the search would refuse.
     """
     n = adversary.n
     agents = list(range(n))
@@ -336,7 +337,7 @@ def _compile_opponent(adversary, node_budget: int):
     for _ in range(adversary.horizon):
         reached = []
         for state in frontier:  # ids are handed out in the order states expand
-            revealed.append(adversary.reveal(state))
+            revealed.append(adversary.reveal(state)[:1 if symmetric else n])
             counts = counts_of(state)
             runs.append(tuple(d > 0 and counts[d] == counts[d - 1] for d in agents))
             row = []
@@ -356,9 +357,8 @@ def _compile_opponent(adversary, node_budget: int):
                 row.append((k, sort_keys(keys)))
             successors.append(row)
         frontier = reached
-    observers: dict[tuple[int, ...], int] = {}  # distinct weight columns
-    view = tuple(observers.setdefault(col, len(observers)) for col in zip(*revealed))
-    return list(zip(*observers)), successors, runs, view
+    view = (0,) * n if symmetric else tuple(agents)
+    return revealed, successors, runs, view
 
 
 def minimax_online_factor(adversary, node_budget: int = 10 ** 6) -> Fraction:

@@ -231,6 +231,17 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
     A horizon of at most three goods is the three-goods form; any longer one
     is split once, and the split's lighter bundle and the value levels of its
     heavier one decide the form.
+
+    Below the cutoff c every split has one of these forms.  Take mass 1;
+    c < 2/5, as 5(4+a-a^2) < 2(2+a)(5-a) iff a + 3a^2 > 0.  If x is the last
+    good lpt puts in the heavier bundle H, w(H) - x <= w(L) < c, so |H| >= 3
+    would give x <= w(H)/3 and w(L) >= 2/5.  If |H| = 2, both its goods
+    weigh more than 1 - 2c, and the lighter L holds at most one such good,
+    as two weigh more than 2 - 4c > c.  The two largest goods go to different
+    bundles.  Two top goods z in H put a third, and no fourth, in L (form 1).
+    One z in H puts another in L, or lpt would put the two goods after z in
+    L before H's second; the next good, the only y, joins H (form 3).  No z
+    in H leaves one z, in L (forms 2 and 4).
     """
     a = rat(a)
     cutoff = _cutoff(a)
@@ -249,26 +260,16 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
         return FormTag(FormKind.PASSTHROUGH, z, y, heavy, frozenset(), low)
     if len(heavy) == 1:
         return FormTag(FormKind.SINGLETON_HIGH, z, y, heavy, frozenset(), low)
-    if len(heavy) != 2:
-        raise ValueError("heavier bundle of a sub-cutoff split must hold two goods")
 
     level_z = frozenset(g for g in range(p.horizon) if w[g] == wz)
-    level_y = frozenset(g for g in range(p.horizon) if w[g] == wy)
-    if len(heavy & level_z) == 2:
-        if len(level_z) != 3 or len(light & level_z) != 1:
-            raise ValueError("inconsistent top-level structure for a two-top split")
+    top = len(heavy & level_z)
+    if top == 2:
         return FormTag(FormKind.FORM1, z, y, heavy, level_z, low)
-    if len(heavy & level_z) == 1 and len(heavy & level_y) == 1:
-        if len(level_z) != 2 or len(level_y) != 1:
-            raise ValueError("inconsistent structure for a top+mid split")
-        kind = FormKind.FORM3_LATE_Y if max(level_y) > max(level_z) else FormKind.FORM3_EARLY_Y
-        return FormTag(kind, z, y, heavy, level_z | level_y, low)
-    if not heavy & level_z:
-        if len(level_z) != 1 or not (level_z <= light):
-            raise ValueError("inconsistent structure for a mid-level split")
-        return FormTag(FormKind.FORM2OR4, z, y, heavy, heavy | level_z, low)
-    raise ValueError("heavier bundle pairs the top good with a sub-mid good; "
-                     "not a reachable balanced split")
+    if top == 1:
+        (y_good,) = heavy - level_z
+        kind = FormKind.FORM3_LATE_Y if y_good > max(level_z) else FormKind.FORM3_EARLY_Y
+        return FormTag(kind, z, y, heavy, level_z | heavy, low)
+    return FormTag(FormKind.FORM2OR4, z, y, heavy, heavy | level_z, low)
 
 
 # main's cutoff and slacks are computed once per target factor a: a run of

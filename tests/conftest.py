@@ -321,7 +321,7 @@ class ReferenceGoldenStream(GoldenStreamAdversary):
         counts = tuple(c + (i == agent) for i, c in enumerate(state[1]))
         if min(counts) == 0 and (max(counts) * self.eps + 2) ** 2 <= 5:
             return ("open", counts)
-        return self._queue(*self._tail(counts))
+        return ("q", self._tail(counts))
 
 
 def stepped(allocator, stream):

@@ -334,6 +334,15 @@ class TestRelabelling:
                     assert (adv.advance(moved, order.index(d))
                             == adv.relabel(adv.advance(state, d), order))
 
+    @pytest.mark.parametrize("spec", IDENTICAL_SPECS, ids=[
+        f"{spec.construction}-n{spec.n}-a{spec.a}" for spec in IDENTICAL_SPECS])
+    def test_duel_and_compile_keep_one_valuation(self, spec):
+        # the flag is the promise both read: one truth vector, one observer
+        truths = random_walk_duel(spec, seed=0).truths
+        assert all(v is truths.vectors[0] for v in truths.vectors)
+        rows, _, _, view = _compile_opponent(build_adversary(spec), 10 ** 6)
+        assert view == (0,) * spec.n and all(len(row) == 1 for row in rows)
+
     @pytest.mark.parametrize("spec,successors", [
         (AdversarySpec("no-pred-2-general", F(1, 2)), None),
         (AdversarySpec("no-pred-2-general", F(1, 10)), None),
@@ -362,11 +371,15 @@ class TestWeights:
                 "construction value 1/9 is not a multiple of 1/6")):
             Adversary(SimpleNamespace(n=2), 2, 6, opening=(F(1, 3), F(1, 9)))
 
-    @pytest.mark.parametrize("row", [F(1), 1.0, True, -1, (2, -1), (2, F(1))], ids=repr)
-    def test_rows_hold_nonnegative_ints_only(self, row):
-        assert Adversary._rows(3, (1, 2), 0) == (3, (1, 2), 0)
-        with pytest.raises(ParameterError, match="not nonnegative int weights"):
-            Adversary._rows(3, (1, 2), row)
+    @pytest.mark.parametrize("rows,message", [
+        ({"opening": (F(1, 2), F(-1, 6))}, "construction value -1/6 is negative"),
+        ({"tails": {True: (F(1, 3), F(-1, 3))}}, "construction value -1/3 is negative"),
+        ({"opening": (F(1, 3), (F(1, 3), F(1, 6)))},
+         "abstract is identical: one value per row"),
+    ], ids=["negative-opening", "negative-tail", "per-agent-row-identical"])
+    def test_rows_refused_at_build(self, rows, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            Adversary(SimpleNamespace(n=2), 2, 6, **rows)
 
     @pytest.mark.parametrize("spec,value", [
         (AdversarySpec("no-pred-2-identical", F(7, 10), params={"lam": F(1, 100)}), F(38, 61)),

@@ -161,7 +161,7 @@ class TestTranscripts:
     def test_duel_builds_one_truth_vector_per_distinct_column(self, monkeypatch, spec,
                                                               vectors, distances):
         # the truths are built from the revealed int weights, one vector per
-        # distinct column, and each distinct prediction/truth pair is measured once
+        # valuation, and each distinct prediction/truth pair is measured once
         adv = build_adversary(spec)
         allocator = make_allocator("ef1-lowest", n=adv.n, identical=adv.identical)
         built, measured = [], []

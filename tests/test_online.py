@@ -1,5 +1,6 @@
 """Online allocators: traces, guarantees, and form classification."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -374,6 +375,46 @@ class TestClassifyForm:
         p = vec("1/2", "1/4", "1/4")
         with pytest.raises(ValueError):
             classify_form(p, F(3, 5))
+
+    def test_sub_cutoff_splits_have_the_proven_structure(self):
+        # every composition of 50 into four parts and of 20 into five, at the
+        # factor of MAIN_FACTORS with the largest cutoff: the docstring's argument
+        a = F(5, 8)
+        c = passthrough_cutoff(a)
+        assert c < F(2, 5)
+        seen = set()
+        for q, horizon in ((50, 4), (20, 5)):
+            for cuts in itertools.combinations(range(1, q), horizon - 1):
+                w = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (q,)))
+                tag = classify_form(ValuationVector.from_weights(q, w), a)
+                seen.add(tag.kind)
+                if tag.kind is FormKind.PASSTHROUGH:
+                    continue
+                heavy = tag.heavy
+                light = frozenset(range(horizon)) - heavy
+                assert sum(w[g] for g in light) < c * q
+                if tag.kind is FormKind.SINGLETON_HIGH:
+                    assert len(heavy) == 1
+                    continue
+                assert len(heavy) == 2
+                big = {g for g in range(horizon) if w[g] > (1 - 2 * c) * q}
+                assert heavy <= big and len(light & big) <= 1
+                first, second = sorted(range(horizon), key=lambda g: -w[g])[:2]
+                assert (first in heavy) != (second in heavy)
+                level_z = {g for g in range(horizon) if w[g] == max(w)}
+                level_y = {g for g in range(horizon) if w[g] == tag.y * q}
+                if tag.kind is FormKind.FORM1:
+                    assert heavy < level_z and len(level_z) == 3 and tag.large == level_z
+                elif tag.kind is FormKind.FORM2OR4:
+                    assert len(level_z) == 1 and level_z <= light
+                    assert tag.large == heavy | level_z
+                else:
+                    assert len(level_z) == 2 and len(level_y) == 1
+                    assert heavy == (level_z & heavy) | level_y
+                    assert tag.large == level_z | level_y
+                    late = max(level_y) > max(level_z)
+                    assert tag.kind is (FormKind.FORM3_LATE_Y if late else FormKind.FORM3_EARLY_Y)
+        assert seen == set(FormKind) - {FormKind.THREE_GOODS}
 
 
 class TestFormThresholdAllocator:
