@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -236,7 +236,8 @@ class ValuationProfile:
         horizons = {v.horizon for v in self.vectors}
         if len(horizons) != 1:
             raise ValueError(f"vectors disagree on horizon: {sorted(horizons)}")
-        if self.identical and any(v.weights != self.vectors[0].weights for v in self.vectors):
+        first, *rest = self.vectors
+        if self.identical and any(v is not first and v.weights != first.weights for v in rest):
             raise ValueError("profile flagged identical but vectors differ")
 
     @classmethod
@@ -257,36 +258,37 @@ class ValuationProfile:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A partition of goods 0..num_goods-1 into per-agent bundles."""
+    """Goods 0..num_goods-1 labelled by agent: ``owner[g]`` holds good g.
 
-    bundles: tuple[frozenset[int], ...]
-    num_goods: int
+    A labelling is a partition by construction, each good having one label,
+    so the one check is that every label is in ``range(agents)``: a negative
+    label is refused too, though a Python index would accept it.  ``as_lists``
+    and ``bundles`` are views read from the labels.
+    """
+
+    owner: tuple[int, ...]
+    agents: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
-        seen: set[int] = set()
-        total = 0
-        for b in self.bundles:
-            if seen & b:
-                raise PartitionError(f"goods {sorted(seen & b)} appear in two bundles")
-            seen |= b
-            total += len(b)
-        if seen != set(range(self.num_goods)) or total != self.num_goods:
-            raise PartitionError("bundles do not partition the good ids")
-
-    @classmethod
-    def of(cls, bundles: Sequence[Iterable[int]], num_goods: Optional[int] = None) -> "Allocation":
-        bs = tuple(frozenset(b) for b in bundles)
-        if num_goods is None:
-            num_goods = sum(len(b) for b in bs)
-        return cls(bundles=bs, num_goods=num_goods)
+        if self.owner and not 0 <= min(self.owner) <= max(self.owner) < self.agents:
+            bad = min(self.owner) if min(self.owner) < 0 else max(self.owner)
+            raise PartitionError(f"owner label {bad} is not an agent of range({self.agents})")
 
     @property
-    def agents(self) -> int:
-        return len(self.bundles)
+    def num_goods(self) -> int:
+        return len(self.owner)
 
     def as_lists(self) -> list[list[int]]:
-        return [sorted(b) for b in self.bundles]
+        """Each agent's goods, in ascending order, from one pass over the labels."""
+        lists: list[list[int]] = [[] for _ in range(self.agents)]
+        add = [b.append for b in lists]
+        for g, i in enumerate(self.owner):
+            add[i](g)
+        return lists
+
+    @property
+    def bundles(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.as_lists()))
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,9 @@ class Instance:
             return isinstance(row, list) and set(map(type, row)) == {str}
 
         def vector(row) -> ValuationVector:
-            if not strings(row):
-                return ValuationVector(values(row))
+            return string_vector(row) if strings(row) else ValuationVector(values(row))
+
+        def string_vector(row: list[str]) -> ValuationVector:
             distinct = dict.fromkeys(row)  # first occurrences, in row order
             for s in distinct:
                 distinct[s] = pairs[s] = pairs.get(s) or ratio(s)
@@ -408,7 +411,7 @@ class Instance:
             # a string equals only a string, so a row equal to an all-string
             # first row is that row; rows are compared one at a time
             first = rows[0] if identical and rows and strings(rows[0]) else None
-            shared = first and vector(first)
+            shared = first and string_vector(first)
             vecs = tuple([shared if shared and row == first else vector(row) for row in rows])
             if len(vecs) != n:
                 raise ValueError(f"expected {n} agent rows, got {len(vecs)}")
@@ -482,13 +485,6 @@ class FairnessReport:
     ef1_factor: Fraction
 
 
-def _check_alloc(alloc: Allocation, profile: ValuationProfile) -> None:
-    if alloc.agents != profile.agents:
-        raise ValueError("allocation and profile disagree on the agent count")
-    if alloc.num_goods > profile.horizon:
-        raise PartitionError("allocation mentions goods beyond the profile horizon")
-
-
 def envy_factor(sums, tops, seats) -> tuple[int, int]:
     """Smallest envy ratio over the ``seats``, as an int pair (num, den).
 
@@ -527,7 +523,11 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
     bundles.  Each factor is then one ``envy_factor`` call over the agents,
     and a Fraction is built only for the two factors.
     """
-    _check_alloc(alloc, profile)
+    if alloc.agents != profile.agents:
+        raise ValueError("allocation and profile disagree on the agent count")
+    if alloc.num_goods > profile.horizon:
+        raise PartitionError("allocation mentions goods beyond the profile horizon")
+    bundles = alloc.as_lists()
     observers: dict[int, int] = {}  # vector id -> its index in cols and the tops
     seats, cols, tops_x, tops_1 = [], [], [], []
     for i, vector in enumerate(profile.vectors):
@@ -537,7 +537,7 @@ def fairness_report(alloc: Allocation, profile: ValuationProfile) -> FairnessRep
             w = vector.weights
             col = []
             top_x = top_1 = 0
-            for b in alloc.bundles:
+            for b in bundles:
                 ws = [w[g] for g in b]
                 s = sum(ws)
                 col.append(s)

@@ -1,9 +1,8 @@
 """Game runner, instance generators, and exact perturbation machinery.
 
 Every run is seeded and sequential (the online model is inherently ordered).
-A transcript keeps the allocator's choices, the agent that got each good,
-beside the true values, which are the values each step revealed; its
-allocation is the allocator's, built from those choices.
+A transcript keeps the allocator's allocation, the agent that got each good,
+beside the true values, which are the values each step revealed.
 """
 
 from __future__ import annotations
@@ -43,19 +42,22 @@ def _json_list(items: Sequence[str], indent: str) -> str:
 class GameTranscript:
     """Ordered record of one online run.
 
-    ``choices[t]`` is the agent that got good t, and ``allocation`` is built
-    from them.  The values revealed at good t are the truths' column t, so the
-    transcript keeps them once, in ``truths``.
+    ``allocation`` labels each good with the agent that got it, and
+    ``choices`` reads those labels.  The values revealed at good t are the
+    truths' column t, so the transcript keeps them once, in ``truths``.
     """
 
     source: str
     allocator: str
-    choices: tuple[int, ...]
     allocation: Allocation
     truths: ValuationProfile
     report: FairnessReport
     realized_error: Optional[tuple[Fraction, ...]]
     seed: Optional[int] = None
+
+    @property
+    def choices(self) -> tuple[int, ...]:
+        return self.allocation.owner
 
     def to_json(self) -> str:
         """The transcript as JSON, byte for byte as ``json.dumps(..., indent=2)``
@@ -97,7 +99,7 @@ def _finish(source: str, allocator: OnlineAllocator, truths: ValuationProfile,
             seed: Optional[int]) -> GameTranscript:
     alloc = allocator.allocation()
     return GameTranscript(source=source, allocator=allocator.name,
-                          choices=tuple(allocator.choices), allocation=alloc, truths=truths,
+                          allocation=alloc, truths=truths,
                           report=fairness_report(alloc, truths),
                           realized_error=realized_error, seed=seed)
 

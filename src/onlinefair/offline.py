@@ -28,20 +28,21 @@ def lpt(f: ValuationVector, n: int) -> Allocation:
     Ties in the value ordering break by ascending good id, ties among minimum
     bundles by lowest agent id, so the output is deterministic.  For identical
     additive valuations the result is exactly envy-free up to any good.
-    Runs in O(T log(nT)) on the vector's integer weights.
+    Runs in O(T log(nT)) on the vector's integer weights; the heap holds one
+    int per agent, ``load * n + agent``, which orders by load, then by id.
     """
     if n < 2:
         raise ValueError("need at least two agents")
     w = f.weights
     # a stable sort by descending weight keeps equal weights in ascending id order
     order = sorted(range(f.horizon), key=w.__getitem__, reverse=True)
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    heap: list[tuple[int, int]] = [(0, i) for i in range(n)]
+    owner = [0] * f.horizon
+    heap = list(range(n))  # every load 0: sorted, so already a heap
     for g in order:
-        total, i = heap[0]
-        bundles[i].add(g)
-        heapq.heapreplace(heap, (total + w[g], i))
-    return Allocation.of(bundles, num_goods=f.horizon)
+        key = heap[0]
+        owner[g] = key % n
+        heapq.heapreplace(heap, key + w[g] * n)
+    return Allocation(tuple(owner), n)
 
 
 def cut_and_choose(p1: ValuationVector, p2: ValuationVector) -> Allocation:
@@ -53,11 +54,10 @@ def cut_and_choose(p1: ValuationVector, p2: ValuationVector) -> Allocation:
     if p1.horizon != p2.horizon:
         raise ValueError("both vectors must cover the same goods")
     base = lpt(p1, 2)
-    b0, b1 = base.bundles
-    chooser_takes_b0 = p2.weight(b0) > p2.weight(b1)
-    if chooser_takes_b0:
-        return Allocation.of([b1, b0], num_goods=p1.horizon)
-    return Allocation.of([b0, b1], num_goods=p1.horizon)
+    b0, b1 = base.as_lists()
+    if p2.weight(b0) > p2.weight(b1):  # the chooser takes b0: flip every label
+        return Allocation(tuple([1 - i for i in base.owner]), 2)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +74,34 @@ def eliminate_envy_cycles(alloc: Allocation, profile: ValuationProfile
     closes a cycle, on which each agent takes the bundle it envies.  That
     raises the own value of every agent on the cycle and changes no other
     agent's, so no allocation repeats and the loop ends.  Bundle contents
-    never change, only ownership.
+    never change, only ownership: each distinct vector sums the bundles once,
+    and the goods are relabelled once, at the end.
     """
     n = profile.agents
+    bundles = alloc.as_lists()
+    distinct = {id(v): v for v in profile.vectors}
+    sums = {k: [v.weight(b) for b in bundles] for k, v in distinct.items()}
+    value = [sums[id(v)] for v in profile.vectors]  # value[i][b]: i's sum of bundle b
+    held = list(range(n))  # held[i]: the bundle agent i holds
     while True:
-        bundles = alloc.bundles
-        envier: list[Optional[int]] = [None] * n  # lowest-id envier of each bundle
-        for i in range(n):
-            vi = profile.vector(i)
-            own = vi.weight(bundles[i])
-            for j in range(n):
-                if envier[j] is None and own < vi.weight(bundles[j]):
-                    envier[j] = i
+        # the lowest-id envier of each agent, None if it is unenvied
+        envier = [next((i for i in range(n) if value[i][held[i]] < value[i][b]), None)
+                  for b in held]
         if None in envier:
-            return alloc, envier.index(None)
+            break
         walk: list[int] = []
         agent = 0
         while agent not in walk:
             walk.append(agent)
             agent = envier[agent]
         cycle = walk[walk.index(agent):]  # each agent envies the one before it
-        rotated = list(bundles)
-        for k, a in enumerate(cycle):
-            rotated[a] = bundles[cycle[k - 1]]
-        alloc = Allocation.of(rotated, num_goods=alloc.num_goods)
+        taken = [held[a] for a in cycle]
+        for a, b in zip(cycle, taken[-1:] + taken[:-1]):
+            held[a] = b
+    if held != sorted(held):  # some cycle turned: relabel every good once
+        holder = sorted(range(n), key=held.__getitem__)  # holder[b]: the agent holding b
+        alloc = Allocation(tuple(map(holder.__getitem__, alloc.owner)), n)
+    return alloc, envier.index(None)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +287,7 @@ def brute_force_best_factor(profile: ValuationProfile, budget: int = 10 ** 7
         raise BudgetExceededError(
             f"{n}^{t_total} allocations exceed the enumeration budget {budget}")
     best, assign = _best_assignment((profile,))
-    witness = Allocation.of(
-        [[g for g in range(t_total) if assign[g] == i] for i in range(n)],
-        num_goods=t_total)
-    return best, witness
+    return best, Allocation(tuple(assign), n)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .offline import cut_and_choose, eliminate_envy_cycles, lpt
 class OnlineAllocator:
     """Single-run stateful allocator; goods arrive one at a time, in order.
 
-    ``choices[t]`` is the agent that got good t; ``allocation()`` builds the
-    bundles from it.  The allocator also keeps ``den``, a positive int set
+    ``choices[t]`` is the agent that got good t; ``allocation()`` is those
+    labels.  The allocator also keeps ``den``, a positive int set
     before the first good, and ``own[i]``, agent i's value of its own bundle
     times ``den``, an int.
     ``step(weights)`` takes the next good's values times ``den``, one int per
@@ -82,10 +82,7 @@ class OnlineAllocator:
         return agent
 
     def allocation(self) -> Allocation:
-        bundles: list[set[int]] = [set() for _ in range(self.n)]
-        for t, agent in enumerate(self.choices):
-            bundles[agent].add(t)
-        return Allocation.of(bundles, num_goods=len(self.choices))
+        return Allocation(tuple(self.choices), self.n)
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
         raise NotImplementedError
@@ -152,10 +149,10 @@ class PredictionFollower(OnlineAllocator):
         else:
             raise ValueError(f"unknown follower base {base!r}")
         settled, self.unenvied = eliminate_envy_cycles(planned, prediction)
-        self.owner = {g: i for i, b in enumerate(settled.bundles) for g in b}
+        self.owner = settled.owner  # owner[t]: the planned agent of predicted good t
 
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
-        return self.owner.get(t, self.unenvied)
+        return self.owner[t] if t < len(self.owner) else self.unenvied
 
 
 class ThreeGoodsAllocator(OnlineAllocator):
@@ -253,9 +250,9 @@ def classify_form(p: ValuationVector, a: Fraction) -> FormTag:
     if p.horizon <= 3:
         return FormTag(FormKind.THREE_GOODS, z, y, frozenset(), frozenset(), 0)
 
-    bundles = lpt(p, 2).bundles
-    low = 0 if p.weight(bundles[0]) <= p.weight(bundles[1]) else 1
-    light, heavy = bundles[low], bundles[1 - low]
+    lists = lpt(p, 2).as_lists()
+    low = 0 if p.weight(lists[0]) <= p.weight(lists[1]) else 1
+    light, heavy = lists[low], frozenset(lists[1 - low])
     if a == 1 or p.weight(light) * cutoff.denominator >= cutoff.numerator * p.den:
         return FormTag(FormKind.PASSTHROUGH, z, y, heavy, frozenset(), low)
     if len(heavy) == 1:

@@ -174,7 +174,7 @@ def _follower_guarantee() -> tuple[str, list[str]]:
             predictions = gen_random_instance(n, t_pred, identical=True,
                                               seed=rng.randrange(2 ** 30))
             planned = lpt(predictions.vector(0), n)
-            lightest = min(predictions.vector(0).value(b) for b in planned.bundles)
+            lightest = min(predictions.vector(0).value(b) for b in planned.as_lists())
             if lightest >= Fraction(1, 2 * n - 1):
                 break
         d = Fraction(rng.randint(0, 100), 1000)  # at most 1/10

@@ -67,10 +67,22 @@ def allocations_for(draw, profile, prefix=False):
     """An allocation of every good, or with ``prefix`` of the first k goods for a drawn k."""
     goods = draw(st.integers(0, profile.horizon)) if prefix else profile.horizon
     labels = draw(st.lists(st.integers(0, profile.agents - 1), min_size=goods, max_size=goods))
-    bundles = [set() for _ in range(profile.agents)]
-    for g, agent in enumerate(labels):
-        bundles[agent].add(g)
-    return Allocation.of(bundles, num_goods=goods)
+    return Allocation(tuple(labels), profile.agents)
+
+
+def labelled(bundles, num_goods=None) -> Allocation:
+    """The allocation giving agent i the goods of ``bundles[i]``; the bundles
+    must partition 0..num_goods-1, by default their total size."""
+    bundles = [list(b) for b in bundles]
+    if num_goods is None:
+        num_goods = sum(map(len, bundles))
+    owner = [None] * num_goods
+    for i, bundle in enumerate(bundles):
+        for g in bundle:
+            assert 0 <= g < num_goods and owner[g] is None, f"good {g} is not a free good"
+            owner[g] = i
+    assert None not in owner, "the bundles leave a good out"
+    return Allocation(tuple(owner), len(bundles))
 
 
 @st.composite
@@ -99,10 +111,11 @@ def direct_envy(alloc: Allocation, profile: ValuationProfile, drop: str) -> Frac
     largest drop under its valuation.
     """
     factor = Fraction(1)
+    bundles = alloc.bundles
     for i in range(profile.agents):
         vals = profile.vector(i).values
-        own = _value(vals, alloc.bundles[i])
-        for j, other in enumerate(alloc.bundles):
+        own = _value(vals, bundles[i])
+        for j, other in enumerate(bundles):
             if i == j or not other:
                 continue
             remainders = [_value(vals, other - {g}) for g in other]
@@ -205,11 +218,12 @@ def reference_lpt(f: ValuationVector, n: int) -> list[set[int]]:
 def reference_envy_edges(alloc: Allocation, profile: ValuationProfile) -> set:
     """Pairs (i, j) where agent i values j's bundle above its own."""
     edges = set()
+    bundles = alloc.bundles
     for i in range(profile.agents):
         vals = profile.vector(i).values
-        own = _value(vals, alloc.bundles[i])
+        own = _value(vals, bundles[i])
         for j in range(profile.agents):
-            if i != j and own < _value(vals, alloc.bundles[j]):
+            if i != j and own < _value(vals, bundles[j]):
                 edges.add((i, j))
     return edges
 
@@ -249,8 +263,7 @@ def reference_minimax(adversary, node_budget: int = 10 ** 6) -> Fraction:
             raise BudgetExceededError(f"{n}^{horizon} assignments exceed {node_budget}")
         best = Fraction(-1)
         for assign in itertools.product(range(n), repeat=horizon):
-            alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
-                                   for i in range(n)], num_goods=horizon)
+            alloc = Allocation(assign, n)
             best = max(best, min(direct_envy(alloc, truth, "best")
                                  for truth in family()))
         return best

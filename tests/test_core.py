@@ -30,7 +30,7 @@ from onlinefair.core import (
     tv_distance,
 )
 
-from conftest import direct_envy, profile_with_allocation, vectors
+from conftest import direct_envy, labelled, profile_with_allocation, vectors
 
 
 def vec(*values):
@@ -168,11 +168,30 @@ class TestTypes:
         with pytest.raises(ValueError):
             ValuationProfile((vec("1/2", "1/2"), vec("1/3", "2/3")), identical=True)
 
-    def test_allocation_partition_checked(self):
-        with pytest.raises(PartitionError):
-            Allocation.of([{0, 1}, {1}], num_goods=2)
-        with pytest.raises(PartitionError):
-            Allocation.of([{0}, {2}], num_goods=2)
+    @pytest.mark.parametrize("owner, bad", [((0, -1), -1), ((2, 0), 2), ((0, 1, 5), 5)])
+    def test_allocation_labels_name_agents(self, owner, bad):
+        # a duplicate or missing good cannot be written as labels; only a
+        # label outside range(agents) can break the partition, and a negative
+        # one would pass as a Python index
+        with pytest.raises(PartitionError,
+                           match=re.escape(f"owner label {bad} is not an agent of range(2)")):
+            Allocation(owner, 2)
+
+    def test_allocation_of_no_goods(self):
+        alloc = Allocation((), 3)
+        assert alloc.num_goods == 0
+        assert alloc.as_lists() == [[], [], []]
+        assert alloc.bundles == (frozenset(),) * 3
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=12))))
+    def test_views_regroup_the_labels(self, case):
+        n, labels = case
+        alloc = Allocation(tuple(labels), n)
+        regrouped = [[g for g, i in enumerate(labels) if i == agent] for agent in range(n)]
+        assert alloc.num_goods == len(labels)
+        assert alloc.as_lists() == regrouped
+        assert alloc.bundles == tuple(frozenset(b) for b in regrouped)
 
     def test_instance_declared_accuracy_validated(self):
         p = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
@@ -393,14 +412,14 @@ def without_least(bundle, f):
 class TestFairnessMetrics:
     def test_vacuous_constraints_give_one(self):
         profile = ValuationProfile.identical_from(vec("1"), 2)
-        alloc = Allocation.of([{0}, set()], num_goods=1)
+        alloc = labelled([{0}, set()], num_goods=1)
         report = fairness_report(alloc, profile)
         assert report.efx_factor == 1
         assert report.ef1_factor == 1
 
     def test_worked_two_agent_split(self):
         profile = ValuationProfile.identical_from(vec("1/2", "3/10", "1/5"), 2)
-        alloc = Allocation.of([{2}, {0, 1}], num_goods=3)
+        alloc = labelled([{2}, {0, 1}], num_goods=3)
         report = fairness_report(alloc, profile)
         assert report.efx_factor == F(2, 5)
         assert report.ef1_factor == F(2, 3)  # confirmed by the direct oracle below
@@ -409,7 +428,7 @@ class TestFairnessMetrics:
 
     def test_efx_drops_least_and_ef1_most_valued_good(self):
         profile = ValuationProfile.identical_from(vec("3/10", "1/2", "1/5"), 2)
-        alloc = Allocation.of([{0}, {1, 2}], num_goods=3)
+        alloc = labelled([{0}, {1, 2}], num_goods=3)
         # agent 0 compares 3/10 with {1} = 1/2 (EFX) and with {2} = 1/5 (EF1)
         report = fairness_report(alloc, profile)
         assert (report.efx_factor, report.ef1_factor) == (F(3, 5), 1)
@@ -435,18 +454,24 @@ class TestFairnessMetrics:
         profile, alloc = pa
         report = fairness_report(alloc, profile)
         envious = False
+        bundles = alloc.bundles
         for i in range(profile.agents):
             vi = profile.vector(i)
             for j in range(profile.agents):
-                if i != j and vi.value(alloc.bundles[i]) < vi.value(
-                        without_least(alloc.bundles[j], vi)):
+                if i != j and vi.value(bundles[i]) < vi.value(without_least(bundles[j], vi)):
                     envious = True
         assert (report.efx_factor == 1) == (not envious)
 
     def test_prefix_allocations_allowed(self):
         profile = ValuationProfile.identical_from(vec("1/2", "3/10", "1/5"), 2)
-        prefix = Allocation.of([{0}, {1}], num_goods=2)
+        prefix = labelled([{0}, {1}], num_goods=2)
         assert fairness_report(prefix, profile).efx_factor == 1
-        beyond = Allocation.of([{0, 1, 2, 3}, set()], num_goods=4)
+        beyond = labelled([{0, 1, 2, 3}, set()], num_goods=4)
         with pytest.raises(PartitionError):
             fairness_report(beyond, profile)
+
+    def test_agent_count_must_match(self):
+        profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
+        with pytest.raises(ValueError,
+                           match="allocation and profile disagree on the agent count"):
+            fairness_report(Allocation((0, 2), 3), profile)

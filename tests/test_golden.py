@@ -17,7 +17,6 @@ from onlinefair.adversaries import CONSTRUCTIONS, AdversarySpec, ParameterError,
 from onlinefair.bounds import BoundId, BoundParams, eval_bound, invert_bound, late_y_margin
 from onlinefair.cli import main as cli_main
 from onlinefair.core import (
-    Allocation,
     ValuationProfile,
     ValuationVector,
     fairness_report,
@@ -38,6 +37,8 @@ from onlinefair.online import (
     classify_form,
 )
 from onlinefair.verify import MINIMAX_PLAN
+
+from conftest import labelled
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -298,7 +299,7 @@ def test_coprime_denominators_metrics():
     inst = coprime_instance(False)
     allocs = ([[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]], [[9], range(9)], [range(9), [9]],
               [[], range(10)], [[3, 4], [0, 1, 2, 5, 6, 7, 8, 9]])
-    reports = [fairness_report(Allocation.of(b), inst.truths) for b in allocs]
+    reports = [fairness_report(labelled(b), inst.truths) for b in allocs]
     values = {
         "tv": [rat_str(tv_distance(inst.predictions.vector(i), inst.truths.vector(i)))
                for i in range(2)],

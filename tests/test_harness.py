@@ -31,7 +31,7 @@ from onlinefair.cli import main as cli_main
 from onlinefair.online import ALLOCATOR_NAMES, OnlineAllocator, make_allocator
 from onlinefair.verify import suite_names
 
-from conftest import reference_transcript_dict, stepped
+from conftest import labelled, reference_transcript_dict, stepped
 
 
 class TestGenerators:
@@ -134,12 +134,12 @@ class TestPerturb:
 
 
 def replay(transcript: GameTranscript) -> Allocation:
-    """The allocation that the transcript's choices make, built here, apart
-    from the allocator's own ``allocation``."""
+    """The allocation that the transcript's choices make, regrouped here into
+    one bundle per true agent and labelled back."""
     bundles = [set() for _ in range(transcript.truths.agents)]
     for t, agent in enumerate(transcript.choices):
         bundles[agent].add(t)
-    return Allocation.of(bundles, num_goods=len(transcript.choices))
+    return labelled(bundles, num_goods=len(transcript.choices))
 
 
 class TestTranscripts:
@@ -252,8 +252,8 @@ WRITER_CASES = {
 def _no_steps() -> GameTranscript:
     """A transcript before any good arrives; no runner returns one."""
     truths = ValuationProfile.identical_from(ValuationVector((F(1),)), 2)
-    alloc = Allocation.of([set(), set()], num_goods=0)
-    return GameTranscript(source="empty", allocator="none", choices=(), allocation=alloc,
+    alloc = Allocation((), 2)
+    return GameTranscript(source="empty", allocator="none", allocation=alloc,
                           truths=truths, report=fairness_report(alloc, truths),
                           realized_error=None)
 
@@ -626,8 +626,7 @@ class TestVerifyPathReadsWeightsOnly:
         truths = perturb(predictions, ds, seed=6, mode=mode)
         self._assert_no_values(predictions, truths)
         for profile in (predictions, truths):
-            alloc = Allocation.of([range(i, profile.horizon, n) for i in range(n)],
-                                  num_goods=profile.horizon)
+            alloc = Allocation(tuple([g % n for g in range(profile.horizon)]), n)
             fairness_report(alloc, profile)
         run_instance("ef1-lowest", make_instance(predictions, truths))
         self._assert_no_values(predictions, truths)

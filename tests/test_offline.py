@@ -44,6 +44,7 @@ from conftest import (
     coprime_vectors,
     direct_envy,
     identical_profiles,
+    labelled,
     mixed_vectors,
     normalized_vector,
     profiles,
@@ -68,6 +69,11 @@ class TestLpt:
     def test_single_valuable_good(self):
         alloc = lpt(vec("1", "0", "0"), 2)
         assert alloc.as_lists() == [[0], [1, 2]]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_agents_refused(self, n):
+        with pytest.raises(ValueError, match="need at least two agents"):
+            lpt(vec("1/2", "1/2"), n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_uniform_odd_horizon_shape(self, n):
@@ -98,6 +104,15 @@ class TestCutAndChoose:
         p = vec("1/2", "1/4", "1/4")
         assert cut_and_choose(p, p).as_lists() == lpt(p, 2).as_lists()
 
+    def test_chooser_taking_the_first_half_flips_every_label(self):
+        p1 = vec("1/2", "1/4", "1/4")
+        assert lpt(p1, 2).owner == (0, 1, 1)
+        assert cut_and_choose(p1, vec("8/10", "1/10", "1/10")).owner == (1, 0, 0)
+
+    def test_vectors_over_different_goods_refused(self):
+        with pytest.raises(ValueError, match="both vectors must cover the same goods"):
+            cut_and_choose(vec("1/2", "1/2"), vec("1/3", "1/3", "1/3"))
+
     @settings(max_examples=80)
     @given(st.data())
     def test_exact_under_cutter_and_own_valuations(self, data):
@@ -115,7 +130,7 @@ class TestCutAndChoose:
 class TestEnvyGraph:
     def test_source_kept_unchanged(self):
         profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
-        alloc = Allocation.of([{0}, {1}], num_goods=2)
+        alloc = labelled([{0}, {1}], num_goods=2)
         assert eliminate_envy_cycles(alloc, profile) == (alloc, 0)
 
     def test_two_cycle_swaps_bundles(self):
@@ -123,7 +138,7 @@ class TestEnvyGraph:
         p1 = vec("1/4", "3/4")
         p2 = vec("3/4", "1/4")
         profile = ValuationProfile((p1, p2))
-        alloc = Allocation.of([{0}, {1}], num_goods=2)
+        alloc = labelled([{0}, {1}], num_goods=2)
         assert reference_envy_edges(alloc, profile) == {(0, 1), (1, 0)}
         settled, unenvied = eliminate_envy_cycles(alloc, profile)
         assert settled.as_lists() == [[1], [0]]
@@ -135,10 +150,7 @@ class TestEnvyGraph:
     def test_output_has_a_source_and_bundles_preserved(self, profile, data):
         labels = data.draw(st.lists(st.integers(0, 3), min_size=profile.horizon,
                                     max_size=profile.horizon))
-        bundles = [set() for _ in range(4)]
-        for g, agent in enumerate(labels):
-            bundles[agent].add(g)
-        alloc = Allocation.of(bundles, num_goods=profile.horizon)
+        alloc = Allocation(tuple(labels), 4)
         settled, unenvied = eliminate_envy_cycles(alloc, profile)
         assert sorted(map(sorted, settled.bundles)) == sorted(map(sorted, alloc.bundles))
         assert unenvied == min(reference_sources(settled, profile))
@@ -152,7 +164,7 @@ class TestEnvyGraph:
                 ValuationVector((F(1, 3), F(1, 6), F(1, 2))),
                 ValuationVector((F(1, 2), F(1, 3), F(1, 6))))
         profile = ValuationProfile(vecs)
-        alloc = Allocation.of([{0}, {1}, {2}], num_goods=3)
+        alloc = labelled([{0}, {1}, {2}], num_goods=3)
         before = reference_envy_edges(alloc, profile)
         assert len(before) == 6 and not reference_sources(alloc, profile)
         settled, unenvied = eliminate_envy_cycles(alloc, profile)
@@ -161,13 +173,13 @@ class TestEnvyGraph:
 
     def test_unenvied_agent_lowest_source(self):
         profile = ValuationProfile.identical_from(vec("1/2", "1/2"), 2)
-        envy_free = Allocation.of([{0}, {1}], num_goods=2)
+        envy_free = labelled([{0}, {1}], num_goods=2)
         assert eliminate_envy_cycles(envy_free, profile)[1] == 0
 
     def test_unenvied_agent_single_edge(self):
         # agent 1 envies agent 0 only, so agent 1 is the unenvied source
         profile = ValuationProfile.identical_from(vec("3/4", "1/4"), 2)
-        alloc = Allocation.of([{0}, {1}], num_goods=2)
+        alloc = labelled([{0}, {1}], num_goods=2)
         assert reference_envy_edges(alloc, profile) == {(1, 0)}
         assert eliminate_envy_cycles(alloc, profile) == (alloc, 1)
 
@@ -179,8 +191,7 @@ def _direct_best(family) -> tuple[F, list[int]]:
     n, horizon = family[0].agents, family[0].horizon
     best, first = F(-1), None
     for assign in itertools.product(range(n), repeat=horizon):
-        alloc = Allocation.of([{g for g in range(horizon) if assign[g] == i}
-                               for i in range(n)], num_goods=horizon)
+        alloc = Allocation(assign, n)
         f = min(direct_envy(alloc, profile, "best") for profile in family)
         if f > best:
             best, first = f, list(assign)
@@ -272,10 +283,7 @@ class TestBruteForce:
     def test_dominates_any_specific_allocation(self, profile, data):
         labels = data.draw(st.lists(st.integers(0, 1), min_size=profile.horizon,
                                     max_size=profile.horizon))
-        bundles = [set(), set()]
-        for g, agent in enumerate(labels):
-            bundles[agent].add(g)
-        some = Allocation.of(bundles, num_goods=profile.horizon)
+        some = Allocation(tuple(labels), 2)
         best, _ = brute_force_best_factor(profile)
         assert best >= fairness_report(some, profile).efx_factor
 
@@ -287,9 +295,7 @@ class TestBruteForce:
                                coprime_vectors(max_goods=5), st.integers(2, 3))))
     def test_matches_direct_enumeration(self, profile):
         factor, witness = brute_force_best_factor(profile)
-        owner = {g: i for i, b in enumerate(witness.bundles) for g in b}
-        assert (factor, [owner[g] for g in range(profile.horizon)]) == \
-            _direct_best((profile,))
+        assert (factor, list(witness.owner)) == _direct_best((profile,))
 
     def test_one_agent_refused(self):
         # n^T is 1 for one agent, so the budget alone never refuses it

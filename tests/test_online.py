@@ -180,11 +180,10 @@ class TestLowestValueBundle:
     @given(identical_profiles(max_goods=10))
     def test_every_prefix_exactly_ef1(self, profile):
         a = LowestValueBundle(profile.agents)
-        bundles = [set() for _ in range(profile.agents)]
-        for t, weights in enumerate(a.columns(profile)):
-            agent = a.step(weights)
-            bundles[agent].add(t)
-            prefix = Allocation.of([set(b) for b in bundles], num_goods=t + 1)
+        labels = []
+        for weights in a.columns(profile):
+            labels.append(a.step(weights))
+            prefix = Allocation(tuple(labels), profile.agents)
             assert fairness_report(prefix, profile).ef1_factor == 1
 
 
@@ -206,7 +205,7 @@ class TestPredictionFollower:
         p = ValuationProfile.identical_from(vec("1/3", "1/3", "1/3"), 2)
         follower = PredictionFollower(p, base="lpt")
         # goods beyond the promised horizon land with the unenvied agent
-        assert follower.owner == {0: 0, 2: 0, 1: 1}
+        assert follower.owner == (0, 1, 0)
         assert follower.unenvied == 1
         decisions = run_identical(follower, ["1/4", "1/4", "1/4", "1/4"])
         assert decisions == [0, 1, 0, 1]
@@ -240,7 +239,7 @@ class TestPredictionFollower:
             assert unenvied == 0
         follower = PredictionFollower(prediction, base=base)
         assert follower.unenvied == unenvied
-        assert follower.owner == {g: i for i, b in enumerate(planned.bundles) for g in b}
+        assert follower.owner == planned.owner
 
     def test_follower_bound_needs_min_bundle_mass(self):
         # documented boundary: with empty predicted bundles (more agents than
