@@ -279,11 +279,14 @@ class Allocation:
         return len(self.owner)
 
     def as_lists(self) -> list[list[int]]:
-        """Each agent's goods, in ascending order, from one pass over the labels."""
-        lists: list[list[int]] = [[] for _ in range(self.agents)]
-        add = [b.append for b in lists]
-        for g, i in enumerate(self.owner):
-            add[i](g)
+        """Each agent's goods, in ascending order, regrouped once from the labels
+        and kept.  Callers only read them: ``cut_and_choose``, ``classify_form``,
+        ``eliminate_envy_cycles``, ``fairness_report``, the writer, verify, oracle."""
+        lists = self.__dict__.get("_lists")
+        if lists is None:
+            lists = self.__dict__["_lists"] = [[] for _ in range(self.agents)]
+            for g, i in enumerate(self.owner):
+                lists[i].append(g)
         return lists
 
     @property

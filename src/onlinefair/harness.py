@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -73,14 +74,17 @@ class GameTranscript:
             if v.weights not in encoded:
                 text = {w: f'"{s}"' for w, s in v.wire_strs().items()}
                 encoded[v.weights] = [text[w] for w in v.weights]
-        # a step's values, laid out as _json_list lays out a list that is never
-        # empty; zip stops at the last choice, so goods not yet placed are not written
-        rows = map(",\n        ".join, zip(*[encoded[v.weights] for v in self.truths.vectors]))
-        steps = _json_list([
-            f'{{\n      "t": {t},\n      "values": [\n        {row}\n      ],'
-            f'\n      "agent": {agent}\n    }}'
-            for t, (row, agent) in enumerate(zip(rows, self.choices))], "  ")
-        allocation = _json_list([_json_list([str(g) for g in bundle], "    ")
+        # each good's id is formatted once; a step joins fixed pieces as
+        # _json_list lays out a list that is never empty, and zip stops at the
+        # last choice, so goods not yet placed are not written
+        index = list(map(str, range(len(self.choices))))
+        values = [x for v in self.truths.vectors
+                  for x in (repeat(",\n        "), encoded[v.weights])][1:]
+        closers = [f'\n      ],\n      "agent": {i}\n    }}' for i in range(self.allocation.agents)]
+        steps = _json_list(list(map("".join, zip(
+            repeat('{\n      "t": '), index, repeat(',\n      "values": [\n        '),
+            *values, map(closers.__getitem__, self.choices)))), "  ")
+        allocation = _json_list([_json_list(list(map(index.__getitem__, bundle)), "    ")
                                 for bundle in self.allocation.as_lists()], "  ")
         realized = ("null" if self.realized_error is None
                     else _json_list([f'"{rat_str(e)}"' for e in self.realized_error], "  "))

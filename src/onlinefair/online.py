@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapreplace
 from math import lcm
 from typing import Iterator, Optional
 
@@ -111,15 +112,21 @@ class GreedyGoldenThreshold(OnlineAllocator):
 class LowestValueBundle(OnlineAllocator):
     """Give each good to an agent whose own bundle is currently least valued.
 
-    Ties break by lowest agent id.  With identical valuations every prefix
-    allocation is exactly envy-free up to one good; the own-value rule also
-    runs unchanged on non-identical streams (baseline duty only).
+    A heap of (own value, agent) pairs breaks ties by lowest agent id.  With
+    identical valuations every prefix allocation is exactly EF1; the own-value
+    rule also runs unchanged on non-identical streams (baseline duty only).
     """
 
     name = "ef1-lowest"
 
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.heap = [(0, i) for i in range(n)]  # every own value 0: sorted, so a heap
+
     def _decide(self, t: int, weights: tuple[int, ...]) -> int:
-        return self.own.index(min(self.own))
+        own, agent = self.heap[0]
+        heapreplace(self.heap, (own + weights[agent], agent))
+        return agent
 
 
 class PredictionFollower(OnlineAllocator):

@@ -68,6 +68,11 @@ class TestGenerators:
         assert inst == Instance(p, truths, inst.declared_accuracy)
         assert Instance.from_json_dict(inst.to_json_dict()) == inst
 
+    @pytest.mark.parametrize("n,horizon", [(1, 4), (0, 4), (2, 0)])
+    def test_fewer_than_two_agents_or_no_goods_refused(self, n, horizon):
+        with pytest.raises(ValueError, match=r"^need n >= 2 agents and at least one good$"):
+            gen_random_instance(n, horizon, identical=True, seed=1)
+
     def test_make_instance_checks_the_agent_count(self):
         p = gen_random_instance(2, 4, identical=True, seed=1)
         truths = gen_random_instance(3, 4, identical=True, seed=2)
@@ -119,17 +124,24 @@ class TestPerturb:
 
     def test_infeasible_distance_rejected(self):
         p = gen_random_instance(2, 3, identical=True, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^distance must lie in \[0, 1\]$"):
             perturb(p, [F(3, 2), F(3, 2)], seed=2)
 
     def test_identical_profile_needs_common_distance(self):
         p = gen_random_instance(2, 3, identical=True, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^identical profiles need one common distance$"):
             perturb(p, [F(1, 4), F(1, 8)], seed=2)
+
+    @pytest.mark.parametrize("identical", [True, False])
+    @pytest.mark.parametrize("d", [[F(1, 4)], [F(1, 4)] * 3])
+    def test_one_distance_per_agent(self, identical, d):
+        p = gen_random_instance(2, 3, identical=identical, seed=1)
+        with pytest.raises(ValueError, match=r"^need one distance per agent$"):
+            perturb(p, d, seed=2)
 
     def test_unknown_mode_rejected(self):
         v = ValuationVector((F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown perturbation mode 'sideways'$"):
             perturb_vector(v, F(1, 4), random.Random(0), mode="sideways")
 
 
@@ -232,10 +244,23 @@ def _identical_shared_vector() -> list[GameTranscript]:
     return [run_instance(name, inst) for name in ("ef1-lowest", "follower:lpt")]
 
 
+def _lists_read_first() -> list[GameTranscript]:
+    """Transcripts whose per-agent lists a caller read, and which were written
+    once, before the test writes them."""
+    transcripts = _instance_runs(5)
+    for transcript in transcripts:
+        alloc = transcript.allocation
+        assert alloc.as_lists() == [sorted(b) for b in alloc.bundles]
+        transcript.to_json()
+    return transcripts
+
+
 WRITER_CASES = {
     "every-allocator-T1": lambda: _instance_runs(1),
     "every-allocator-T3": lambda: _instance_runs(3),
     "every-allocator-T7": lambda: _instance_runs(7),
+    "every-allocator-T12": lambda: _instance_runs(12),
+    "lists-read-first": _lists_read_first,
     "empty-bundle-n3": lambda: [run_instance(
         "ef1-lowest", make_instance(*[gen_random_instance(3, 2, identical=False, seed=5)] * 2))],
     "duel": lambda: [run_duel("main", AdversarySpec("pred-2-identical", F(7, 10)),
@@ -266,6 +291,22 @@ def test_transcript_writer_matches_json_dumps(case):
         assert json.loads(s) == reference_transcript_dict(transcript)
 
 
+def test_one_run_regroups_the_labels_once(monkeypatch):
+    # the fairness report and the writer read one set of per-agent lists
+    read = []
+    as_lists = Allocation.as_lists
+
+    def counted(alloc):
+        read.append(as_lists(alloc))
+        return read[-1]
+
+    monkeypatch.setattr(Allocation, "as_lists", counted)
+    p = gen_random_instance(3, 12, identical=True, seed=4)
+    transcript = run_instance("ef1-lowest", make_instance(p, p))
+    transcript.to_json()
+    assert len(read) == 2 and read[0] is read[1]
+
+
 def test_writer_cases_cover_empty_bundles_and_null_fields():
     transcripts = [t for make in WRITER_CASES.values() for t in make()]
     assert {t.allocator for t in transcripts} >= {"random-walk", *(
@@ -273,7 +314,7 @@ def test_writer_cases_cover_empty_bundles_and_null_fields():
     assert any(not b for t in transcripts for b in t.allocation.bundles)
     assert any(t.realized_error is None for t in transcripts)
     assert any(t.seed is not None for t in transcripts)
-    assert {len(t.choices) for t in transcripts} >= {0, 1}
+    assert {len(t.choices) for t in transcripts} >= {0, 1, 12}
     assert any(len({v.den for v in t.truths.vectors}) > 1 for t in transcripts)
     assert any(0 in v.weights for t in transcripts for v in t.truths.vectors)
     assert any(t.truths.agents == 3 and len(set(map(id, t.truths.vectors))) == 1

@@ -186,6 +186,26 @@ class TestLowestValueBundle:
             prefix = Allocation(tuple(labels), profile.agents)
             assert fairness_report(prefix, profile).ef1_factor == 1
 
+    @settings(max_examples=200)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), max_size=30))))
+    def test_heap_picks_as_min_and_index_do(self, case):
+        # small weights give ties and zero-valued goods; the rule holds on
+        # per-agent streams too
+        n, stream = case
+        a = LowestValueBundle(n)
+        own = [0] * n
+        for weights in stream:
+            lowest = own.index(min(own))
+            assert a.step(weights) == lowest
+            own[lowest] += weights[lowest]
+        assert a.own == own
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_agents_refused(self, n):
+        with pytest.raises(ValueError, match=r"^need at least two agents$"):
+            LowestValueBundle(n)
+
 
 class TestPredictionFollower:
     def test_zero_error_is_exact(self):
@@ -200,6 +220,16 @@ class TestPredictionFollower:
         base = run_instance("follower:lpt", make_instance(p, p))
         extended = run_instance("follower:lpt", make_instance(p, padded))
         assert extended.report.efx_factor == base.report.efx_factor == 1
+
+    @pytest.mark.parametrize("agents,identical,base,message", [
+        (2, False, "lpt", "the largest-value-first base needs identical predictions"),
+        (3, True, "cut-and-choose", "cut-and-choose is a two-agent procedure"),
+        (2, True, "round-robin", "unknown follower base 'round-robin'"),
+    ])
+    def test_base_outside_its_scope_refused(self, agents, identical, base, message):
+        p = gen_random_instance(agents, 4, identical=identical, seed=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PredictionFollower(p, base=base)
 
     def test_extras_go_to_unenvied_agent(self):
         p = ValuationProfile.identical_from(vec("1/3", "1/3", "1/3"), 2)
@@ -644,6 +674,17 @@ def test_make_allocator_validations():
         make_allocator("main", n=2, identical=True, prediction=p2)  # missing target factor
     with pytest.raises(ValueError, match=r"^follower:lpt needs a prediction profile$"):
         make_allocator("follower:lpt", n=2, identical=True, prediction=None)
+    with pytest.raises(ValueError, match=r"^ef1-lowest reads no target factor a; only main does$"):
+        make_allocator("ef1-lowest", n=2, identical=True, prediction=p2, a=F(4, 5))
+    with pytest.raises(ValueError,
+                       match=r"^three-goods needs the promised horizon from a prediction$"):
+        make_allocator("three-goods", n=2, identical=True)
+    general = ValuationProfile((vec("1/2", "1/2"), vec("1/4", "3/4")))
+    with pytest.raises(ValueError,
+                       match=r"^the form-guided allocator needs identical predictions$"):
+        make_allocator("main", n=2, identical=True, prediction=general, a=F(4, 5))
+    with pytest.raises(ValueError, match=r"^need at least two agents$"):
+        make_allocator("ef1-lowest", n=1, identical=True)
     with pytest.raises(ValueError, match=r"^unknown allocator 'nope'; choose from \('greedy-phi', "
                                          r"'ef1-lowest', 'follower:lpt', 'follower:cut-and-choose', "
                                          r"'three-goods', 'main'\)$"):
